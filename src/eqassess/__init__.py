@@ -15,7 +15,8 @@ from .forecast import (FORECAST_HEADER, GriddedForecast, catalog_log_likelihood,
                        expected_total, forecast_from_intensity,
                        joint_log_likelihood, marginal_magnitude,
                        marginal_space, parse_forecast, poisson_log_pmf,
-                       scale_to_count, serialize_forecast)
+                       scale_to_count, serialize_forecast,
+                       sparse_log_likelihood)
 from .intensity import (BandwidthSelection, FitResult, GridIntensity,
                         HawkesIntensity, HawkesParams, HomogeneousIntensity,
                         KernelIntensity, background_from_catalog,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -356,6 +357,65 @@ class BinCounts(NamedTuple):
     remainder: int
 
 
+# A grid whose elementary lattice (the product of each axis's distinct edges)
+# has more than this many cells per grid cell is located by a closed-box scan
+# rather than through a lattice table.
+_LATTICE_PER_CELL = 8
+# elements in one chunk of point-by-cell or box-pair comparisons
+_CHUNK_ELEMENTS = 1 << 22
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _unique_rows(rows):
+    """np.unique(rows, axis=0, return_index=True, return_inverse=True) by a
+    stable lexsort of the columns, many times faster than unique's sort of
+    row records."""
+    order = np.lexsort(rows.T[::-1])
+    s = rows[order]
+    new = np.concatenate([[True], np.any(s[1:] != s[:-1], axis=1)])
+    inverse = np.empty(rows.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return s[new], order[new], inverse
+
+
+def _distinct_rows(rows):
+    """Distinct rows in first-appearance order, and each row's index into them."""
+    uniq, first, inverse = _unique_rows(rows)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return _frozen(uniq[order]), _frozen(rank[inverse])
+
+
+def _runs(lengths):
+    """For consecutive runs of the given lengths: each element's run and its offset in the run."""
+    run = np.repeat(np.arange(lengths.size), lengths)
+    return run, np.arange(run.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _chunks(weights, budget):
+    """(start, stop) spans of consecutive items whose weights sum to at most
+    budget; an item heavier than the budget is a span of its own."""
+    cum = np.cumsum(weights)
+    start = 0
+    while start < cum.size:
+        base = cum[start - 1] if start else 0
+        stop = max(int(np.searchsorted(cum, base + budget, side="right")), start + 1)
+        yield start, stop
+        start = stop
+
+
+def _overlap_error(b, j: int) -> ValueError:
+    """The error naming cell j and the lowest-index earlier cell it overlaps."""
+    # open intervals meeting on every axis means positive shared measure
+    meet = np.all((b[:j, 0::2] < b[j, 1::2]) & (b[:j, 1::2] > b[j, 0::2]), axis=1)
+    return ValueError(f"grid cells {int(np.argmax(meet))} and {j} overlap")
+
+
 @dataclass(frozen=True)
 class BinGrid:
     """Space-magnitude bins: closed boxes (lon, lat, mag), non-overlapping.
@@ -363,6 +423,11 @@ class BinGrid:
     Cells are ordered row-major by (space cell, then magnitude band) when
     built from a regular product; arbitrary (e.g. masked) cell lists are
     allowed as long as the magnitude banding is globally consistent.
+
+    Points are located through the elementary lattice spanned by the sorted
+    distinct edges of each axis, with a table of the cell owning each lattice
+    cell. Grids whose lattice is much larger than the cell count take a
+    chunked closed-box scan instead.
     """
 
     boxes: np.ndarray  # (n_cells, 6): lon_min, lon_max, lat_min, lat_max, mag_min, mag_max
@@ -375,34 +440,71 @@ class BinGrid:
             raise ValueError("grid boxes must be finite")
         if np.any(b[:, 0] >= b[:, 1]) or np.any(b[:, 2] >= b[:, 3]) or np.any(b[:, 4] >= b[:, 5]):
             raise ValueError("grid boxes must have positive extent in lon, lat, and mag")
-        b = b.copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "boxes", b)
-        self._check_overlap(b)
-        self._check_banding(b)
+        object.__setattr__(self, "boxes", _frozen(b.copy()))
+        edges = tuple(np.unique(b[:, 2 * a:2 * a + 2]) for a in range(3))
+        if math.prod(e.size - 1 for e in edges) <= _LATTICE_PER_CELL * b.shape[0]:
+            lattice = (edges, self._owner_table(edges))
+        else:
+            self._sweep_overlap()
+            lattice = None
+        object.__setattr__(self, "_lattice", lattice)
+        self._check_banding()
 
-    @staticmethod
-    def _check_overlap(b):
+    def _owner_table(self, edges) -> np.ndarray:
+        """Index of the cell owning each lattice cell (n_cells where none
+        does); a lattice cell claimed twice means two cells overlap."""
+        b = self.boxes
         n = b.shape[0]
-        if n > 4000:
-            return  # quadratic check too costly; construction paths guarantee disjointness
-        lo = b[:, (0, 2, 4)]
-        hi = b[:, (1, 3, 5)]
-        # open-interval intersection in every dimension means positive shared measure
-        inter = (lo[:, None, :] < hi[None, :, :]) & (hi[:, None, :] > lo[None, :, :])
-        clash = inter.all(axis=2)
-        np.fill_diagonal(clash, False)
-        if clash.any():
-            i, j = np.argwhere(clash)[0]
-            raise ValueError(f"grid cells {i} and {j} overlap")
+        shape = tuple(e.size - 1 for e in edges)
+        lo = np.column_stack([np.searchsorted(edges[a], b[:, 2 * a]) for a in range(3)])
+        ext = np.column_stack([np.searchsorted(edges[a], b[:, 2 * a + 1]) for a in range(3)]) - lo
+        vol = ext.prod(axis=1)
+        owner = np.full(math.prod(shape), n, dtype=np.intp)
+        # disjoint cells claim at most owner.size lattice cells in all, so a
+        # valid grid is filled in one chunk
+        for start, stop in _chunks(vol, owner.size):
+            run, off = _runs(vol[start:stop])
+            cell = start + run
+            flat = np.zeros(cell.size, dtype=np.intp)
+            for a in range(3):
+                flat = flat * shape[a] + lo[cell, a] + off % ext[cell, a]
+                off = off // ext[cell, a]
+            taken = owner[flat] < n
+            if taken.any() or np.bincount(flat).max() > 1:
+                order = np.lexsort((cell, flat))
+                again = np.zeros(cell.size, dtype=bool)
+                again[order[1:]] = flat[order[1:]] == flat[order[:-1]]
+                raise _overlap_error(b, int(cell[taken | again].min()))
+            owner[flat] = cell
+        return owner.reshape(shape)
 
-    @staticmethod
-    def _check_banding(b):
-        bands = np.unique(b[:, 4:6], axis=0)
-        order = np.argsort(bands[:, 0])
-        bands = bands[order]
-        starts, stops = bands[:, 0], bands[:, 1]
-        if np.any(starts[1:] < stops[:-1]):
+    def _sweep_overlap(self):
+        """Raise if two cells overlap, testing only the pairs whose extents
+        meet on the axis where the fewest such pairs exist."""
+        b = self.boxes
+        n = b.shape[0]
+        best = None
+        for a in range(3):
+            order = np.argsort(b[:, 2 * a], kind="stable")
+            stop = np.searchsorted(b[order, 2 * a], b[order, 2 * a + 1], side="left")
+            later = stop - np.arange(n) - 1
+            if best is None or later.sum() < best[1].sum():
+                best = (order, later)
+        order, later = best
+        j = n
+        for start, stop in _chunks(later, _CHUNK_ELEMENTS):
+            run, off = _runs(later[start:stop])
+            p = order[start + run]
+            q = order[start + run + 1 + off]
+            meet = np.all((b[p, 0::2] < b[q, 1::2]) & (b[q, 0::2] < b[p, 1::2]), axis=1)
+            if meet.any():
+                j = min(j, int(np.maximum(p, q)[meet].min()))
+        if j < n:
+            raise _overlap_error(b, j)
+
+    def _check_banding(self):
+        bands = self.mag_bands
+        if np.any(bands[1:, 0] < bands[:-1, 1]):
             raise ValueError("inconsistent magnitude banding: bands overlap")
 
     @classmethod
@@ -411,14 +513,26 @@ class BinGrid:
         lon_edges = np.asarray(lon_edges, dtype=float)
         lat_edges = np.asarray(lat_edges, dtype=float)
         mag_edges = np.asarray(mag_edges, dtype=float)
-        boxes = []
-        for iy in range(lat_edges.size - 1):
-            for ix in range(lon_edges.size - 1):
-                for im in range(mag_edges.size - 1):
-                    boxes.append((lon_edges[ix], lon_edges[ix + 1],
-                                  lat_edges[iy], lat_edges[iy + 1],
-                                  mag_edges[im], mag_edges[im + 1]))
-        return cls(np.asarray(boxes))
+        iy, ix, im = (g.ravel() for g in np.meshgrid(
+            np.arange(lat_edges.size - 1), np.arange(lon_edges.size - 1),
+            np.arange(mag_edges.size - 1), indexing="ij"))
+        return cls(np.column_stack([lon_edges[ix], lon_edges[ix + 1],
+                                    lat_edges[iy], lat_edges[iy + 1],
+                                    mag_edges[im], mag_edges[im + 1]]))
+
+    def _cached(self, name: str, build):
+        if name not in self.__dict__:
+            object.__setattr__(self, name, build())
+        return self.__dict__[name]
+
+    def _space(self):
+        return self._cached("_space_cache", lambda: _distinct_rows(self.boxes[:, :4]))
+
+    def _bands(self):
+        def build():
+            bands, _, index = _unique_rows(self.boxes[:, 4:6])
+            return _frozen(bands), _frozen(index)
+        return self._cached("_band_cache", build)
 
     @property
     def n_cells(self) -> int:
@@ -426,21 +540,13 @@ class BinGrid:
 
     @property
     def mag_bands(self) -> np.ndarray:
-        bands = np.unique(self.boxes[:, 4:6], axis=0)
-        return bands[np.argsort(bands[:, 0])]
+        """Distinct magnitude bands, sorted."""
+        return self._bands()[0]
 
     @property
     def space_boxes(self) -> np.ndarray:
         """Distinct spatial boxes in first-appearance order."""
-        seen = {}
-        for row in self.boxes[:, :4]:
-            key = tuple(row)
-            if key not in seen:
-                seen[key] = len(seen)
-        out = np.empty((len(seen), 4))
-        for key, i in seen.items():
-            out[i] = key
-        return out
+        return self._space()[0]
 
     @property
     def mag_min(self) -> float:
@@ -448,12 +554,59 @@ class BinGrid:
 
     def space_index(self) -> np.ndarray:
         """Index of each cell's spatial box within space_boxes."""
-        keys = {tuple(row): i for i, row in enumerate(self.space_boxes)}
-        return np.array([keys[tuple(row)] for row in self.boxes[:, :4]], dtype=int)
+        return self._space()[1]
 
     def band_index(self) -> np.ndarray:
-        bands = {tuple(row): i for i, row in enumerate(self.mag_bands)}
-        return np.array([bands[tuple(row)] for row in self.boxes[:, 4:6]], dtype=int)
+        """Index of each cell's band within mag_bands."""
+        return self._bands()[1]
+
+    def locate(self, lons, lats, mags=None) -> np.ndarray:
+        """Index of the cell holding each point, or -1 for points in no cell.
+
+        Boxes are closed on every face; a point on a shared face goes to the
+        lowest-index cell holding it. With mags=None the magnitude is
+        ignored: a point goes to the lowest-index cell whose lon/lat box
+        holds it.
+        """
+        coords = (lons, lats) if mags is None else (lons, lats, mags)
+        shape = np.shape(lons)
+        pts = [np.asarray(v, dtype=float).ravel() for v in coords]
+        if self._lattice is None:
+            return self._scan(pts).reshape(shape)
+        edges, owner = self._lattice
+        n = self.n_cells
+        inside = np.ones(pts[0].size, dtype=bool)
+        ranges = []
+        for e, p in zip(edges, pts):
+            # the one or two lattice intervals whose closure holds p
+            first = np.maximum(np.searchsorted(e, p, side="left") - 1, 0)
+            last = np.minimum(np.searchsorted(e, p, side="right") - 1, e.size - 2)
+            inside &= first <= last
+            ranges.append((first, np.maximum(last, 0), 2))
+        if mags is None:
+            ranges.append((0, owner.shape[2] - 1, owner.shape[2]))
+        table = owner.ravel()
+        best = np.full(pts[0].size, n, dtype=np.intp)
+        for step in itertools.product(*(range(k) for _, _, k in ranges)):
+            flat = 0
+            for (first, last, _), d, size in zip(ranges, step, owner.shape):
+                flat = flat * size + np.minimum(first + d, last)
+            best = np.minimum(best, table[flat])
+        return np.where(inside & (best < n), best, -1).reshape(shape)
+
+    def _scan(self, pts) -> np.ndarray:
+        """Closed-box, lowest-index location by chunks of points against every cell."""
+        b = self.boxes
+        out = np.full(pts[0].size, -1, dtype=np.intp)
+        step = max(1, _CHUNK_ELEMENTS // b.shape[0])
+        for lo in range(0, out.size, step):
+            inside = np.ones((b.shape[0], min(step, out.size - lo)), dtype=bool)
+            for a, p in enumerate(pts):
+                q = p[lo:lo + step]
+                inside &= (b[:, 2 * a, None] <= q) & (q <= b[:, 2 * a + 1, None])
+            hit = inside.any(axis=0)
+            out[lo:lo + step][hit] = inside.argmax(axis=0)[hit]
+        return out
 
     def cell_area_km2(self) -> np.ndarray:
         b = self.boxes
@@ -471,19 +624,9 @@ def bin_counts(c: Catalog, g: BinGrid) -> BinCounts:
     the lowest-index cell containing it. Events in no cell land in the
     remainder count.
     """
-    if c.n == 0:
-        return BinCounts(np.zeros(g.n_cells, dtype=int), 0)
-    b = g.boxes
-    x, y, m = c.lons, c.lats, c.mags
-    inside = (
-        (x >= b[:, 0:1]) & (x <= b[:, 1:2])
-        & (y >= b[:, 2:3]) & (y <= b[:, 3:4])
-        & (m >= b[:, 4:5]) & (m <= b[:, 5:6])
-    )
-    hit = inside.any(axis=0)
-    first = inside.argmax(axis=0)
-    counts = np.bincount(first[hit], minlength=g.n_cells).astype(int)
-    return BinCounts(counts, int((~hit).sum()))
+    cell = g.locate(c.lons, c.lats, c.mags)
+    hit = cell[cell >= 0]
+    return BinCounts(np.bincount(hit, minlength=g.n_cells), c.n - hit.size)
 
 
 @dataclass(frozen=True)

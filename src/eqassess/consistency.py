@@ -3,7 +3,9 @@
 Consistency tests (N, L, M, S) score one forecast against an observed
 catalog; comparison tests (R, T, W) score two forecasts on the same grid.
 Simulation-based tests resolve ties toward the rejection side (<=) and
-draw replicate k from substream k of the supplied stream.
+draw replicate k from substream k of the supplied stream. The L and R null
+catalogs are drawn as binned counts, never as event lists: under a Poisson
+forecast a catalog's cell counts are independent Poisson(rate) draws.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from scipy.stats import rankdata
 from .catalog import Catalog, bin_counts
 from .forecast import (GriddedForecast, expected_total, joint_log_likelihood,
                        marginal_magnitude, marginal_space, poisson_log_pmf,
-                       scale_to_count)
+                       scale_to_count, sparse_log_likelihood)
 from .rng import RngStream, pmap
-from .simulate import simulate_poisson_grid
 
 
 @dataclass(frozen=True)
@@ -68,19 +69,41 @@ def n_test(f: GriddedForecast, c: Catalog, level: float = 0.05) -> TestResult:
                       delta1=delta1, delta2=delta2)
 
 
+def _observed_cells(f: GriddedForecast, c: Catalog):
+    """Occupied cells of the binned catalog, ascending, and their counts."""
+    counts = bin_counts(c, f.grid).counts
+    cells = np.flatnonzero(counts)
+    return cells, counts[cells]
+
+
+def _null_cells(cum_rates: np.ndarray, rng: RngStream):
+    """Occupied cells and counts of one Poisson catalog from the forecast
+    whose cumulative rates are given.
+
+    The total N is Poisson(sum of rates); each of the N events picks cell i
+    with probability rate_i / total by inverting the cumulative rates, so a
+    zero-rate cell is never picked.
+    """
+    gen = rng.generator()
+    total = cum_rates[-1]
+    u = gen.random(gen.poisson(total)) * total
+    return np.unique(np.searchsorted(cum_rates, u, side="right"), return_counts=True)
+
+
 def l_test(f: GriddedForecast, c: Catalog, rng: RngStream, n_sim: int = 1000,
            level: float = 0.05, jobs: int = 1) -> TestResult:
     """Joint log-likelihood consistency test.
 
-    gamma is the fraction of null catalogs (simulated from the forecast,
-    binned, scored) whose likelihood is <= the observed one; one-sided
-    rejection for small gamma.
+    gamma is the fraction of null catalogs (binned counts simulated from the
+    forecast) whose likelihood is <= the observed one; one-sided rejection
+    for small gamma. Observed and simulated counts go through the same
+    scorer, so a tie is exact.
     """
-    obs = joint_log_likelihood(f, bin_counts(c, f.grid).counts)
+    obs = sparse_log_likelihood(f, *_observed_cells(f, c))
+    cum = np.cumsum(f.rates)
 
     def one(k: int) -> float:
-        sim = simulate_poisson_grid(f, rng.substream(k))
-        return joint_log_likelihood(f, bin_counts(sim, f.grid).counts)
+        return sparse_log_likelihood(f, *_null_cells(cum, rng.substream(k)))
 
     sims = np.asarray(pmap(one, n_sim, jobs))
     gamma = float(np.mean(sims <= obs))
@@ -139,30 +162,30 @@ def r_test(fa: GriddedForecast, fb: GriddedForecast, c: Catalog,
     """One-directional likelihood-ratio test with the first forecast as null.
 
     R = L_A - L_B on the observed counts; the null distribution comes from
-    catalogs simulated from fa. Small p means the observed R sits in fa's
-    low tail. Run with the arguments swapped for the other direction; the
-    two directions are never merged.
+    binned counts simulated from fa. Small p means the observed R sits in
+    fa's low tail. Run with the arguments swapped for the other direction;
+    the two directions are never merged.
     """
     if fa.grid != fb.grid:
         raise ValueError("r_test needs both forecasts on the same grid")
-    counts = bin_counts(c, fa.grid).counts
-    la = joint_log_likelihood(fa, counts)
-    lb = joint_log_likelihood(fb, counts)
+    cells, counts = _observed_cells(fa, c)
+    la = sparse_log_likelihood(fa, cells, counts)
+    lb = sparse_log_likelihood(fb, cells, counts)
     if math.isinf(la) and math.isinf(lb):
         raise ValueError("both forecasts assign zero likelihood to the observation")
     r_obs = la - lb
+    cum = np.cumsum(fa.rates)
 
     def one(k: int) -> float:
-        sim = simulate_poisson_grid(fa, rng.substream(k))
-        cs = bin_counts(sim, fa.grid).counts
-        return joint_log_likelihood(fa, cs) - joint_log_likelihood(fb, cs)
+        cs = _null_cells(cum, rng.substream(k))
+        return sparse_log_likelihood(fa, *cs) - sparse_log_likelihood(fb, *cs)
 
     sims = np.asarray(pmap(one, n_sim, jobs))
     p = float(np.mean(sims <= r_obs))
     direction = "A" if r_obs > 0 else ("B" if r_obs < 0 else "tie")
     decision = "reject" if p < level else "consistent"
     return PairwiseResult("r", r_obs, p, direction, decision, level,
-                          n_used=counts.size, n_sim=n_sim, sim_statistics=sims)
+                          n_used=fa.grid.n_cells, n_sim=n_sim, sim_statistics=sims)
 
 
 def student_t_statistic(x: np.ndarray):

@@ -153,6 +153,20 @@ def joint_log_likelihood(f: GriddedForecast, counts) -> float:
     return float(poisson_log_pmf(counts, f.rates).sum())
 
 
+def sparse_log_likelihood(f: GriddedForecast, cells, counts) -> float:
+    """Joint Poisson log-likelihood from the occupied cells alone.
+
+    cells are distinct ascending cell indices and counts their positive
+    event counts; every other cell holds zero events. The value is
+    -sum(rates) + sum(n log r - log n!) over the given cells, which equals
+    joint_log_likelihood up to rounding, at a cost that does not grow with
+    the number of empty cells.
+    """
+    counts = np.asarray(counts, dtype=float)
+    occupied = xlogy(counts, f.rates[cells]) - gammaln(counts + 1.0)
+    return float(np.sum(occupied)) - expected_total(f)
+
+
 def catalog_log_likelihood(f: GriddedForecast, c: Catalog) -> float:
     return joint_log_likelihood(f, bin_counts(c, f.grid).counts)
 

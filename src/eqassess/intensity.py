@@ -14,8 +14,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .catalog import KM_PER_DEG, Catalog, Region, km_distance, region_lattice
-from .forecast import GriddedForecast
+from .catalog import Catalog, Region, km_distance, region_lattice
+from .forecast import GriddedForecast, marginal_space
 from .rng import RngStream
 
 _CHUNK = 4096
@@ -97,28 +97,14 @@ class GridIntensity:
     time_dependent = False
 
     def __init__(self, f: GriddedForecast):
-        space = f.grid.space_boxes
-        space_of = f.grid.space_index()
-        totals = np.zeros(space.shape[0])
-        np.add.at(totals, space_of, f.rates)
-        lat_mid = np.radians(0.5 * (space[:, 2] + space[:, 3]))
-        areas = (KM_PER_DEG * np.cos(lat_mid) * (space[:, 1] - space[:, 0])) * \
-                (KM_PER_DEG * (space[:, 3] - space[:, 2]))
-        self.boxes = space
-        self.density = totals / (areas * f.window_days)
+        marg = marginal_space(f)
+        self.grid = marg.grid
+        self.density = marg.rates / (marg.grid.cell_area_km2() * f.window_days)
         self.window_days = f.window_days
 
     def rate_at(self, lons, lats, times=None):
-        lons = np.atleast_1d(np.asarray(lons, dtype=float))
-        lats = np.atleast_1d(np.asarray(lats, dtype=float))
-        out = np.zeros(lons.shape, dtype=float)
-        unset = np.ones(lons.shape, dtype=bool)
-        for box, dens in zip(self.boxes, self.density):
-            hit = unset & (lons >= box[0]) & (lons <= box[1]) & \
-                (lats >= box[2]) & (lats <= box[3])
-            out[hit] = dens
-            unset &= ~hit
-        return out
+        cell = self.grid.locate(np.atleast_1d(lons), np.atleast_1d(lats))
+        return np.where(cell >= 0, self.density[cell], 0.0)
 
 
 @dataclass(frozen=True)

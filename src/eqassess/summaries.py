@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import BinGrid, Catalog, Region, region_lattice
+from .catalog import Catalog, Region, region_lattice
 from .forecast import GriddedForecast, marginal_space
 from .rng import RngStream
 from .simulate import simulate_homogeneous
@@ -178,10 +178,8 @@ def error_diagram(model_or_forecast, c: Catalog, region: Region,
         values = marg.rates / (areas * marg.window_days)
         measure = areas
         # each event scores its space box's value; strays score 0
-        ev = np.array([
-            _event_cell_value(marg.grid, values, c.lons[i], c.lats[i])
-            for i in range(c.n)
-        ])
+        cell = marg.grid.locate(c.lons, c.lats)
+        ev = np.where(cell >= 0, values[cell], 0.0)
     else:
         lat = region_lattice(region, n_grid)
         lons = lat.lons[lat.inside]
@@ -200,16 +198,6 @@ def error_diagram(model_or_forecast, c: Catalog, region: Region,
             ev = model_or_forecast.rate_at(c.lons, c.lats)
     thresh, alarm, miss = _diagram_from_values(values, measure, ev, n_thresholds)
     return ErrorDiagram(thresh, alarm, miss, c.n)
-
-
-def _event_cell_value(grid: BinGrid, values, lon, lat):
-    boxes = grid.boxes
-    inside = ((boxes[:, 0] <= lon) & (lon <= boxes[:, 1]) &
-              (boxes[:, 2] <= lat) & (lat <= boxes[:, 3]))
-    idx = np.flatnonzero(inside)
-    if idx.size == 0:
-        return 0.0
-    return float(values[idx[0]])
 
 
 def error_diagram_to_csv(diag: ErrorDiagram) -> str:

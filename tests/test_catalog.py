@@ -10,6 +10,37 @@ from eqassess import (BinGrid, Catalog, Region, bin_counts, empty_catalog,
                       region_lattice, serialize_catalog, serialize_region)
 from eqassess.catalog import KM_PER_DEG
 
+# 80 x 50 disjoint unit boxes east of lon 10, lon-fastest
+_FILLERS = BinGrid.regular(np.arange(10.0, 91.0), np.arange(0.0, 51.0),
+                           np.array([4.0, 5.0])).boxes
+# unit boxes along the diagonal: an edge lattice far larger than the cell count
+_STAIRS = np.array([[i, i + 1.0, i, i + 1.0, 4.0, 5.0] for i in range(30)])
+
+
+@st.composite
+def _grids(draw):
+    """A regular, masked and shuffled product grid, or an irregular grid of
+    disjoint boxes with integer corners on two magnitude bands."""
+    if draw(st.booleans()):
+        edges = [np.cumsum(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                         min_size=k, max_size=k))) - lo
+                 for k, lo in ((draw(st.integers(2, 5)), 3.0),
+                               (draw(st.integers(2, 5)), -1.0),
+                               (draw(st.integers(2, 4)), -4.0))]
+        boxes = BinGrid.regular(*edges).boxes
+        keep = draw(st.lists(st.booleans(), min_size=len(boxes), max_size=len(boxes)))
+        boxes = boxes[np.asarray(keep, dtype=bool)] if any(keep) else boxes
+        order = draw(st.permutations(range(len(boxes))))
+        return BinGrid(boxes[list(order)])
+    kept = []
+    for x, w, y, h, m in draw(st.lists(
+            st.tuples(st.integers(0, 6), st.integers(1, 3), st.integers(0, 6),
+                      st.integers(1, 3), st.integers(0, 1)), min_size=1, max_size=15)):
+        box = np.array([x, x + w, y, y + h, 4.0 + m, 5.0 + m], dtype=float)
+        if all(np.any((box[0::2] >= k[1::2]) | (box[1::2] <= k[0::2])) for k in kept):
+            kept.append(box)
+    return BinGrid(np.array(kept))
+
 
 class TestKmDistance:
     def test_one_degree_lon_at_equator(self):
@@ -209,6 +240,103 @@ class TestBinGrid:
         g = BinGrid(np.array([[0.0, 1.0, 0.0, 1.0, 4.0, 5.0]]))
         expect = KM_PER_DEG ** 2 * math.cos(math.radians(0.5))
         assert g.cell_area_km2()[0] == pytest.approx(expect)
+
+
+    @pytest.mark.parametrize("boxes, pair", [
+        # 4000 disjoint fillers around an overlapping pair (lattice table)
+        (np.concatenate([_FILLERS[:2000], [[0.0, 1.0, 0.0, 1.0, 4.0, 5.0]],
+                         _FILLERS[2000:], [[0.5, 1.5, 0.0, 1.0, 4.0, 5.0]]]),
+         (2000, 4001)),
+        # a cover of the whole grid, after and before it (chunked table fill)
+        (np.concatenate([_FILLERS[:100], [[10.0, 20.0, 0.0, 10.0, 4.0, 5.0]]]), (0, 100)),
+        (np.concatenate([[[10.0, 20.0, 0.0, 10.0, 4.0, 5.0]], _FILLERS[:100]]), (0, 1)),
+        # a staircase has no compact lattice (sweep)
+        (np.concatenate([_STAIRS, [[7.5, 8.5, 7.5, 8.5, 4.0, 5.0]]]), (7, 30)),
+    ])
+    def test_overlap_rejected_at_every_size(self, boxes, pair):
+        with pytest.raises(ValueError, match=f"grid cells {pair[0]} and {pair[1]} overlap"):
+            BinGrid(boxes)
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3), st.integers(0, 5),
+                              st.integers(1, 3), st.integers(0, 1)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_overlap_names_lowest_clashing_pair(self, specs):
+        boxes = np.array([[x, x + w, y, y + h, 4.0 + m, 5.0 + m]
+                          for x, w, y, h, m in specs], dtype=float)
+        lo, hi = boxes[:, 0::2], boxes[:, 1::2]
+        clash = np.all((lo[:, None] < hi[None]) & (hi[:, None] > lo[None]), axis=2)
+        clash &= np.tri(len(boxes), k=-1, dtype=bool)  # (j, i) with i < j
+        if not clash.any():
+            assert BinGrid(boxes).n_cells == len(boxes)
+            return
+        j = int(np.flatnonzero(clash.any(axis=1))[0])
+        i = int(np.flatnonzero(clash[j])[0])
+        with pytest.raises(ValueError, match=f"grid cells {i} and {j} overlap"):
+            BinGrid(boxes)
+
+    def test_regular_matches_literal_loop(self):
+        lon = np.array([0.0, 0.5, 1.5, 2.0])
+        lat = np.array([10.0, 11.0, 13.0])
+        mag = np.array([4.0, 4.5, 5.0, 6.0])
+        boxes = [(lon[ix], lon[ix + 1], lat[iy], lat[iy + 1], mag[im], mag[im + 1])
+                 for iy in range(lat.size - 1) for ix in range(lon.size - 1)
+                 for im in range(mag.size - 1)]
+        np.testing.assert_array_equal(BinGrid.regular(lon, lat, mag).boxes, boxes)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_space_and_band_indices_match_first_appearance(self, data):
+        g = data.draw(_grids())
+        seen = {}
+        for row in g.boxes[:, :4]:
+            seen.setdefault(tuple(row), len(seen))
+        np.testing.assert_array_equal(g.space_boxes, list(seen))
+        np.testing.assert_array_equal(g.space_index(),
+                                      [seen[tuple(r)] for r in g.boxes[:, :4]])
+        bands = sorted({tuple(r) for r in g.boxes[:, 4:6]})
+        np.testing.assert_array_equal(g.mag_bands, bands)
+        np.testing.assert_array_equal(g.band_index(),
+                                      [bands.index(tuple(r)) for r in g.boxes[:, 4:6]])
+
+
+class TestLocate:
+    """locate against the dense closed-box, lowest-index reference."""
+
+    @staticmethod
+    def _dense(b, lons, lats, mags=None):
+        inside = ((b[:, 0:1] <= lons) & (lons <= b[:, 1:2])
+                  & (b[:, 2:3] <= lats) & (lats <= b[:, 3:4]))
+        if mags is not None:
+            inside &= (b[:, 4:5] <= mags) & (mags <= b[:, 5:6])
+        return np.where(inside.any(axis=0), inside.argmax(axis=0), -1)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_reference(self, data):
+        g = data.draw(_grids())
+        # faces, corners, the outer boundary, cell interiors and outside
+        coords = []
+        for a in range(3):
+            e = np.unique(g.boxes[:, 2 * a:2 * a + 2])
+            mids = 0.5 * (e[1:] + e[:-1])
+            coords.append(np.concatenate([e, mids, [e[0] - 1.0, e[-1] + 1.0]]))
+        n = data.draw(st.integers(1, 40))
+        lons, lats, mags = (np.array(data.draw(st.lists(st.sampled_from(list(c)),
+                                                        min_size=n, max_size=n)))
+                            for c in coords)
+        np.testing.assert_array_equal(g.locate(lons, lats, mags),
+                                      self._dense(g.boxes, lons, lats, mags))
+        np.testing.assert_array_equal(g.locate(lons, lats),
+                                      self._dense(g.boxes, lons, lats))
+
+    def test_both_lookup_paths_run(self):
+        assert BinGrid(_FILLERS)._lattice is not None
+        stairs = BinGrid(_STAIRS)
+        assert stairs._lattice is None
+        pts = np.array([0.0, 0.5, 1.0, 29.5, 30.0, 31.0])
+        np.testing.assert_array_equal(stairs.locate(pts, pts, np.full(6, 5.0)),
+                                      [0, 0, 0, 29, 29, -1])
 
 
 class TestBinCounts:

@@ -9,7 +9,7 @@ from eqassess import (BinGrid, Catalog, GriddedForecast, RngStream,
                       n_test, paradox_fixture, poisson_log_pmf, r_test,
                       results_to_csv, s_test, scale_to_count,
                       t_test_pairwise, w_test_pairwise)
-from eqassess.consistency import student_t_statistic, wilcoxon_signed_rank
+from eqassess.consistency import _null_cells, student_t_statistic, wilcoxon_signed_rank
 from eqassess.forecast import marginal_magnitude
 
 
@@ -110,6 +110,32 @@ class TestLTest:
         r4 = l_test(fb, c, RngStream(34), n_sim=200, jobs=4)
         np.testing.assert_array_equal(r1.sim_statistics, r4.sim_statistics)
 
+
+    def test_null_counts_follow_the_rates(self):
+        # per-cell Poisson(rate) counts; zero-rate cells never receive an event
+        rates = np.array([0.5, 0.0, 2.0, 0.05, 0.0, 4.0])
+        n_rep = 4000
+        counts = np.zeros((n_rep, rates.size))
+        cum = np.cumsum(rates)
+        for k in range(n_rep):
+            cells, n = _null_cells(cum, RngStream(35).substream(k))
+            counts[k, cells] = n
+        assert not counts[:, rates == 0].any()
+        mean, var = counts.mean(axis=0), counts.var(axis=0, ddof=1)
+        pos = rates > 0
+        # 5 standard errors; the sample variance of Poisson(r) has variance
+        # r / n + 2 r^2 / (n - 1)
+        se_mean = np.sqrt(rates / n_rep)
+        se_var = np.sqrt(rates / n_rep + 2.0 * rates ** 2 / (n_rep - 1))
+        assert np.all(np.abs(mean - rates)[pos] < 5.0 * se_mean[pos])
+        assert np.all(np.abs(var - rates)[pos] < 5.0 * se_var[pos])
+
+    def test_statistic_is_the_dense_likelihood(self, two_by_two_grid, small_catalog):
+        rates = np.array([3.0, 0.3, 1.0, 0.1, 2.0, 0.2, 4.0, 0.4])
+        f = GriddedForecast(two_by_two_grid, rates, small_catalog.window_days)
+        r = l_test(f, small_catalog, RngStream(36), n_sim=20)
+        counts = bin_counts(small_catalog, f.grid).counts
+        assert r.statistic == pytest.approx(joint_log_likelihood(f, counts), rel=1e-12)
 
 class TestConditionalMarginals:
     def test_m_statistic_is_scaled_marginal_likelihood(self, two_by_two_grid,

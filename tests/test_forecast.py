@@ -9,7 +9,8 @@ from eqassess import (BinGrid, Catalog, GriddedForecast, HomogeneousIntensity,
                       bin_counts, catalog_log_likelihood, expected_total,
                       forecast_from_intensity, joint_log_likelihood,
                       marginal_magnitude, marginal_space, parse_forecast,
-                      poisson_log_pmf, scale_to_count, serialize_forecast)
+                      poisson_log_pmf, scale_to_count, serialize_forecast,
+                      sparse_log_likelihood)
 
 FORECAST_TEXT = """lon_min,lon_max,lat_min,lat_max,mag_min,mag_max,rate,mask
 0,0.5,0,0.5,4,5,0.5,1
@@ -154,6 +155,23 @@ class TestLikelihood:
         assert catalog_log_likelihood(forecast, small_catalog) == \
             pytest.approx(joint_log_likelihood(forecast, counts))
 
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 1e-4, 0.02, 0.7, 3.0, 40.0]),
+                              st.integers(0, 6)), min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_equals_dense(self, cells):
+        rates = np.array([r for r, _ in cells])
+        counts = np.array([n if r > 0 else 0 for r, n in cells])
+        grid = BinGrid.regular(np.arange(rates.size + 1.0), np.array([0.0, 1.0]),
+                               np.array([4.0, 5.0]))
+        f = GriddedForecast(grid, rates, 1.0)
+        occupied = np.flatnonzero(counts)
+        assert sparse_log_likelihood(f, occupied, counts[occupied]) == \
+            pytest.approx(joint_log_likelihood(f, counts), rel=1e-12)
+
+    def test_sparse_count_on_zero_rate_is_minus_infinity(self, forecast):
+        f = GriddedForecast(forecast.grid, np.r_[0.0, forecast.rates[1:]], 5.0)
+        assert sparse_log_likelihood(f, np.array([0, 2]), np.array([1, 1])) == -math.inf
 
 class TestForecastFromIntensity:
     def test_homogeneous_rates(self, two_by_two_grid):
