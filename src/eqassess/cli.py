@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -33,9 +32,8 @@ from .render import (render_error_diagram, render_histogram, render_k_curve,
                      render_map, render_point_map)
 from .residuals import (cell_residuals_to_csv, cell_residuals_to_geojson,
                         deviance_residuals, homogeneity_test, pixel_residuals,
-                        rescale_times, super_thin, superpose_residuals,
-                        thin_residuals, voronoi_residuals,
-                        voronoi_tessellation)
+                        super_thin, superpose_residuals, thin_residuals,
+                        voronoi_residuals, voronoi_tessellation)
 from .rng import RngStream
 from .simulate import (simulate_hawkes, simulate_homogeneous,
                        simulate_poisson_grid)
@@ -478,23 +476,9 @@ def _cmd_residuals(cfg: RunConfig) -> int:
             ws.write("report.txt", _point_report(ps, region))
         elif kind == "rescale":
             model = _load_model(cfg, c)
-            area = region.area_km2
-            if isinstance(model, HomogeneousIntensity):
-                rate_fn = model.rate * area
-            else:
-                prm = model.params
-                hist_t, hist_m = c.times, c.mags
-                # triggering mass integrated over the whole plane
-                space_mass = math.pi * prm.d ** (1.0 - prm.q) / (prm.q - 1.0)
-                kappa = prm.k * np.exp(prm.a * (hist_m - prm.m0)) * space_mass
-
-                def rate_fn(ts):
-                    dt = np.asarray(ts)[:, None] - hist_t[None, :]
-                    g = np.where(dt > 0, (np.where(dt > 0, dt, 1.0) + prm.c) ** -prm.p, 0.0)
-                    return prm.mu * area + g @ kappa
-            rt = rescale_times(c, rate_fn)
-            rows = [f"# total_mass = {rt.total_mass!r}", "tau"]
-            rows += [repr(float(t)) for t in rt.taus]
+            lam = model.compensator(region, np.append(c.times, c.window_days))
+            rows = [f"# total_mass = {float(lam[-1])!r}", "tau"]
+            rows += [repr(float(t)) for t in lam[:-1]]
             ws.write("taus.csv", "\n".join(rows) + "\n")
         elif kind == "pixel":
             fa = _load_forecast(cfg, "forecast_a", cfg.get("window", c.window_days))

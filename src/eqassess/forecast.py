@@ -174,13 +174,13 @@ def catalog_log_likelihood(f: GriddedForecast, c: Catalog) -> float:
 def forecast_from_intensity(model, grid: BinGrid, window_days: float,
                             region: Region | None = None, n_sub: int = 8,
                             band_weights=None) -> GriddedForecast:
-    """Integrate a spatial intensity (events/km^2/day) over grid cells.
+    """Integrate an intensity model over grid cells and the window.
 
-    Each cell rate is a midpoint quadrature of the model over the cell's
-    lon/lat box times the window length; when a region is given, the density
-    is treated as zero outside it. Magnitude structure is supplied through
-    band_weights (one weight per band, summing to 1; default splits rate
-    evenly across bands).
+    Each cell rate is a midpoint quadrature over the cell's lon/lat box of
+    the model's exact integral over [0, window_days]; when a region is
+    given, the density is treated as zero outside it. Magnitude structure is
+    supplied through band_weights (one weight per band, summing to 1;
+    default splits rate evenly across bands).
     """
     from .catalog import KM_PER_DEG
 
@@ -197,12 +197,12 @@ def forecast_from_intensity(model, grid: BinGrid, window_days: float,
     for i, (lo_x, hi_x, lo_y, hi_y) in enumerate(space):
         gx, gy = np.meshgrid(lo_x + u * (hi_x - lo_x), lo_y + u * (hi_y - lo_y))
         lons, lats = gx.ravel(), gy.ravel()
-        dens = model.rate_at(lons, lats, np.zeros_like(lons))
+        mass = model.integrate(lons, lats, window_days)
         if region is not None:
-            dens = np.where(region.contains(lons, lats), dens, 0.0)
+            mass = np.where(region.contains(lons, lats), mass, 0.0)
         da = (KM_PER_DEG * np.cos(np.radians(lats)) * (hi_x - lo_x) / n_sub) * \
              (KM_PER_DEG * (hi_y - lo_y) / n_sub)
-        space_rate[i] = float(np.sum(dens * da)) * window_days
+        space_rate[i] = float(np.sum(mass * da))
 
     space_of = grid.space_index()
     band_of = grid.band_index()

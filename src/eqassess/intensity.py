@@ -1,8 +1,13 @@
 """Intensity models: kernel smoothers, piecewise grids, and Hawkes clustering.
 
-All rates are event densities per km^2 per day. A model exposes
-rate_at(lons, lats, times) (vectorized, equal-length arrays) and a
-time_dependent flag; time-independent models ignore the times argument.
+All rates are event densities per km^2 per day. Every model exposes one
+protocol on vectorized, equal-length arrays:
+
+- rate_at(lons, lats, times): the rate at each point and time
+  (time-independent models ignore times);
+- integrate(lons, lats, t): the exact integral of the rate over [0, t] at
+  each point;
+- bounds(region, t_max): (inf, sup) of the rate over region x [0, t_max].
 """
 
 from __future__ import annotations
@@ -37,10 +42,21 @@ def kernel_disk_mass(radius: float, d: float) -> float:
     return 1.0 - d / math.hypot(radius, d)
 
 
-class HomogeneousIntensity:
-    """Constant rate (events per km^2 per day)."""
+class _Stationary:
+    """The protocol for a rate that does not change in time."""
 
-    time_dependent = False
+    def integrate(self, lons, lats, t):
+        return self.rate_at(lons, lats) * t
+
+    def bounds(self, region: Region, t_max: float | None = None):
+        """(inf, sup) of the rate over a 200 x 200 lattice inside the region."""
+        lat = region_lattice(region, 200)
+        vals = self.rate_at(lat.lons[lat.inside], lat.lats[lat.inside])
+        return float(vals.min()), float(vals.max())
+
+
+class HomogeneousIntensity(_Stationary):
+    """Constant rate (events per km^2 per day)."""
 
     def __init__(self, rate: float):
         if rate < 0:
@@ -50,19 +66,21 @@ class HomogeneousIntensity:
     def rate_at(self, lons, lats, times=None):
         return np.full(np.shape(np.asarray(lons)), self.rate, dtype=float)
 
+    def compensator(self, region: Region, times):
+        """Expected count in region x [0, t] for each t."""
+        return self.rate * region.area_km2 * np.asarray(times, dtype=float)
+
     def __repr__(self):
         return f"HomogeneousIntensity({self.rate!r})"
 
 
-class KernelIntensity:
+class KernelIntensity(_Stationary):
     """Sum of power-law kernels centered on source points.
 
     With scale=1 the plane integral equals the number of sources; scale
     rescales the whole field (used for background rates calibrated to a
     target count).
     """
-
-    time_dependent = False
 
     def __init__(self, src_lons, src_lats, d: float, scale: float = 1.0):
         self.src_lons = np.atleast_1d(np.asarray(src_lons, dtype=float))
@@ -86,15 +104,13 @@ class KernelIntensity:
         return self.scale * out
 
 
-class GridIntensity:
+class GridIntensity(_Stationary):
     """Piecewise-constant spatial rate from a gridded forecast.
 
     Cell rate over the forecast window becomes a density (per km^2 per day);
     magnitude bands are summed. Points outside every cell have rate 0;
     boundary points follow the lowest-index-cell rule.
     """
-
-    time_dependent = False
 
     def __init__(self, f: GriddedForecast):
         marg = marginal_space(f)
@@ -143,10 +159,21 @@ class HawkesParams:
             raise ValueError("q must exceed 1")
 
 
+def temporal_mass(u, c: float, p: float):
+    """Integral of the lag kernel (s+c)^-p over s in [0, u]; u = inf gives
+    the whole mass c^(1-p)/(p-1)."""
+    return (c ** (1.0 - p) - (u + c) ** (1.0 - p)) / (p - 1.0)
+
+
+def spatial_mass(d: float, q: float) -> float:
+    """Integral of the distance kernel (r^2+d)^-q over the whole plane."""
+    return math.pi * d ** (1.0 - q) / (q - 1.0)
+
+
 def branching_ratio(params: HawkesParams, mag: float) -> float:
     """Expected direct offspring of an event of the given magnitude."""
-    temporal = params.c ** (1.0 - params.p) / (params.p - 1.0)
-    spatial = math.pi * params.d ** (1.0 - params.q) / (params.q - 1.0)
+    temporal = temporal_mass(math.inf, params.c, params.p)
+    spatial = spatial_mass(params.d, params.q)
     return params.k * math.exp(params.a * (mag - params.m0)) * temporal * spatial
 
 
@@ -178,40 +205,95 @@ class HawkesIntensity:
     """Conditional intensity mu(s) + sum over strictly earlier events of
     k * (dt+c)^-p * exp(a*(M-m0)) * (r^2+d)^-q."""
 
-    time_dependent = True
-
     def __init__(self, params: HawkesParams, history: Catalog, background=None):
         self.params = params
         self.history = history
         self.background = background  # None -> constant params.mu
 
-    def rate_at(self, lons, lats, times):
+    def _productivity(self) -> np.ndarray:
         p = self.params
+        return p.k * np.exp(p.a * (self.history.mags - p.m0))
+
+    def _parts(self, lons, lats, times, lag_kernel):
+        """(background rate, triggered sum) at each point; the sum runs over
+        history events of productivity x lag_kernel(t - t_i) x (r^2+d)^-q."""
+        p = self.params
+        h = self.history
         lons = np.atleast_1d(np.asarray(lons, dtype=float))
         lats = np.atleast_1d(np.asarray(lats, dtype=float))
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if times.shape != lons.shape:
-            times = np.broadcast_to(times, lons.shape)
-        h = self.history
+        times = np.broadcast_to(np.asarray(times, dtype=float), lons.shape)
         if self.background is None:
-            out = np.full(lons.shape, p.mu, dtype=float)
+            bg = np.full(lons.shape, p.mu, dtype=float)
         else:
-            out = self.background.rate_at(lons, lats).astype(float).copy()
+            bg = self.background.rate_at(lons, lats).astype(float)
+        out = np.zeros(lons.shape)
         if h.n == 0 or p.k == 0:
-            return out
-        prod = p.k * np.exp(p.a * (h.mags - p.m0))
+            return bg, out
+        prod = self._productivity()
         for lo in range(0, lons.size, _CHUNK):
             hi = min(lo + _CHUNK, lons.size)
             dt = times[lo:hi, None] - h.times[None, :]
-            active = dt > 0
             r = km_distance(lons[lo:hi, None], lats[lo:hi, None],
                             h.lons[None, :], h.lats[None, :])
-            g = np.where(
-                active,
-                (np.where(active, dt, 1.0) + p.c) ** -p.p * (r * r + p.d) ** -p.q,
-                0.0,
-            )
-            out[lo:hi] += g @ prod
+            out[lo:hi] = (lag_kernel(dt) * (r * r + p.d) ** -p.q) @ prod
+        return bg, out
+
+    def rate_at(self, lons, lats, times):
+        p = self.params
+
+        def lag(dt):
+            active = dt > 0
+            return np.where(active, (np.where(active, dt, 1.0) + p.c) ** -p.p, 0.0)
+
+        bg, trig = self._parts(lons, lats, times, lag)
+        return bg + trig
+
+    def integrate(self, lons, lats, t):
+        """Exact integral of the rate over [0, t] at each point."""
+        p = self.params
+        bg, trig = self._parts(lons, lats, t, lambda dt: temporal_mass(
+            np.maximum(dt, 0.0), p.c, p.p))
+        return bg * t + trig
+
+    def bounds(self, region: Region, t_max: float | None = None):
+        """(inf, sup) of the rate over region x [0, t_max].
+
+        inf is the background's infimum, below which the rate never falls.
+        sup is certified: (r^2+d)^-q <= d^-q everywhere, and the temporal
+        sum only decays between events, so it peaks just after an event j
+        at sum over t_i <= t_j of kappa_i (t_j - t_i + c)^-p.
+        """
+        if t_max is None:
+            raise ValueError("Hawkes bounds need t_max")
+        p = self.params
+        if self.background is None:
+            lo, hi = p.mu, p.mu
+        else:
+            lo, hi = self.background.bounds(region, t_max)
+        before = self.history.times < t_max
+        t = self.history.times[before]
+        kappa = self._productivity()[before]
+        peak = 0.0
+        for s in range(0, t.size, _CHUNK):
+            dt = t[s:s + _CHUNK, None] - t[None, :]
+            lag = np.where(dt >= 0, (np.maximum(dt, 0.0) + p.c) ** -p.p, 0.0)
+            peak = max(peak, float(np.max(lag @ kappa)))
+        return lo, hi + p.d ** -p.q * peak
+
+    def compensator(self, region: Region, times):
+        """Expected count in region x [0, t] for each t, with each event's
+        triggering mass taken over the whole plane (Ogata 1988)."""
+        p = self.params
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if self.background is None:
+            bg = p.mu * region.area_km2
+        else:
+            bg = _spatial_quadrature_rate(self.background, region, 200)
+        kappa = self._productivity() * spatial_mass(p.d, p.q)
+        out = bg * times
+        for lo in range(0, times.size, _CHUNK):
+            dt = times[lo:lo + _CHUNK, None] - self.history.times[None, :]
+            out[lo:lo + _CHUNK] += temporal_mass(np.maximum(dt, 0.0), p.c, p.p) @ kappa
         return out
 
 
@@ -305,10 +387,9 @@ def _hawkes_integral(params: HawkesParams, c: Catalog, region: Region,
     if c.n == 0 or p.k == 0:
         return bg
     prod = p.k * np.exp(p.a * (c.mags - p.m0))
-    ti = (p.c ** (1.0 - p.p) - (T - c.times + p.c) ** (1.0 - p.p)) / (p.p - 1.0)
+    ti = temporal_mass(T - c.times, p.c, p.p)
     if mode == "approx":
-        spatial = math.pi * p.d ** (1.0 - p.q) / (p.q - 1.0)
-        trig = float(np.sum(prod * ti) * spatial)
+        trig = float(np.sum(prod * ti) * spatial_mass(p.d, p.q))
     elif mode == "quadrature":
         if clipped is None:
             clipped = _ClippedMass(c, region)
@@ -337,8 +418,6 @@ def log_likelihood(model, c: Catalog, region: Region, mode: str = "approx",
                                     model.background)
     elif isinstance(model, HomogeneousIntensity):
         integral = model.rate * region.area_km2 * c.window_days
-    elif model.time_dependent:
-        raise ValueError("time-dependent models other than Hawkes are not integrable here")
     else:
         integral = _spatial_quadrature_rate(model, region, n_grid) * c.window_days
     return point - integral
@@ -418,10 +497,9 @@ def hawkes_objective(c: Catalog, region: Region, m0: float, mode: str = "approx"
             point = float(np.sum(np.log(lam)))
         if not np.isfinite(point):
             return float("inf")
-        ti = (prm.c ** (1.0 - prm.p) - (T - c.times + prm.c) ** (1.0 - prm.p)) / (prm.p - 1.0)
+        ti = temporal_mass(T - c.times, prm.c, prm.p)
         if mode == "approx":
-            spatial = math.pi * prm.d ** (1.0 - prm.q) / (prm.q - 1.0)
-            trig = float(np.sum(prod * ti) * spatial)
+            trig = float(np.sum(prod * ti) * spatial_mass(prm.d, prm.q))
         else:
             trig = float(np.sum(prod * ti * clipped.masses(prm.d, prm.q)))
         return -(point - (prm.mu * area * T + trig))

@@ -18,40 +18,19 @@ import numpy as np
 from scipy import stats
 from scipy.spatial import cKDTree
 
-from .catalog import (BinGrid, Catalog, KM_PER_DEG, Region, bin_counts,
-                      region_lattice)
-from .forecast import GriddedForecast, poisson_log_pmf
+from .catalog import BinGrid, Catalog, Region, bin_counts, region_lattice
+from .forecast import GriddedForecast, forecast_from_intensity, poisson_log_pmf
 from .rng import RngStream
 from .simulate import simulate_homogeneous, simulate_inhomogeneous
 
 # --- shared evaluation helpers -------------------------------------------
 
 
-def _rate_at(model, lons, lats, times):
-    if getattr(model, "time_dependent", False):
-        return model.rate_at(lons, lats, times)
-    return model.rate_at(lons, lats)
-
-
-def lattice_extrema(model, region: Region, t_max: float | None = None,
-                    n_space: int = 200, n_time: int = 100):
-    """(inf, sup) of the model rate over an n_space^2 lattice inside the
-    region, crossed with n_time midpoint time slices when time-dependent."""
-    lat = region_lattice(region, n_space)
-    lons = lat.lons[lat.inside]
-    lats = lat.lats[lat.inside]
-    if getattr(model, "time_dependent", False):
-        if t_max is None:
-            raise ValueError("time-dependent extrema need t_max")
-        lo, hi = math.inf, -math.inf
-        for j in range(n_time):
-            t = (j + 0.5) * t_max / n_time
-            vals = model.rate_at(lons, lats, np.full(lons.shape, t))
-            lo = min(lo, float(vals.min()))
-            hi = max(hi, float(vals.max()))
-        return lo, hi
-    vals = model.rate_at(lons, lats)
-    return float(vals.min()), float(vals.max())
+def lattice_extrema(model, region: Region, t_max: float | None = None):
+    """(inf, sup) of the model rate over region x [0, t_max], as given by
+    model.bounds: a 200 x 200 lattice scan for time-independent models, a
+    certified bound for Hawkes models."""
+    return model.bounds(region, t_max)
 
 
 class _Deficit:
@@ -60,11 +39,9 @@ class _Deficit:
     def __init__(self, model, level: float):
         self.model = model
         self.level = float(level)
-        self.time_dependent = getattr(model, "time_dependent", False)
 
     def rate_at(self, lons, lats, times=None):
-        base = _rate_at(self.model, lons, lats, times)
-        return np.maximum(0.0, self.level - base)
+        return np.maximum(0.0, self.level - self.model.rate_at(lons, lats, times))
 
 
 # --- point residuals ------------------------------------------------------
@@ -101,21 +78,22 @@ def _order(times, lons, lats, tags):
     return times[idx], lons[idx], lats[idx], tags[idx]
 
 
-def thin_residuals(c: Catalog, model, region: Region, rng: RngStream,
-                   n_space: int = 200, n_time: int = 100) -> ResidualPointSet:
-    """Keep each event with probability b / rate(event), b = lattice infimum.
+def thin_residuals(c: Catalog, model, region: Region,
+                   rng: RngStream) -> ResidualPointSet:
+    """Keep each event with probability b / rate(event), b = the infimum
+    from model.bounds.
 
     A correct model leaves a homogeneous Poisson pattern of rate b. If the
     event's rate falls below b (off-lattice minimum), the keep probability
     clamps at 1. b = 0 degenerates to an empty pattern, reported in note.
     """
-    b, _ = lattice_extrema(model, region, c.window_days, n_space, n_time)
+    b, _ = model.bounds(region, c.window_days)
     if b <= 0:
         empty = np.array([])
         return ResidualPointSet(empty, empty, empty, empty.astype(str), 0.0,
                                 region, c.window_days,
                                 note="degenerate: lattice infimum is 0")
-    lam = _rate_at(model, c.lons, c.lats, c.times)
+    lam = model.rate_at(c.lons, c.lats, c.times)
     with np.errstate(divide="ignore"):
         probs = np.minimum(1.0, b / lam)
     gen = rng.generator()
@@ -125,12 +103,12 @@ def thin_residuals(c: Catalog, model, region: Region, rng: RngStream,
     return ResidualPointSet(t, x, y, g, b, region, c.window_days)
 
 
-def superpose_residuals(c: Catalog, model, region: Region, rng: RngStream,
-                        n_space: int = 200, n_time: int = 100) -> ResidualPointSet:
-    """Fill the pattern up to the lattice supremum C with simulated points
-    at rate C - rate; observed plus simulated is Poisson(C) under a correct
-    model."""
-    _, sup = lattice_extrema(model, region, c.window_days, n_space, n_time)
+def superpose_residuals(c: Catalog, model, region: Region,
+                        rng: RngStream) -> ResidualPointSet:
+    """Fill the pattern up to the supremum C from model.bounds with
+    simulated points at rate C - rate; observed plus simulated is
+    Poisson(C) under a correct model."""
+    _, sup = model.bounds(region, c.window_days)
     sim = simulate_inhomogeneous(_Deficit(model, sup), sup, region,
                                  c.window_days, rng)
     times = np.concatenate([c.times, sim.times])
@@ -148,7 +126,7 @@ def super_thin(c: Catalog, model, k: float, region: Region,
     result is Poisson(k) under a correct model."""
     if k <= 0:
         raise ValueError("super-thinning level k must be positive")
-    lam = _rate_at(model, c.lons, c.lats, c.times)
+    lam = model.rate_at(c.lons, c.lats, c.times)
     gen = rng.substream(0).generator()
     with np.errstate(divide="ignore"):
         keep = gen.uniform(size=c.n) < np.minimum(1.0, k / lam)
@@ -218,38 +196,8 @@ def _box_ring(box) -> np.ndarray:
     return np.array([[lo_x, lo_y], [hi_x, lo_y], [hi_x, hi_y], [lo_x, hi_y]])
 
 
-def _model_cell_expectations(model, grid: BinGrid, window_days: float,
-                             region: Region | None, n_sub: int,
-                             n_time: int) -> np.ndarray:
-    if grid.mag_bands.shape[0] != 1:
-        raise ValueError("model-based cell expectations need a single-band grid")
-    u = (np.arange(n_sub) + 0.5) / n_sub
-    out = np.empty(grid.n_cells)
-    time_dep = getattr(model, "time_dependent", False)
-    for i, box in enumerate(grid.boxes):
-        gx, gy = np.meshgrid(box[0] + u * (box[1] - box[0]),
-                             box[2] + u * (box[3] - box[2]))
-        lons, lats = gx.ravel(), gy.ravel()
-        da = (KM_PER_DEG * np.cos(np.radians(lats)) * (box[1] - box[0]) / n_sub) * \
-             (KM_PER_DEG * (box[3] - box[2]) / n_sub)
-        if region is not None:
-            da = np.where(region.contains(lons, lats), da, 0.0)
-        if time_dep:
-            acc = 0.0
-            for j in range(n_time):
-                t = (j + 0.5) * window_days / n_time
-                vals = model.rate_at(lons, lats, np.full(lons.shape, t))
-                acc += float(np.sum(vals * da))
-            out[i] = acc * (window_days / n_time)
-        else:
-            vals = model.rate_at(lons, lats)
-            out[i] = float(np.sum(vals * da)) * window_days
-    return out
-
-
 def pixel_residuals(model_or_forecast, c: Catalog, grid: BinGrid,
-                    region: Region | None = None, n_sub: int = 8,
-                    n_time: int = 20):
+                    region: Region | None = None, n_sub: int = 8):
     """Raw (count - expectation) and Pearson (raw / sqrt expectation) cell
     residuals. Returns (raw, pearson) CellResidualSets; zero-expectation
     cells are flagged and their Pearson value is NaN."""
@@ -260,8 +208,10 @@ def pixel_residuals(model_or_forecast, c: Catalog, grid: BinGrid,
             raise ValueError("forecast grid does not match the requested grid")
         expected = f.rates.copy()
     else:
-        expected = _model_cell_expectations(model_or_forecast, grid,
-                                            c.window_days, region, n_sub, n_time)
+        if grid.mag_bands.shape[0] != 1:
+            raise ValueError("model-based cell expectations need a single-band grid")
+        expected = forecast_from_intensity(model_or_forecast, grid, c.window_days,
+                                           region, n_sub).rates
     raw = counts - expected
     flags = expected <= 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -430,14 +380,14 @@ def voronoi_tessellation(lons, lats, region: Region,
     return VoronoiTessellation(lons, lats, polys, areas, region)
 
 
-def voronoi_residuals(model, c: Catalog, region: Region, n_grid: int = 200,
-                      n_time: int = 20) -> CellResidualSet:
+def voronoi_residuals(model, c: Catalog, region: Region,
+                      n_grid: int = 200) -> CellResidualSet:
     """Voronoi cell residuals (1 - Lambda_i) / sqrt(Lambda_i).
 
     Cells are generated by the catalog epicenters themselves, so each holds
-    exactly one event; Lambda_i integrates the model over the cell (lattice
-    quadrature, owned lattice points decided by nearest generator) and the
-    window. Zero-mass cells are flagged.
+    exactly one event; Lambda_i integrates the model's window integral
+    (model.integrate) over the cell by lattice quadrature, owned lattice
+    points decided by nearest generator. Zero-mass cells are flagged.
     """
     if c.n == 0:
         raise ValueError("voronoi residuals need at least one event")
@@ -450,18 +400,8 @@ def voronoi_residuals(model, c: Catalog, region: Region, n_grid: int = 200,
     qx, qy = region.to_km(lons, lats)
     tree = cKDTree(np.column_stack([gx, gy]))
     _, owner = tree.query(np.column_stack([qx, qy]))
-    T = c.window_days
-    if getattr(model, "time_dependent", False):
-        dens = np.zeros(lons.shape)
-        for j in range(n_time):
-            t = (j + 0.5) * T / n_time
-            dens += model.rate_at(lons, lats, np.full(lons.shape, t))
-        dens /= n_time
-    else:
-        dens = model.rate_at(lons, lats)
     lam = np.zeros(tess.n_cells)
-    np.add.at(lam, owner, dens * da)
-    lam *= T
+    np.add.at(lam, owner, model.integrate(lons, lats, c.window_days) * da)
     flags = lam <= 0
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(flags, np.nan, (1.0 - lam) / np.sqrt(lam))

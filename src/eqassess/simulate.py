@@ -12,9 +12,10 @@ import math
 
 import numpy as np
 
-from .catalog import KM_PER_DEG, Catalog, Region, region_lattice
+from .catalog import KM_PER_DEG, Catalog, Region
 from .forecast import GriddedForecast
-from .intensity import (HawkesParams, branching_ratio, mean_branching_ratio,
+from .intensity import (HawkesParams, _spatial_quadrature_rate, branching_ratio,
+                        mean_branching_ratio, spatial_mass, temporal_mass,
                         temporal_trigger_cdf)
 from .rng import RngStream
 
@@ -97,16 +98,20 @@ def simulate_inhomogeneous(model, bound: float, region: Region, t_max: float,
                            rng: RngStream, mag: float = 0.0) -> Catalog:
     """Thinning: homogeneous candidates at `bound`, kept with probability
     rate/bound. The caller asserts bound >= sup of the rate; a candidate
-    where the rate exceeds the bound raises with its location."""
+    where the rate exceeds the bound raises with its location, and more
+    than MAX_CASCADE expected candidates raise before any is drawn."""
     if bound <= 0:
         raise ValueError("bound must be positive")
+    expected = bound * region.area_km2 * t_max
+    if expected > MAX_CASCADE:
+        raise ValueError(f"bound {bound!r} gives {expected:.3g} expected "
+                         f"candidates, above the cap of {MAX_CASCADE}")
     gen = rng.generator()
-    n = int(gen.poisson(bound * region.area_km2 * t_max))
+    n = int(gen.poisson(expected))
     lons, lats = _uniform_in_region(gen, region, n)
     times = gen.uniform(0.0, t_max, size=n)
     u = gen.uniform(size=n)
-    lam = model.rate_at(lons, lats, times) if model.time_dependent \
-        else model.rate_at(lons, lats)
+    lam = model.rate_at(lons, lats, times)
     over = lam > bound * (1.0 + 1e-9)
     if np.any(over):
         i = int(np.argmax(over))
@@ -116,12 +121,6 @@ def simulate_inhomogeneous(model, bound: float, region: Region, t_max: float,
     keep = u < lam / bound
     return Catalog(times[keep], lons[keep], lats[keep],
                    np.full(int(keep.sum()), float(mag)), t_max, float(mag))
-
-
-def _lattice_sup(model, region: Region, n: int = 200) -> float:
-    lat = region_lattice(region, n)
-    vals = model.rate_at(lat.lons[lat.inside], lat.lats[lat.inside])
-    return float(vals.max())
 
 
 def simulate_hawkes(params: HawkesParams, region: Region, t_max: float,
@@ -144,9 +143,7 @@ def simulate_hawkes(params: HawkesParams, region: Region, t_max: float,
     if background is None:
         bg_mean = params.mu * region.area_km2 * t_max
     else:
-        lat = region_lattice(region, 200)
-        vals = background.rate_at(lat.lons[lat.inside], lat.lats[lat.inside])
-        bg_mean = float(np.sum(vals * lat.cell_km2[lat.inside])) * t_max
+        bg_mean = _spatial_quadrature_rate(background, region, 200) * t_max
     if nbar >= 1.0 or bg_mean / (1.0 - nbar) > max_events:
         raise ValueError("expected cascade size exceeds the event cap")
 
@@ -159,7 +156,7 @@ def simulate_hawkes(params: HawkesParams, region: Region, t_max: float,
         times = gen.uniform(0.0, t_max, size=n_bg)
         mags = gutenberg_richter_magnitudes(gen, n_bg, p.m0, gr_b, mag_span)
     else:
-        bound = 1.05 * _lattice_sup(background, region)
+        bound = 1.05 * background.bounds(region, t_max)[1]
         base = simulate_inhomogeneous(background, bound, region, t_max, bg_rng)
         gen = bg_rng.substream(0).generator()
         lons, lats, times = base.lons.copy(), base.lats.copy(), base.times.copy()
@@ -177,8 +174,7 @@ def simulate_hawkes(params: HawkesParams, region: Region, t_max: float,
         gen = rng.substream(gener).generator()
         trunc = temporal_trigger_cdf(t_max - par_t, p.c, p.p)
         rho = p.k * np.exp(p.a * (par_m - p.m0)) \
-            * (p.c ** (1.0 - p.p) / (p.p - 1.0)) \
-            * (math.pi * p.d ** (1.0 - p.q) / (p.q - 1.0))
+            * temporal_mass(math.inf, p.c, p.p) * spatial_mass(p.d, p.q)
         counts = gen.poisson(rho * trunc)
         nt = int(counts.sum())
         if nt == 0:

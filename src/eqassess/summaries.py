@@ -69,10 +69,7 @@ def weighted_k(model, c: Catalog, region: Region,
     lags_km = np.asarray(lags_km, dtype=float)
 
     def weights_at(lons, lats, times):
-        if getattr(model, "time_dependent", False):
-            lam = model.rate_at(lons, lats, times)
-        else:
-            lam = model.rate_at(lons, lats)
+        lam = model.rate_at(lons, lats, times)
         if np.any(lam <= 0):
             raise ValueError("model rate is zero at an observed event")
         return 1.0 / (lam * c.window_days)
@@ -161,41 +158,39 @@ def _diagram_from_values(values, measure, event_values, n_thresholds):
 
 
 def error_diagram(model_or_forecast, c: Catalog, region: Region,
-                  n_grid: int = 200, n_thresholds: int = 512,
-                  n_time_avg: int = 20) -> ErrorDiagram:
+                  n_grid: int = 200, n_thresholds: int = 512) -> ErrorDiagram:
     """Error diagram of a rate surface against observed epicenters.
 
-    The alarm region at threshold u is the set where the surface is >= u;
-    its size is measured in area (lattice cells for a model, cell areas
-    for a forecast) as a fraction of the region, and the miss fraction is
-    the share of events outside the alarm. Events in zero-rate spots count
-    as value 0 and are missed by every positive threshold. The diagram is
-    invariant to positive rescaling of the surface.
+    The surface is a forecast's cell densities, or a model's rate averaged
+    exactly over the window at the centres of an n_grid^2 region lattice.
+    The alarm region at threshold u is the set of cells whose value is
+    >= u; its size is measured in area as a fraction of the region, and the
+    miss fraction is the share of events outside the alarm. Each event
+    scores the value of the cell holding it; events in no cell, or in
+    zero-rate cells, count as value 0 and are missed by every positive
+    threshold. The diagram is invariant to positive rescaling of the
+    surface.
     """
     if isinstance(model_or_forecast, GriddedForecast):
         marg = marginal_space(model_or_forecast)
-        areas = marg.grid.cell_area_km2()
-        values = marg.rates / (areas * marg.window_days)
-        measure = areas
-        # each event scores its space box's value; strays score 0
+        measure = marg.grid.cell_area_km2()
+        values = marg.rates / (measure * marg.window_days)
         cell = marg.grid.locate(c.lons, c.lats)
-        ev = np.where(cell >= 0, values[cell], 0.0)
     else:
         lat = region_lattice(region, n_grid)
         lons = lat.lons[lat.inside]
         lats = lat.lats[lat.inside]
         measure = lat.cell_km2[lat.inside]
-        if getattr(model_or_forecast, "time_dependent", False):
-            values = np.zeros(lons.shape)
-            for j in range(n_time_avg):
-                t = (j + 0.5) * c.window_days / n_time_avg
-                values += model_or_forecast.rate_at(lons, lats,
-                                                    np.full(lons.shape, t))
-            values /= n_time_avg
-            ev = model_or_forecast.rate_at(c.lons, c.lats, c.times)
-        else:
-            values = model_or_forecast.rate_at(lons, lats)
-            ev = model_or_forecast.rate_at(c.lons, c.lats)
+        values = model_or_forecast.integrate(lons, lats, c.window_days) / c.window_days
+        # the lattice cell holding each event, numbered among inside cells
+        lon_min, lon_max, lat_min, lat_max = region.bbox
+        ix = np.floor((c.lons - lon_min) / (lon_max - lon_min) * lat.nx).astype(int)
+        iy = np.floor((c.lats - lat_min) / (lat_max - lat_min) * lat.ny).astype(int)
+        flat = np.clip(iy, 0, lat.ny - 1) * lat.nx + np.clip(ix, 0, lat.nx - 1)
+        number = np.cumsum(lat.inside) - 1
+        cell = np.where((ix >= 0) & (ix <= lat.nx) & (iy >= 0) & (iy <= lat.ny)
+                        & lat.inside[flat], number[flat], -1)
+    ev = np.where(cell >= 0, values[cell], 0.0)
     thresh, alarm, miss = _diagram_from_values(values, measure, ev, n_thresholds)
     return ErrorDiagram(thresh, alarm, miss, c.n)
 

@@ -6,6 +6,7 @@ and artifact writing are exercised exactly as a shell user would hit them.
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -329,6 +330,43 @@ def test_residuals_rescale_taus(paths):
     assert taus.size == 12
     assert np.all(np.diff(taus) >= 0)
     assert taus[-1] <= total
+
+
+HAWKES_TEXT = ("# family = hawkes\nmu = 2e-4\nk = 0.003\nc = 0.05\np = 1.5\n"
+               "a = 1.0\nd = 0.5\nq = 1.8\nm0 = 4.0\n")
+
+
+def test_residuals_rescale_hawkes_closed_form(paths):
+    params = paths["dir"] / "hawkes.txt"
+    params.write_text(HAWKES_TEXT)
+    out = str(paths["dir"] / "rth")
+    rc = main(["residuals", "--kind", "rescale", "--catalog", paths["catalog"],
+               "--region", paths["region"], "--params", str(params),
+               "--out", out])
+    assert rc == 0
+    lines = _read_bytes(out, "taus.csv").decode().splitlines()
+    total = float(lines[0].split("=")[1])
+    taus = np.array([float(v) for v in lines[2:]])
+    c = _demo_catalog()
+    area = Region([(0, 0), (1, 0), (1, 1), (0, 1)]).area_km2
+    kappa = 0.003 * np.exp(1.0 * (c.mags - 4.0)) * math.pi * 0.5 ** -0.8 / 0.8
+    tmass = (0.05 ** -0.5 - (10.0 - c.times + 0.05) ** -0.5) / 0.5
+    exact = 2e-4 * area * 10.0 + float(np.sum(kappa * tmass))
+    assert total == pytest.approx(exact, rel=1e-12)
+    assert taus.size == c.n and np.all(np.diff(taus) > 0)
+    assert 0 < taus[0] and taus[-1] < total
+
+
+def test_residuals_superpose_refusal_exits_3(paths, capsys):
+    params = paths["dir"] / "hawkes.txt"
+    # a narrow, fast kernel puts the certified sup far above any sane count
+    params.write_text(HAWKES_TEXT.replace("c = 0.05", "c = 0.001")
+                      .replace("d = 0.5", "d = 0.01"))
+    rc = main(["residuals", "--kind", "superpose", "--catalog", paths["catalog"],
+               "--region", paths["region"], "--params", str(params),
+               "--out", str(paths["dir"] / "sp")])
+    assert rc == 3
+    assert "above the cap" in capsys.readouterr().err
 
 
 def test_residuals_pixel_artifacts(paths):

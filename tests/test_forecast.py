@@ -193,6 +193,19 @@ class TestForecastFromIntensity:
         lo = f.rates[band_of == 1]
         np.testing.assert_allclose(hi / lo, np.full(4, 9.0), rtol=1e-12)
 
+    def test_hawkes_rates_match_sliced_reference(self, unit_region, two_by_two_grid,
+                                                 aligned_history, sliced):
+        from eqassess import HawkesIntensity
+        params, history = aligned_history
+        model = HawkesIntensity(params, history)
+        exact = forecast_from_intensity(model, two_by_two_grid, 5.0, unit_region)
+        ref = forecast_from_intensity(sliced(model), two_by_two_grid, 5.0, unit_region)
+        np.testing.assert_allclose(exact.rates, ref.rates, rtol=1e-4)
+        # the triggered part adds to what the background alone would give
+        bg = forecast_from_intensity(HomogeneousIntensity(params.mu),
+                                     two_by_two_grid, 5.0, unit_region)
+        assert np.all(exact.rates > bg.rates)
+
     def test_bad_weights_rejected(self, two_by_two_grid):
         with pytest.raises(ValueError):
             forecast_from_intensity(HomogeneousIntensity(1.0), two_by_two_grid,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from eqassess import (Catalog, HawkesIntensity, HawkesParams,
@@ -12,7 +14,8 @@ from eqassess import (Catalog, HawkesIntensity, HawkesParams,
                       parse_hawkes_params, radial_trigger_cdf,
                       select_bandwidth, serialize_hawkes_params,
                       simulate_homogeneous, temporal_trigger_cdf)
-from eqassess.intensity import hawkes_objective, hawkes_pack, hawkes_unpack
+from eqassess.intensity import (hawkes_objective, hawkes_pack, hawkes_unpack,
+                                spatial_mass, temporal_mass)
 
 KM_PER_DEG = 111.32
 
@@ -155,6 +158,89 @@ class TestHawkesIntensity:
         m = HawkesIntensity(p, two_event_history, background=bg)
         np.testing.assert_allclose(m.rate_at(0.4, 0.6, 5.0),
                                    bg.rate_at(0.4, 0.6))
+
+
+class TestHawkesProtocol:
+    def test_kernel_masses_against_quadrature(self):
+        c, p, d, q = 0.03, 1.4, 0.7, 1.6
+        for u in (0.0, 0.2, 7.0):
+            want, _ = quad(lambda s: (s + c) ** -p, 0.0, u)
+            assert temporal_mass(u, c, p) == pytest.approx(want, rel=1e-9, abs=1e-14)
+        assert temporal_mass(math.inf, c, p) == c ** (1.0 - p) / (p - 1.0)
+        want, _ = quad(lambda r: 2.0 * math.pi * r * (r * r + d) ** -q, 0.0, math.inf)
+        assert spatial_mass(d, q) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("with_background", [False, True])
+    def test_integrate_matches_sliced_reference(self, aligned_history, sliced,
+                                                with_background):
+        params, history = aligned_history
+        bg = KernelIntensity([0.4], [0.6], d=20.0, scale=50.0) \
+            if with_background else None
+        m = HawkesIntensity(params, history, background=bg)
+        # at the events (where the triggered part peaks) and between them
+        lons = np.r_[history.lons, np.linspace(0.05, 0.95, 9)]
+        lats = np.r_[history.lats, np.linspace(0.9, 0.1, 9)]
+        exact = m.integrate(lons, lats, 5.0)
+        np.testing.assert_allclose(exact, sliced(m).integrate(lons, lats, 5.0),
+                                   rtol=1e-4)
+        base = bg.rate_at(lons, lats) if with_background else params.mu
+        assert np.all(exact > base * 5.0)
+
+    def test_integrate_before_all_events_is_background(self):
+        history = Catalog(np.array([2.0]), np.array([0.5]), np.array([0.5]),
+                          np.array([4.5]), 10.0, 4.0)
+        m = HawkesIntensity(TestHawkesIntensity.PARAMS, history)
+        np.testing.assert_array_equal(m.integrate([0.5, 0.1], [0.5, 0.9], 2.0),
+                                      np.full(2, 0.1 * 2.0))
+
+    def test_stationary_protocol(self, unit_region):
+        m = KernelIntensity([0.5], [0.5], d=10.0, scale=3.0)
+        np.testing.assert_array_equal(m.integrate([0.2, 0.5], [0.3, 0.5], 4.0),
+                                      m.rate_at([0.2, 0.5], [0.3, 0.5]) * 4.0)
+        lo, hi = m.bounds(unit_region, 4.0)
+        assert 0 < lo < hi == pytest.approx(m.rate_at(0.5, 0.5)[0], rel=0.01)
+
+    def test_bounds_need_t_max(self, unit_region, aligned_history):
+        with pytest.raises(ValueError, match="t_max"):
+            HawkesIntensity(*aligned_history).bounds(unit_region)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
+           c=st.floats(1e-3, 1.0), p=st.floats(1.05, 3.0),
+           d=st.floats(1e-3, 5.0), q=st.floats(1.05, 3.0),
+           with_background=st.booleans())
+    def test_certified_sup_covers_every_event(self, seed, n, c, p, d, q,
+                                              with_background):
+        region = Region.rectangle(0.0, 1.0, 0.0, 1.0)
+        gen = np.random.default_rng(seed)
+        history = Catalog(np.sort(gen.uniform(0.0, 10.0, n)),
+                          gen.uniform(0.0, 1.0, n), gen.uniform(0.0, 1.0, n),
+                          gen.uniform(4.0, 6.0, n), 10.0, 4.0)
+        params = HawkesParams(mu=1e-3, k=0.01, c=c, p=p, a=1.2, d=d, q=q, m0=4.0)
+        m = HawkesIntensity(params, history,
+                            background=HomogeneousIntensity(2e-3)
+                            if with_background else None)
+        lo, hi = m.bounds(region, 10.0)
+        at = m.rate_at(history.lons, history.lats, history.times)
+        after = m.rate_at(history.lons, history.lats,
+                          np.nextafter(history.times, np.inf))
+        assert lo == (2e-3 if with_background else 1e-3)
+        assert np.all(at >= lo)
+        # the sup and the rate sum the same terms in another order
+        assert np.all(at <= hi * (1.0 + 1e-12))
+        assert np.all(after <= hi * (1.0 + 1e-12))
+
+    def test_compensator_is_integrate_over_the_plane(self, unit_region,
+                                                     aligned_history):
+        params, history = aligned_history
+        m = HawkesIntensity(params, history)
+        ts = np.array([0.0, 1.3, 5.0])
+        kappa = params.k * np.exp(params.a * (history.mags - params.m0))
+        want = [params.mu * unit_region.area_km2 * t + sum(
+            kappa[i] * spatial_mass(params.d, params.q)
+            * temporal_mass(max(t - history.times[i], 0.0), params.c, params.p)
+            for i in range(history.n)) for t in ts]
+        np.testing.assert_allclose(m.compensator(unit_region, ts), want, rtol=1e-12)
 
 
 class TestBranchingRatio:

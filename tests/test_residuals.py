@@ -123,6 +123,30 @@ class TestSuperposition:
         assert r.retained_mask().sum() == c.n
 
 
+class TestHawkesBounds:
+    def test_thinning_keeps_at_the_background_rate(self, unit_region,
+                                                   aligned_history):
+        from eqassess import HawkesIntensity
+        params, history = aligned_history
+        r = thin_residuals(history, HawkesIntensity(params, history),
+                           unit_region, RngStream(30))
+        assert r.nominal_rate == params.mu
+        assert 0 < r.n < history.n
+
+    def test_superposition_refuses_an_exploding_bound(self, unit_region,
+                                                      aligned_history):
+        from eqassess import HawkesIntensity, HawkesParams
+        # d = 0.01 km^2 and c = 0.001 day put the certified sup near 2e6
+        params = HawkesParams(mu=3e-4, k=0.004, c=0.001, p=1.5, a=1.0,
+                              d=0.01, q=1.8, m0=4.0)
+        _, history = aligned_history
+        model = HawkesIntensity(params, history)
+        _, sup = model.bounds(unit_region, history.window_days)
+        assert sup * unit_region.area_km2 * history.window_days > 1e6
+        with pytest.raises(ValueError, match="cap"):
+            superpose_residuals(history, model, unit_region, RngStream(31))
+
+
 class TestSuperThinning:
     def test_invalid_level(self, unit_region, small_catalog):
         with pytest.raises(ValueError, match="positive"):
@@ -325,6 +349,16 @@ class TestVoronoiResiduals:
         np.testing.assert_allclose(
             rs.values[~rs.flags],
             (1.0 - rs.expected[~rs.flags]) / np.sqrt(rs.expected[~rs.flags]))
+
+    def test_hawkes_masses_match_sliced_reference(self, unit_region,
+                                                   aligned_history, sliced):
+        from eqassess import HawkesIntensity
+        params, history = aligned_history
+        model = HawkesIntensity(params, history)
+        exact = voronoi_residuals(model, history, unit_region, n_grid=40)
+        ref = voronoi_residuals(sliced(model), history, unit_region, n_grid=40)
+        np.testing.assert_array_equal(exact.flags, ref.flags)
+        np.testing.assert_allclose(exact.expected, ref.expected, rtol=1e-4)
 
     def test_empty_catalog_rejected(self, unit_region):
         from eqassess import empty_catalog

@@ -125,6 +125,13 @@ class TestInhomogeneous:
         with pytest.raises(ValueError, match="exceeds bound"):
             simulate_inhomogeneous(model, 1e-4, unit_region, 50.0, RngStream(9))
 
+    def test_candidates_beyond_the_cap_are_refused(self, unit_region):
+        from eqassess.simulate import MAX_CASCADE
+        bound = 1.01 * MAX_CASCADE / (unit_region.area_km2 * 2.0)
+        with pytest.raises(ValueError, match="above the cap"):
+            simulate_inhomogeneous(HomogeneousIntensity(1e-4), bound,
+                                   unit_region, 2.0, RngStream(9))
+
     def test_kernel_field_thinning_concentrates_mass(self, unit_region):
         model = KernelIntensity([0.5], [0.5], d=10.0, scale=50.0)
         bound = model.rate_at(0.5, 0.5)[0] * 1.001

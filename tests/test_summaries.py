@@ -157,6 +157,23 @@ class TestErrorDiagram:
         # a correct peaked model does far better than the diagonal
         assert diag.area_under() < 0.35
 
+    def test_model_path_hawkes(self, unit_region, aligned_history, sliced):
+        from eqassess import HawkesIntensity
+        params, history = aligned_history
+        model = HawkesIntensity(params, history)
+        diag = error_diagram(model, history, unit_region, n_grid=20)
+        # events score the surface's value in their own lattice cell, so the
+        # empty alarm misses them all and the diagram stays monotone
+        assert diag.alarm_fractions[0] == 0.0 and diag.miss_fractions[0] == 1.0
+        assert diag.alarm_fractions[-1] == 1.0 and diag.miss_fractions[-1] == 0.0
+        assert np.all(np.diff(diag.alarm_fractions) >= 0)
+        assert np.all(np.diff(diag.miss_fractions) <= 0)
+        # the surface is the window-averaged rate
+        ref = error_diagram(sliced(model), history, unit_region, n_grid=20)
+        np.testing.assert_allclose(diag.thresholds, ref.thresholds, rtol=1e-4)
+        np.testing.assert_array_equal(diag.miss_fractions, ref.miss_fractions)
+        assert diag.thresholds[-2] >= params.mu * (1.0 - 1e-12)
+
     def test_csv_endpoints(self, two_by_two_grid, unit_region):
         f = self._clustered_forecast(two_by_two_grid)
         c = simulate_poisson_grid(f, RngStream(16))
