@@ -11,6 +11,7 @@ import datetime as _dt
 import io
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -120,8 +121,10 @@ class Region:
 
 
 def parse_region(text: str) -> Region:
-    rows = _read_csv_rows(text, ("lon", "lat"), "region")
-    return Region([(r[0], r[1]) for r in rows])
+    rows = _read_numeric_csv(text, ("lon", "lat"), "region", _region_record)
+    if not len(rows):
+        raise ValueError("region: no data rows")
+    return Region(rows)
 
 
 def serialize_region(region: Region) -> str:
@@ -207,8 +210,67 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _read_csv_rows(text: str, header: tuple, what: str):
-    """Parse a comment-tolerant numeric CSV into float rows."""
+_COMMENT_LINE = re.compile(r"^[ \t]*#[^\n]*", re.MULTILINE)
+_PLAIN_BYTES = b"0123456789+-.eE, \t\r\n"
+
+
+def _read_numeric_csv(text: str, header: tuple, what: str, parse_record,
+                      valid=None) -> np.ndarray:
+    """Read a comment-tolerant numeric CSV into an (n, len(header)) float array.
+
+    Lines are stripped; blank lines and lines starting with '#' are skipped,
+    the first other line must be the header, and every later one is a data
+    row. A plain file is converted in one C-level pass (_bulk_rows), and
+    valid, when given, checks the whole array at once. On any failure there
+    the row loop runs instead: _csv_records checks the header and the field
+    counts, and parse_record(row_number, fields) converts and checks one row
+    or raises. The row loop is the only source of error messages, so both
+    paths return the same array and raise the same errors.
+    """
+    rows = _bulk_rows(text, header)
+    if rows is not None and (valid is None or valid(rows)):
+        return rows
+    rows = [parse_record(i, rec) for i, rec in _csv_records(text, header, what)]
+    return np.array(rows, dtype=float).reshape(len(rows), len(header))
+
+
+def _bulk_rows(text: str, header: tuple) -> np.ndarray | None:
+    """The data rows of a plain numeric CSV from one np.loadtxt pass, or None.
+
+    Plain means: a body of digits, signs, points, exponents, commas, spaces,
+    tabs and line ends apart from whole comment lines, no line holding only
+    whitespace, and exactly len(header) decimal numbers on every row.
+    Anything else gives None and is left to the row loop.
+    """
+    start = 0
+    while True:
+        end = text.find("\n", start)
+        line = (text[start:] if end < 0 else text[start:end]).strip()
+        if line and not line.startswith("#"):
+            break
+        if end < 0:
+            return None
+        start = end + 1
+    if tuple(h.strip(" ") for h in line.split(",")) != header:
+        return None
+    body = "" if end < 0 else text[end + 1:]
+    if "#" in body:
+        body = _COMMENT_LINE.sub("", body)
+    if not body.isascii() or not body or body.isspace():
+        return None
+    data = body.encode("ascii")
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    try:
+        rows = np.loadtxt(io.BytesIO(data), dtype=float, delimiter=",",
+                          comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == len(header) else None
+
+
+def _csv_records(text: str, header: tuple, what: str):
+    """Yield (row number, fields) for each data row, in the row loop's checks."""
     import csv
 
     lines = []
@@ -222,18 +284,18 @@ def _read_csv_rows(text: str, header: tuple, what: str):
     got = tuple(h.strip() for h in next(reader))
     if got != header:
         raise ValueError(f"{what}: expected header {','.join(header)!r}, got {','.join(got)!r}")
-    rows = []
     for i, rec in enumerate(reader, start=1):
         if len(rec) != len(header):
             raise ValueError(f"{what}: row {i}: expected {len(header)} fields, got {len(rec)}")
-        try:
-            rows.append([float(v) for v in rec])
-        except ValueError:
-            bad = next(v for v in rec if not _is_float(v))
-            raise ValueError(f"{what}: row {i}: malformed value {bad!r}") from None
-    if not rows:
-        raise ValueError(f"{what}: no data rows")
-    return rows
+        yield i, rec
+
+
+def _region_record(i: int, rec: list) -> list:
+    try:
+        return [float(v) for v in rec]
+    except ValueError:
+        bad = next(v for v in rec if not _is_float(v))
+        raise ValueError(f"region: row {i}: malformed value {bad!r}") from None
 
 
 def _is_float(s: str) -> bool:

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.stats import rankdata
+from scipy.special import pdtr, pdtrc, stdtr
 
 from .catalog import Catalog, bin_counts
 from .forecast import (GriddedForecast, expected_total, joint_log_likelihood,
@@ -61,8 +60,9 @@ def n_test(f: GriddedForecast, c: Catalog, level: float = 0.05) -> TestResult:
     """
     n_obs = int(bin_counts(c, f.grid).counts.sum())
     mu = expected_total(f)
-    delta1 = float(stats.poisson.sf(n_obs - 1, mu))
-    delta2 = float(stats.poisson.cdf(n_obs, mu))
+    # pdtrc(-1, mu) is nan, but P(N >= 0) is 1
+    delta1 = float(pdtrc(n_obs - 1, mu)) if n_obs > 0 else 1.0
+    delta2 = float(pdtr(n_obs, mu))
     q = min(delta1, delta2)
     decision = "reject" if q < level / 2.0 else "consistent"
     return TestResult("n", float(n_obs), q, 0, decision, level,
@@ -201,7 +201,7 @@ def student_t_statistic(x: np.ndarray):
     if sd <= 1e-13 * max(float(np.max(np.abs(x))), 1e-300):
         return math.nan, math.nan
     t = float(x.mean()) * math.sqrt(n) / sd
-    p = 2.0 * float(stats.t.sf(abs(t), n - 1))
+    p = 2.0 * float(stdtr(n - 1, -abs(t)))
     return t, p
 
 
@@ -232,6 +232,21 @@ def t_test_pairwise(fa: GriddedForecast, fb: GriddedForecast, c: Catalog,
     return PairwiseResult("t", t, p, direction, decision, level, n_used=int(x.size))
 
 
+def _average_ranks(a: np.ndarray):
+    """Ranks 1..n of a, each tie group given the mean of the ranks it spans,
+    and the size of each group of equal values in ascending order.
+
+    The ranks equal scipy.stats.rankdata(a) (method "average"); any nan
+    makes every rank nan, as there.
+    """
+    a = np.asarray(a, dtype=float)
+    _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
+    if np.isnan(a).any():
+        ranks = np.full(a.shape, np.nan)
+    return ranks, counts
+
+
 def wilcoxon_signed_rank(x: np.ndarray):
     """Signed-rank statistic W and two-sided normal-approximation p.
 
@@ -244,11 +259,10 @@ def wilcoxon_signed_rank(x: np.ndarray):
     n = x.size
     if n == 0:
         return math.nan, math.nan, 0
-    ranks = rankdata(np.abs(x))
+    ranks, tie_counts = _average_ranks(np.abs(x))
     w = float(ranks[x > 0].sum())
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    _, tie_counts = np.unique(np.abs(x), return_counts=True)
     var -= float(np.sum(tie_counts.astype(float) ** 3 - tie_counts)) / 48.0
     z = (w - mean) / math.sqrt(var)
     p = math.erfc(abs(z) / math.sqrt(2.0))

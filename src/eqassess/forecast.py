@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .catalog import BinGrid, Catalog, Region, _fmt, _is_float, bin_counts
+from .catalog import (BinGrid, Catalog, Region, _fmt, _is_float, _read_numeric_csv,
+                      bin_counts)
 
 FORECAST_HEADER = ("lon_min", "lon_max", "lat_min", "lat_max", "mag_min", "mag_max", "rate", "mask")
 
@@ -43,41 +43,39 @@ class GriddedForecast:
 
 
 def parse_forecast(text: str, window_days: float = 1.0) -> GriddedForecast:
-    """Parse a forecast CSV; masked-out rows (mask=0) are dropped entirely."""
-    import csv
+    """Parse a forecast CSV; masked-out rows (mask=0) are dropped entirely.
 
-    lines = []
-    for raw in io.StringIO(text):
-        s = raw.strip()
-        if s and not s.startswith("#"):
-            lines.append(s)
-    if not lines:
-        raise ValueError("forecast: empty file")
-    reader = csv.reader(lines)
-    got = tuple(h.strip() for h in next(reader))
-    if got != FORECAST_HEADER:
-        raise ValueError(
-            f"forecast: expected header {','.join(FORECAST_HEADER)!r}, got {','.join(got)!r}")
-    boxes, rates = [], []
-    for i, rec in enumerate(reader, start=1):
-        if len(rec) != 8:
-            raise ValueError(f"forecast: row {i}: expected 8 fields, got {len(rec)}")
-        for name, v in zip(FORECAST_HEADER, rec):
-            if not _is_float(v):
-                raise ValueError(f"forecast: row {i}: malformed {name} {v.strip()!r}")
-        vals = [float(v) for v in rec]
-        mask = vals[7]
-        if mask not in (0.0, 1.0):
-            raise ValueError(f"forecast: row {i}: mask must be 0 or 1, got {rec[7].strip()!r}")
-        if vals[6] < 0:
-            raise ValueError(f"forecast: row {i}: negative rate {vals[6]!r}")
-        if mask == 0.0:
-            continue
-        boxes.append(vals[:6])
-        rates.append(vals[6])
-    if not boxes:
+    A plain file (ASCII, unquoted, decimal numbers, eight fields a row, '#'
+    only at the start of a line) is converted in one np.loadtxt pass, and
+    its masks and rates are checked as whole columns. Any other file, and
+    any file that fails those checks, goes through the row-by-row reader,
+    which alone raises the errors about rows, each naming its row and
+    field. Both paths give the same forecast for every file the row reader
+    accepts.
+    """
+    rows = _read_numeric_csv(text, FORECAST_HEADER, "forecast", _forecast_record,
+                             valid=_valid_forecast_rows)
+    rows = rows[rows[:, 7] == 1.0]
+    if not len(rows):
         raise ValueError("forecast: no unmasked cells")
-    return GriddedForecast(BinGrid(np.asarray(boxes)), np.asarray(rates), window_days)
+    return GriddedForecast(BinGrid(rows[:, :6]), rows[:, 6], window_days)
+
+
+def _forecast_record(i: int, rec: list) -> list:
+    for name, v in zip(FORECAST_HEADER, rec):
+        if not _is_float(v):
+            raise ValueError(f"forecast: row {i}: malformed {name} {v.strip()!r}")
+    vals = [float(v) for v in rec]
+    if vals[7] not in (0.0, 1.0):
+        raise ValueError(f"forecast: row {i}: mask must be 0 or 1, got {rec[7].strip()!r}")
+    if vals[6] < 0:
+        raise ValueError(f"forecast: row {i}: negative rate {vals[6]!r}")
+    return vals
+
+
+def _valid_forecast_rows(rows: np.ndarray) -> bool:
+    mask = rows[:, 7]
+    return bool(np.all((mask == 0.0) | (mask == 1.0)) and not np.any(rows[:, 6] < 0))
 
 
 def serialize_forecast(f: GriddedForecast) -> str:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .catalog import Catalog, Region, km_distance, region_lattice
 from .forecast import GriddedForecast, marginal_space
@@ -516,6 +515,14 @@ def _homog_objective(c: Catalog, region: Region) -> Callable:
         return -(n * math.log(mu) - mu * at) if n else mu * at
 
     return negll
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first fit: the import costs
+    every process about 0.1 s, and only fit_mle needs it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def fit_mle(family: str, c: Catalog, region: Region, init,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 from scipy.spatial import cKDTree
 
 from .catalog import BinGrid, Catalog, Region, bin_counts, region_lattice
@@ -471,7 +471,8 @@ def homogeneity_test(ps, region: Region, method: str = "quadrat",
         stray = float(obs[~pos].sum())
         chi2 = float(np.sum((obs[pos] - expected) ** 2 / expected)) + stray
         df = int(pos.sum()) - 1
-        p = float(stats.chi2.sf(chi2, df))
+        # chdtrc(0, x) is 0, where the chi-square law with no degree of freedom is undefined
+        p = float(chdtrc(df, chi2)) if df > 0 else math.nan
         return HomogeneityResult("quadrat", chi2, p, df=df)
 
     if method == "kfunction":

@@ -8,7 +8,6 @@ result is independent of evaluation order or parallelism.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +30,10 @@ class RngStream:
 
 
 def pmap(fn, n: int, jobs: int = 1) -> list:
-    """Map fn over range(n), gathered by index; identical output for any jobs."""
-    if jobs <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(n)))
+    """Map fn over range(n), gathered by index.
+
+    Runs serially whatever jobs is: a replicate takes well under a
+    millisecond, so worker threads cost more than they save. jobs is kept
+    so callers need not change.
+    """
+    return [fn(i) for i in range(n)]

@@ -8,6 +8,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -454,3 +456,15 @@ def test_fit_homogeneous_matches_closed_form(paths, capsys):
     expect = 12 / (region.area_km2 * 10.0)
     assert np.isclose(mu, expect, rtol=1e-6)
     assert "converged=true" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    """scipy.stats costs every process about 0.5 s at start-up and
+    scipy.optimize about 0.1 s; only a fit loads the optimizer."""
+    code = ("import sys, eqassess.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

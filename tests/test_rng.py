@@ -61,3 +61,12 @@ def test_pmap_order_and_parallel_equivalence():
     threaded = pmap(job, 20, jobs=4)
     assert serial == threaded
     assert len(serial) == 20
+
+
+def test_pmap_runs_every_task_in_the_calling_thread():
+    import threading
+
+    seen = pmap(lambda i: (i, threading.get_ident(), threading.active_count()), 8, jobs=4)
+    assert [s[0] for s in seen] == list(range(8))
+    assert {s[1] for s in seen} == {threading.get_ident()}
+    assert {s[2] for s in seen} == {threading.active_count()}
