@@ -22,7 +22,21 @@ from .catalog import Catalog, Region, km_distance, region_lattice
 from .forecast import GriddedForecast, marginal_space
 from .rng import RngStream
 
-_CHUNK = 4096
+# bytes of one float64 temporary (rows x columns) in the chunked kernel sums
+_CHUNK_BYTES = 1 << 22
+# BLAS matrix-vector kernels sum rows in blocks (4 on x86-64 OpenBLAS); spans
+# that are whole multiples of this many rows keep every row in the same
+# kind of block, so results do not depend on the span size
+_ROW_ALIGN = 64
+
+
+def _row_spans(n_rows: int, n_cols: int):
+    """(lo, hi) row spans whose rows x n_cols float64 block fits _CHUNK_BYTES,
+    in multiples of _ROW_ALIGN rows (at least one multiple)."""
+    step = max(_ROW_ALIGN, _CHUNK_BYTES // (8 * max(n_cols, 1))
+               // _ROW_ALIGN * _ROW_ALIGN)
+    for lo in range(0, n_rows, step):
+        yield lo, min(lo + step, n_rows)
 
 
 def kernel_density(r, d: float):
@@ -95,8 +109,7 @@ class KernelIntensity(_Stationary):
         lons = np.atleast_1d(np.asarray(lons, dtype=float))
         lats = np.atleast_1d(np.asarray(lats, dtype=float))
         out = np.empty(lons.shape, dtype=float)
-        for lo in range(0, lons.size, _CHUNK):
-            hi = min(lo + _CHUNK, lons.size)
+        for lo, hi in _row_spans(lons.size, self.src_lons.size):
             r = km_distance(lons[lo:hi, None], lats[lo:hi, None],
                             self.src_lons[None, :], self.src_lats[None, :])
             out[lo:hi] = kernel_density(r, self.d).sum(axis=1)
@@ -229,8 +242,7 @@ class HawkesIntensity:
         if h.n == 0 or p.k == 0:
             return bg, out
         prod = self._productivity()
-        for lo in range(0, lons.size, _CHUNK):
-            hi = min(lo + _CHUNK, lons.size)
+        for lo, hi in _row_spans(lons.size, h.n):
             dt = times[lo:hi, None] - h.times[None, :]
             r = km_distance(lons[lo:hi, None], lats[lo:hi, None],
                             h.lons[None, :], h.lats[None, :])
@@ -273,8 +285,8 @@ class HawkesIntensity:
         t = self.history.times[before]
         kappa = self._productivity()[before]
         peak = 0.0
-        for s in range(0, t.size, _CHUNK):
-            dt = t[s:s + _CHUNK, None] - t[None, :]
+        for s, e in _row_spans(t.size, t.size):
+            dt = t[s:e, None] - t[None, :]
             lag = np.where(dt >= 0, (np.maximum(dt, 0.0) + p.c) ** -p.p, 0.0)
             peak = max(peak, float(np.max(lag @ kappa)))
         return lo, hi + p.d ** -p.q * peak
@@ -290,9 +302,9 @@ class HawkesIntensity:
             bg = _spatial_quadrature_rate(self.background, region, 200)
         kappa = self._productivity() * spatial_mass(p.d, p.q)
         out = bg * times
-        for lo in range(0, times.size, _CHUNK):
-            dt = times[lo:lo + _CHUNK, None] - self.history.times[None, :]
-            out[lo:lo + _CHUNK] += temporal_mass(np.maximum(dt, 0.0), p.c, p.p) @ kappa
+        for lo, hi in _row_spans(times.size, self.history.n):
+            dt = times[lo:hi, None] - self.history.times[None, :]
+            out[lo:hi] += temporal_mass(np.maximum(dt, 0.0), p.c, p.p) @ kappa
         return out
 
 

@@ -14,6 +14,7 @@ from eqassess import (Catalog, HawkesIntensity, HawkesParams,
                       parse_hawkes_params, radial_trigger_cdf,
                       select_bandwidth, serialize_hawkes_params,
                       simulate_homogeneous, temporal_trigger_cdf)
+from eqassess import intensity
 from eqassess.intensity import (hawkes_objective, hawkes_pack, hawkes_unpack,
                                 spatial_mass, temporal_mass)
 
@@ -241,6 +242,29 @@ class TestHawkesProtocol:
             * temporal_mass(max(t - history.times[i], 0.0), params.c, params.p)
             for i in range(history.n)) for t in ts]
         np.testing.assert_allclose(m.compensator(unit_region, ts), want, rtol=1e-12)
+
+    def test_chunk_size_does_not_change_results(self, unit_region, aligned_history,
+                                                monkeypatch):
+        params, history = aligned_history
+        bg = KernelIntensity(history.lons[:7], history.lats[:7], d=5.0, scale=0.3)
+        gen = np.random.default_rng(4)
+        lons, lats = gen.uniform(0.0, 1.0, 300), gen.uniform(0.0, 1.0, 300)
+        times = gen.uniform(0.0, 5.0, 300)
+
+        def everything():
+            m = HawkesIntensity(params, history, background=bg)
+            return [m.rate_at(lons, lats, times), m.integrate(lons, lats, 5.0),
+                    np.array(m.bounds(unit_region, 5.0)),
+                    m.compensator(unit_region, times), bg.rate_at(lons, lats)]
+
+        monkeypatch.setattr(intensity, "_CHUNK_BYTES", 1 << 40)
+        one = everything()
+        # the fewest rows a span may take, and twice that
+        for rows in (intensity._ROW_ALIGN, 2 * intensity._ROW_ALIGN):
+            budget = 8 * rows * history.n
+            monkeypatch.setattr(intensity, "_CHUNK_BYTES", budget)
+            for a, b in zip(one, everything()):
+                assert np.array_equal(a, b)
 
 
 class TestBranchingRatio:
