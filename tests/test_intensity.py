@@ -15,8 +15,8 @@ from eqassess import (Catalog, HawkesIntensity, HawkesParams,
                       select_bandwidth, serialize_hawkes_params,
                       simulate_homogeneous, temporal_trigger_cdf)
 from eqassess import intensity
-from eqassess.intensity import (hawkes_objective, hawkes_pack, hawkes_unpack,
-                                spatial_mass, temporal_mass)
+from eqassess.intensity import (hawkes_objective, hawkes_pack, hawkes_score,
+                                hawkes_unpack, spatial_mass, temporal_mass)
 
 KM_PER_DEG = 111.32
 
@@ -414,6 +414,77 @@ class TestFitMle:
             g2 = central_gradient(negll, theta, rel_step=1e-5)
             scale = np.maximum(np.abs(g1), 1e-6 * np.max(np.abs(g1)))
             assert np.max(np.abs(g1 - g2) / scale) < 1e-4
+
+    @pytest.mark.parametrize("family", ["homogeneous", "hawkes"])
+    @pytest.mark.parametrize("mode", ["approx", "quadrature"])
+    def test_fit_never_takes_differences(self, unit_region, monkeypatch,
+                                         family, mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit_mle called central_gradient")
+
+        monkeypatch.setattr(intensity, "central_gradient", refuse)
+        cat = simulate_homogeneous(3e-4, unit_region, 10.0, RngStream(17), mag=4.5)
+        init = 1e-5 if family == "homogeneous" else HawkesParams(
+            mu=1e-4, k=0.004, c=0.04, p=1.4, a=0.9, d=0.6, q=1.7, m0=4.0)
+        fit = fit_mle(family, cat, unit_region, init, mode=mode)
+        assert fit.grad_norm < 1e-3
+
+    def test_fit_steps_past_an_infinite_objective(self, unit_region, monkeypatch):
+        # a Hawkes fit to a Poisson catalog drives k down and leaves c, p, d,
+        # q flat, so the line search probes parameters that overflow
+        make = intensity.hawkes_score
+        infinite = []
+
+        def counting(*args, **kwargs):
+            score = make(*args, **kwargs)
+
+            def counted(theta):
+                value, grad = score(theta)
+                if value == math.inf:
+                    infinite.append(theta)
+                return value, grad
+
+            return counted
+
+        monkeypatch.setattr(intensity, "hawkes_score", counting)
+        cat = simulate_homogeneous(3e-4, unit_region, 10.0, RngStream(5), mag=4.5)
+        init = HawkesParams(mu=1e-4, k=0.004, c=0.04, p=1.4, a=0.9, d=0.6,
+                            q=1.7, m0=4.0)
+        fit = fit_mle("hawkes", cat, unit_region, init)
+        assert infinite
+        assert all(math.isfinite(getattr(fit.params, nm))
+                   for nm in ("mu", "k", "c", "p", "a", "d", "q"))
+        assert math.isfinite(fit.log_lik) and math.isfinite(fit.grad_norm)
+
+    def test_score_of_unpackable_parameters_is_infinite(self, unit_region,
+                                                        small_catalog):
+        score = hawkes_score(small_catalog, unit_region, 4.0)
+        for theta in (np.full(7, 800.0), np.r_[-800.0, np.zeros(6)]):
+            value, grad = score(theta)
+            assert value == math.inf and np.all(np.isnan(grad))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([0, 1, 2, 7, 25]),
+           ties=st.booleans(), mode=st.sampled_from(["approx", "quadrature"]))
+    def test_score_matches_central_differences(self, seed, n, ties, mode):
+        region = Region.rectangle(0.0, 1.0, 0.0, 1.0)
+        gen = np.random.default_rng(seed)
+        times = gen.uniform(0.0, 10.0, n)
+        if ties:
+            # whole days: simultaneous events, which do not trigger each other
+            times = np.floor(times)
+        cat = Catalog(times, gen.uniform(0.0, 1.0, n), gen.uniform(0.0, 1.0, n),
+                      gen.uniform(4.0, 6.0, n), 10.0, 4.0)
+        theta = hawkes_pack(HawkesParams(mu=1e-4, k=0.004, c=0.04, p=1.4, a=0.9,
+                                         d=0.6, q=1.7, m0=4.0)) \
+            + gen.normal(0.0, 0.3, size=7)
+        value, grad = hawkes_score(cat, region, 4.0, mode)(theta)
+        model = HawkesIntensity(hawkes_unpack(theta, 4.0), cat)
+        assert value == pytest.approx(-log_likelihood(model, cat, region, mode=mode),
+                                      rel=1e-12)
+        oracle = central_gradient(hawkes_objective(cat, region, 4.0, mode), theta)
+        scale = np.maximum(np.abs(grad), 1e-6 * np.max(np.abs(grad)))
+        assert np.max(np.abs(grad - oracle) / scale) < 1e-4
 
     def test_pack_unpack_round_trip(self):
         p = HawkesParams(mu=0.1, k=0.05, c=0.01, p=1.2, a=1.0, d=1.0, q=1.5,
