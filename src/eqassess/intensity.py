@@ -518,13 +518,12 @@ def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") ->
     left = c.window_days - c.times
     at = region.area_km2 * c.window_days
     clipped = _ClippedMass(c, region) if mode == "quadrature" else None
-    failed = (float("inf"), np.full(7, np.nan))
 
     def score(theta: np.ndarray):
         try:
             prm = hawkes_unpack(theta, m0)
         except (OverflowError, ValueError):
-            return failed
+            return math.inf, np.full(7, np.nan)
         mu, k, cc, p, a, d, q = prm.mu, prm.k, prm.c, prm.p, prm.a, prm.d, prm.q
         with np.errstate(all="ignore"):
             log_lag = np.log(dt + cc)
@@ -550,7 +549,7 @@ def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") ->
             trig = float(np.sum(trig_i))
             value = -(point - (mu * at + trig))
             if not math.isfinite(value):
-                return failed
+                return math.inf, np.full(7, np.nan)
             # each pair's share of its later event's rate
             w = term / lam[later]
             grad = np.array([
