@@ -272,7 +272,6 @@ def _cmd_fit(cfg: RunConfig) -> int:
         raise ConfigError(f"fit: unknown family {family!r}")
     try:
         fit = fit_mle(family, c, region, init, mode=mode,
-                      n_grid=cfg.get("n_grid", 100),
                       gtol=cfg.get("gtol", 1e-6),
                       max_iter=cfg.get("max_iter", 500),
                       restarts=restarts, rng=rng if restarts else None)
@@ -595,7 +594,7 @@ def _cmd_tessellate(cfg: RunConfig) -> int:
 _COMMANDS = {
     "fit": (_cmd_fit,
             {"catalog", "region", "family", "mode", "init", "restarts",
-             "gtol", "max_iter", "n_grid"}),
+             "gtol", "max_iter"}),
     "simulate": (_cmd_simulate,
                  {"kind", "region", "rate", "params", "forecast", "window",
                   "mag", "gr_b", "mag_span"}),

@@ -566,8 +566,8 @@ def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") ->
     return score
 
 
-def hawkes_objective(c: Catalog, region: Region, m0: float, mode: str = "approx",
-                     n_grid: int = 100) -> Callable:
+def hawkes_objective(c: Catalog, region: Region, m0: float,
+                     mode: str = "approx") -> Callable:
     """Negative log-likelihood over the transformed parameter vector: the
     value of hawkes_score."""
     score = hawkes_score(c, region, m0, mode)
@@ -595,7 +595,7 @@ def minimize(*args, **kwargs):
 
 
 def fit_mle(family: str, c: Catalog, region: Region, init,
-            mode: str = "approx", n_grid: int = 100, gtol: float = 1e-6,
+            mode: str = "approx", gtol: float = 1e-6,
             max_iter: int = 500, restarts: int = 0,
             rng: RngStream | None = None) -> FitResult:
     """Maximize the log-likelihood by quasi-Newton ascent in transformed space.

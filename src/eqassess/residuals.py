@@ -22,6 +22,7 @@ from .catalog import BinGrid, Catalog, Region, bin_counts, region_lattice
 from .forecast import GriddedForecast, forecast_from_intensity, poisson_log_pmf
 from .rng import RngStream
 from .simulate import simulate_homogeneous, simulate_inhomogeneous
+from .summaries import _weighted_k_values
 
 # --- shared evaluation helpers -------------------------------------------
 
@@ -421,25 +422,30 @@ class HomogeneityResult:
     note: str = ""
 
 
+def _quadrat_index(region: Region, lons, lats, m: int) -> np.ndarray:
+    """Index iy * m + ix of the m x m bounding-box quadrat holding each point."""
+    lon_min, lon_max, lat_min, lat_max = region.bbox
+    ix = np.clip(((lons - lon_min) / (lon_max - lon_min) * m).astype(int), 0, m - 1)
+    iy = np.clip(((lats - lat_min) / (lat_max - lat_min) * m).astype(int), 0, m - 1)
+    return iy * m + ix
+
+
 def _quadrat_layout(region: Region, n_points: int, n_lattice: int = 200):
-    """Pick the quadrat grid size and per-quadrat region areas.
+    """Quadrat grid size m, mask of positive-area quadrats, expected counts.
 
     m starts at floor(sqrt(n/5)) (bounded to [2, 25]) and shrinks until
     every positive-area quadrat expects at least 5 points.
     """
     lat = region_lattice(region, n_lattice)
-    lon_min, lon_max, lat_min, lat_max = region.bbox
     m = max(2, min(25, int(math.sqrt(n_points / 5.0))))
     while True:
-        ix = np.clip(((lat.lons - lon_min) / (lon_max - lon_min) * m).astype(int), 0, m - 1)
-        iy = np.clip(((lat.lats - lat_min) / (lat_max - lat_min) * m).astype(int), 0, m - 1)
-        qidx = iy * m + ix
+        qidx = _quadrat_index(region, lat.lons, lat.lats, m)
         areas = np.zeros(m * m)
         np.add.at(areas, qidx[lat.inside], lat.cell_km2[lat.inside])
         pos = areas > 0
         expected = n_points * areas[pos] / areas[pos].sum()
         if m == 2 or expected.min() >= 5.0:
-            return m, areas
+            return m, pos, expected
         m -= 1
 
 
@@ -452,7 +458,8 @@ def homogeneity_test(ps, region: Region, method: str = "quadrat",
     proportional to region-clipped quadrat area, at least 5 per quadrat).
     "kfunction": centered K-function at 5 lags against envelopes from
     n_sim homogeneous simulations at nominal_rate (defaults to the
-    pattern's empirical rate); p by rank of the max deviation.
+    pattern's empirical rate); p by rank of the max deviation. Pairs come
+    from a k-d tree search, in O(pairs within the largest lag) memory.
     """
     lons = np.asarray(ps.lons, dtype=float)
     lats = np.asarray(ps.lats, dtype=float)
@@ -461,13 +468,9 @@ def homogeneity_test(ps, region: Region, method: str = "quadrat",
         if n < 10:
             return HomogeneityResult("quadrat", math.nan, math.nan,
                                      note="fewer than 10 points")
-        m, areas = _quadrat_layout(region, n)
-        lon_min, lon_max, lat_min, lat_max = region.bbox
-        ix = np.clip(((lons - lon_min) / (lon_max - lon_min) * m).astype(int), 0, m - 1)
-        iy = np.clip(((lats - lat_min) / (lat_max - lat_min) * m).astype(int), 0, m - 1)
-        obs = np.bincount(iy * m + ix, minlength=m * m).astype(float)
-        pos = areas > 0
-        expected = n * areas[pos] / areas[pos].sum()
+        m, pos, expected = _quadrat_layout(region, n)
+        obs = np.bincount(_quadrat_index(region, lons, lats, m),
+                          minlength=m * m).astype(float)
         stray = float(obs[~pos].sum())
         chi2 = float(np.sum((obs[pos] - expected) ** 2 / expected)) + stray
         df = int(pos.sum()) - 1
@@ -488,16 +491,9 @@ def homogeneity_test(ps, region: Region, method: str = "quadrat",
         lags = math.sqrt(area) * np.array([0.02, 0.04, 0.06, 0.08, 0.10])
 
         def k_hat(xlon, xlat):
-            m_pts = xlon.size
-            if m_pts < 2:
-                return np.zeros(lags.size)
             x, y = region.to_km(xlon, xlat)
-            dist = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
-            np.fill_diagonal(dist, np.inf)
-            return np.array([
-                area * float((dist <= h).sum()) / (m_pts * (m_pts - 1))
-                for h in lags
-            ])
+            n_ordered = max(xlon.size * (xlon.size - 1), 1)  # K = 0 below 2 points
+            return area * _weighted_k_values(x, y, None, lags) / n_ordered
 
         k_obs = k_hat(lons, lats)
         k_sims = np.empty((n_sim, lags.size))

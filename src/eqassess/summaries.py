@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .catalog import Catalog, Region, region_lattice
 from .forecast import GriddedForecast, marginal_space
@@ -34,13 +35,23 @@ class KFunctionCurve:
         return math.pi * self.lags_km ** 2
 
 
-def _weighted_k_values(x, y, weights, lags, area):
-    dist = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
-    np.fill_diagonal(dist, np.inf)
-    pair_w = weights[:, None] * weights[None, :]
-    return np.array([
-        float(np.sum(pair_w[dist <= h])) / area for h in lags
-    ])
+def _weighted_k_values(x, y, weights, lags):
+    """Sum of w_i * w_j over ordered pairs i != j with d_ij <= h, per lag h
+    (w = 1 if weights is None). A k-d tree finds the pairs within the largest
+    lag, in memory O(those pairs); binning each pair's np.hypot distance by
+    the sorted lags gives every lag exactly the pairs with d_ij <= h."""
+    order = np.argsort(lags)
+    # the hair keeps the tree's squared-distance test a superset of hypot's
+    reach = np.nextafter(lags.max(initial=0.0), np.inf) * (1.0 + 1e-9)
+    i, j = cKDTree(np.column_stack([x, y])).query_pairs(
+        reach, output_type="ndarray").T
+    d = np.hypot(x[i] - x[j], y[i] - y[j])
+    pair_w = None if weights is None else weights[i] * weights[j]
+    per_lag = np.bincount(np.searchsorted(lags[order], d, side="left"),
+                          pair_w, minlength=lags.size + 1)
+    sums = np.empty(lags.size)
+    sums[order] = 2.0 * np.cumsum(per_lag[:-1])
+    return sums
 
 
 def weighted_k(model, c: Catalog, region: Region,
@@ -55,10 +66,11 @@ def weighted_k(model, c: Catalog, region: Region,
     models), scaled by 1/region area, so a correct model reduces to the
     homogeneous expectation pi h^2. No edge correction is applied, which
     biases the curve low by a boundary-dependent factor (about
-    2*P*h/(3*pi*A) for perimeter P and area A). With an RngStream,
-    pointwise envelopes are attached from n_sim homogeneous simulations at
-    the catalog's mean rate, re-evaluating the model intensity at the
-    simulated points.
+    2*P*h/(3*pi*A) for perimeter P and area A). Pairs come from a k-d tree
+    search, in O(pairs within the largest lag) memory, not O(n^2). With an
+    RngStream, pointwise envelopes are attached from n_sim homogeneous
+    simulations at the catalog's mean rate, re-evaluating the model
+    intensity at the simulated points.
     """
     if c.n < 2:
         raise ValueError("weighted K needs at least 2 events")
@@ -76,7 +88,7 @@ def weighted_k(model, c: Catalog, region: Region,
 
     w = weights_at(c.lons, c.lats, c.times)
     x, y = region.to_km(c.lons, c.lats)
-    k_obs = _weighted_k_values(x, y, w, lags_km, area)
+    k_obs = _weighted_k_values(x, y, w, lags_km) / area
 
     lo = hi = None
     if rng is not None:
@@ -85,30 +97,26 @@ def weighted_k(model, c: Catalog, region: Region,
         for s in range(n_sim):
             sim = simulate_homogeneous(rate, region, c.window_days,
                                        rng.substream(s))
-            if sim.n < 2:
-                sims[s] = 0.0
-                continue
             sw = weights_at(sim.lons, sim.lats, sim.times)
             sx, sy = region.to_km(sim.lons, sim.lats)
-            sims[s] = _weighted_k_values(sx, sy, sw, lags_km, area)
+            sims[s] = _weighted_k_values(sx, sy, sw, lags_km) / area
         lo = np.quantile(sims, 0.025, axis=0)
         hi = np.quantile(sims, 0.975, axis=0)
     return KFunctionCurve(lags_km, k_obs, c.n, lo, hi)
 
 
+def _float_csv(header: str, *columns) -> str:
+    """CSV text of equal-length float columns, each value written by repr."""
+    rows = (",".join(repr(float(v)) for v in row) for row in zip(*columns))
+    return "\n".join([header, *rows]) + "\n"
+
+
 def k_curve_to_csv(curve: KFunctionCurve) -> str:
-    has_env = curve.envelope_lo is not None
-    header = "lag_km,k_value,reference" + (",envelope_lo,envelope_hi" if has_env else "")
-    out = [header]
-    ref = curve.reference()
-    for i in range(curve.lags_km.size):
-        row = [repr(float(curve.lags_km[i])), repr(float(curve.k_values[i])),
-               repr(float(ref[i]))]
-        if has_env:
-            row += [repr(float(curve.envelope_lo[i])),
-                    repr(float(curve.envelope_hi[i]))]
-        out.append(",".join(row))
-    return "\n".join(out) + "\n"
+    columns = [curve.lags_km, curve.k_values, curve.reference()]
+    if curve.envelope_lo is None:
+        return _float_csv("lag_km,k_value,reference", *columns)
+    return _float_csv("lag_km,k_value,reference,envelope_lo,envelope_hi",
+                      *columns, curve.envelope_lo, curve.envelope_hi)
 
 
 # --- error diagrams -------------------------------------------------------
@@ -196,11 +204,5 @@ def error_diagram(model_or_forecast, c: Catalog, region: Region,
 
 
 def error_diagram_to_csv(diag: ErrorDiagram) -> str:
-    out = ["threshold,alarm_fraction,miss_fraction"]
-    for i in range(diag.thresholds.size):
-        out.append(",".join([
-            repr(float(diag.thresholds[i])),
-            repr(float(diag.alarm_fractions[i])),
-            repr(float(diag.miss_fractions[i])),
-        ]))
-    return "\n".join(out) + "\n"
+    return _float_csv("threshold,alarm_fraction,miss_fraction", diag.thresholds,
+                      diag.alarm_fractions, diag.miss_fractions)

@@ -54,6 +54,21 @@ def sliced():
     return SlicedIntegral
 
 
+def dense_pair_sums(x, y, weights, lags):
+    """Reference for summaries._weighted_k_values: the dense n x n distance
+    matrix masked once per lag, the method the k-d tree search replaced."""
+    dist = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    np.fill_diagonal(dist, np.inf)
+    pair_w = np.ones(dist.shape) if weights is None \
+        else weights[:, None] * weights[None, :]
+    return np.array([float(np.sum(pair_w[dist <= h])) for h in lags])
+
+
+@pytest.fixture(scope="session")
+def dense_pairs():
+    return dense_pair_sums
+
+
 @pytest.fixture
 def aligned_history(unit_region):
     """A clustered 5-day Hawkes catalog with its times moved onto the

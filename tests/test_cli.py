@@ -458,6 +458,14 @@ def test_fit_homogeneous_matches_closed_form(paths, capsys):
     assert "converged=true" in capsys.readouterr().out
 
 
+def test_fit_takes_no_n_grid(paths):
+    # neither fit family integrates on a lattice, so the option is gone
+    rc = main(["fit", "--family", "homogeneous", "--catalog", paths["catalog"],
+               "--region", paths["region"], "--n-grid", "50",
+               "--out", str(paths["dir"] / "fit")])
+    assert rc == 2
+
+
 def test_import_leaves_scipy_stats_and_optimize_unloaded():
     """scipy.stats costs every process about 0.5 s at start-up and
     scipy.optimize about 0.1 s; only a fit loads the optimizer."""

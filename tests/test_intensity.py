@@ -404,7 +404,7 @@ class TestFitMle:
         # step-size change at generic (non-optimal) parameter points
         rng = RngStream(17)
         cat = simulate_homogeneous(3e-4, unit_region, 10.0, rng, mag=4.5)
-        negll = hawkes_objective(cat, unit_region, 4.0, "approx", 100)
+        negll = hawkes_objective(cat, unit_region, 4.0, "approx")
         base = hawkes_pack(HawkesParams(mu=1e-4, k=0.004, c=0.04, p=1.4,
                                         a=0.9, d=0.6, q=1.7, m0=4.0))
         gen = RngStream(18).generator()

@@ -13,6 +13,7 @@ from eqassess import (BinGrid, Catalog, GriddedForecast, GridIntensity,
                       simulate_homogeneous, super_thin, superpose_residuals,
                       thin_residuals, voronoi_residuals,
                       voronoi_tessellation)
+from eqassess import residuals
 
 
 @pytest.fixture
@@ -421,3 +422,27 @@ class TestHomogeneity:
                               rng=RngStream(28), n_sim=99)
         assert r1.p_value == r2.p_value
         assert r1.statistic == r2.statistic
+
+    @pytest.mark.parametrize("pattern,seed,test_seed,n_sim", [
+        ("uniform", 23, 24, 99), ("clustered", 25, 26, 199),
+        ("uniform", 27, 28, 99)])
+    def test_kfunction_matches_dense_pair_counts(self, unit_region, monkeypatch,
+                                                 dense_pairs, pattern, seed,
+                                                 test_seed, n_sim):
+        # the seeds of the kfunction tests above, with the k-d tree pair sums
+        # and with the dense matrix they replaced: the same statistic and p
+        if pattern == "clustered":
+            gen = RngStream(seed).generator()
+            pts = np.vstack([gen.normal(0.3, 0.01, (40, 2)),
+                             gen.normal(0.7, 0.01, (40, 2))])
+            c = Catalog(np.linspace(0.01, 0.99, 80), pts[:, 0], pts[:, 1],
+                        np.full(80, 4.0), 1.0, 4.0)
+        else:
+            c = simulate_homogeneous(1e-3, unit_region, 1.0, RngStream(seed), mag=4.0)
+        fast = homogeneity_test(c, unit_region, method="kfunction",
+                                rng=RngStream(test_seed), n_sim=n_sim)
+        monkeypatch.setattr(residuals, "_weighted_k_values", dense_pairs)
+        dense = homogeneity_test(c, unit_region, method="kfunction",
+                                 rng=RngStream(test_seed), n_sim=n_sim)
+        assert fast.statistic == dense.statistic
+        assert fast.p_value == dense.p_value

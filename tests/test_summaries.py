@@ -1,12 +1,88 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eqassess import (GriddedForecast, GridIntensity, HomogeneousIntensity,
-                      KernelIntensity, RngStream, error_diagram,
-                      error_diagram_to_csv, k_curve_to_csv,
+from eqassess import (Catalog, GriddedForecast, GridIntensity,
+                      HomogeneousIntensity, KernelIntensity, RngStream,
+                      error_diagram, error_diagram_to_csv, k_curve_to_csv,
                       simulate_homogeneous, simulate_poisson_grid, weighted_k)
+from eqassess.summaries import _weighted_k_values
+
+
+@st.composite
+def pair_problems(draw):
+    """Points, weights and lags for the pair-sum primitive: 0-300 points,
+    float km or integer-lattice km coordinates, some coincident points, and
+    lags unsorted, partly at exact pair distances (the <= boundary)."""
+    n = draw(st.one_of(st.integers(0, 2), st.integers(3, 300)))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        side = draw(st.integers(1, 20))
+        x = gen.integers(0, side + 1, n).astype(float)
+        y = gen.integers(0, side + 1, n).astype(float)
+    else:
+        x = gen.uniform(0.0, 111.0, n)
+        y = gen.uniform(0.0, 111.0, n)
+    if n >= 2 and draw(st.booleans()):
+        same = gen.integers(0, n, draw(st.integers(1, n)))
+        x[same], y[same] = x[0], y[0]
+    n_lags = draw(st.integers(1, 12))
+    lags = gen.uniform(0.0, 40.0, n_lags)
+    if n >= 2:
+        i, j = gen.integers(0, n, (2, n_lags))
+        at_pair = gen.uniform(size=n_lags) < 0.6
+        lags[at_pair] = np.hypot(x[i] - x[j], y[i] - y[j])[at_pair]
+    if draw(st.booleans()):
+        lags[0] = 0.0
+    weights = gen.lognormal(0.0, 3.0, n) if draw(st.booleans()) else None
+    return x, y, weights, lags
+
+
+class TestPairSums:
+    @settings(max_examples=300, deadline=None)
+    @given(pair_problems())
+    def test_matches_dense_reference(self, dense_pairs, problem):
+        x, y, weights, lags = problem
+        got = _weighted_k_values(x, y, weights, lags)
+        want = dense_pairs(x, y, weights, lags)
+        if weights is None:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_few_points(self, dense_pairs, n):
+        x = np.arange(n, dtype=float)
+        y = np.zeros(n)
+        lags = np.array([0.5, 1.0, 2.0])
+        assert np.array_equal(_weighted_k_values(x, y, None, lags),
+                              dense_pairs(x, y, None, lags))
+
+    def test_lag_at_pair_distance_counts_the_pair(self):
+        # a 3-4-5 triangle: each lag equal to a side length includes that side
+        x = np.array([0.0, 3.0, 0.0])
+        y = np.array([0.0, 0.0, 4.0])
+        got = _weighted_k_values(x, y, None, np.array([5.0, 3.0, 4.0, 2.9]))
+        assert np.array_equal(got, [6.0, 2.0, 4.0, 0.0])
+
+    def test_weighted_k_memory_is_not_quadratic(self, unit_region):
+        # 3000 points in a ~111 km square: a dense n x n float64 matrix alone
+        # is 72 MB; the pairs within the largest lag (~11 km) take about 3 MB
+        gen = np.random.default_rng(3)
+        n = 3000
+        c = Catalog(np.sort(gen.uniform(0.0, 10.0, n)), gen.uniform(0.0, 1.0, n),
+                    gen.uniform(0.0, 1.0, n), np.full(n, 4.0), 10.0, 4.0)
+        tracemalloc.start()
+        try:
+            weighted_k(HomogeneousIntensity(2e-2), c, unit_region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestWeightedK:
