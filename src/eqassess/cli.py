@@ -31,9 +31,9 @@ from .intensity import (HawkesIntensity, HomogeneousIntensity, fit_mle,
 from .render import (render_error_diagram, render_histogram, render_k_curve,
                      render_map, render_point_map)
 from .residuals import (cell_residuals_to_csv, cell_residuals_to_geojson,
-                        deviance_residuals, homogeneity_test, pixel_residuals,
-                        super_thin, superpose_residuals, thin_residuals,
-                        voronoi_residuals, voronoi_tessellation)
+                        deviance_residuals, geojson_polygon, homogeneity_test,
+                        pixel_residuals, super_thin, superpose_residuals,
+                        thin_residuals, voronoi_residuals, voronoi_tessellation)
 from .rng import RngStream
 from .simulate import (simulate_hawkes, simulate_homogeneous,
                        simulate_poisson_grid)
@@ -562,12 +562,9 @@ def _cmd_tessellate(cfg: RunConfig) -> int:
     feats = []
     polys = tess.polys_lonlat()
     for i in range(tess.n_cells):
-        coords = [[float(x), float(y)] for x, y in polys[i]]
-        if coords:
-            coords.append(coords[0])
         feats.append({
             "type": "Feature",
-            "geometry": {"type": "Polygon", "coordinates": [coords]},
+            "geometry": geojson_polygon(polys[i]),
             "properties": {"cell_id": i,
                            "gen_lon": float(tess.gen_lons[i]),
                            "gen_lat": float(tess.gen_lats[i]),

@@ -16,12 +16,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import chdtrc
-from scipy.spatial import cKDTree
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .catalog import BinGrid, Catalog, Region, bin_counts, region_lattice
 from .forecast import GriddedForecast, forecast_from_intensity, poisson_log_pmf
 from .rng import RngStream
-from .simulate import simulate_homogeneous, simulate_inhomogeneous
+from .simulate import MAX_CASCADE, simulate_homogeneous, simulate_inhomogeneous
 from .summaries import _weighted_k_values
 
 # --- shared evaluation helpers -------------------------------------------
@@ -108,8 +108,17 @@ def superpose_residuals(c: Catalog, model, region: Region,
                         rng: RngStream) -> ResidualPointSet:
     """Fill the pattern up to the supremum C from model.bounds with
     simulated points at rate C - rate; observed plus simulated is
-    Poisson(C) under a correct model."""
+    Poisson(C) under a correct model, C * area * window points whatever
+    the deficit's shape; more than MAX_CASCADE of them are refused."""
     _, sup = model.bounds(region, c.window_days)
+    expected = sup * region.area_km2 * c.window_days
+    if expected > MAX_CASCADE:
+        raise ValueError(
+            f"superposition needs the constant bound C = {sup!r} per km^2 per day, "
+            f"which gives C*|A|*T = {expected:.6g} expected superposed points, "
+            f"above the cap of {MAX_CASCADE}: the superposed pattern is Poisson(C) "
+            "on region x window, so no bound that varies in space and time "
+            "shrinks it; use super-thinning instead (residuals --kind superthin)")
     sim = simulate_inhomogeneous(_Deficit(model, sup), sup, region,
                                  c.window_days, rng)
     times = np.concatenate([c.times, sim.times])
@@ -250,16 +259,21 @@ def cell_residuals_to_csv(rs: CellResidualSet) -> str:
     return "\n".join(out) + "\n"
 
 
+def geojson_polygon(ring) -> dict:
+    """GeoJSON Polygon geometry of an (m, 2) vertex array, its ring closed
+    by repeating the first vertex; an empty array gives an empty ring."""
+    coords = np.asarray(ring, dtype=float).tolist()
+    if coords:
+        coords.append(coords[0])
+    return {"type": "Polygon", "coordinates": [coords]}
+
+
 def cell_residuals_to_geojson(rs: CellResidualSet) -> str:
     feats = []
     for i in range(rs.n_cells):
-        ring = rs.cell_polys[i]
-        coords = [[float(x), float(y)] for x, y in ring]
-        if coords:
-            coords.append(coords[0])
         feats.append({
             "type": "Feature",
-            "geometry": {"type": "Polygon", "coordinates": [coords]},
+            "geometry": geojson_polygon(rs.cell_polys[i]),
             "properties": {
                 "cell_id": i,
                 "kind": rs.kind,
@@ -274,31 +288,48 @@ def cell_residuals_to_geojson(rs: CellResidualSet) -> str:
 
 # --- Voronoi --------------------------------------------------------------
 
+COINCIDENT_NUDGE_DEG = 1e-9  # step between exactly coincident generators
+MAX_COINCIDENT = 1000
+
 
 def _clip_halfplane(poly: np.ndarray, normal: np.ndarray, offset: float,
                     keep_le: bool) -> np.ndarray:
-    """Sutherland-Hodgman clip of a polygon against n.x <= c (or >= c)."""
+    """Sutherland-Hodgman clip of a polygon against n.x <= c (or >= c).
+    The vertex walk runs on Python floats, which round each operation as
+    numpy does."""
     if poly.shape[0] == 0:
         return poly
     d = poly @ normal - offset
     inside = d <= 0 if keep_le else d >= 0
-    m = poly.shape[0]
+    if inside.all():
+        return poly
+    d, inside, verts = d.tolist(), inside.tolist(), poly.tolist()
     out = []
-    for i in range(m):
-        j = (i + 1) % m
+    for i in range(len(verts)):
+        j = i + 1 if i + 1 < len(verts) else 0
         if inside[i]:
-            out.append(poly[i])
+            out.append(verts[i])
         if inside[i] != inside[j]:
             t = d[i] / (d[i] - d[j])
-            out.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.asarray(out) if out else np.empty((0, 2))
+            (xi, yi), (xj, yj) = verts[i], verts[j]
+            out.append([xi + t * (xj - xi), yi + t * (yj - yi)])
+    return np.array(out) if out else np.empty((0, 2))
 
 
-def _poly_area(poly: np.ndarray) -> float:
-    if poly.shape[0] < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))) / 2.0
+def _poly_areas(polys: list) -> np.ndarray:
+    """Shoelace areas of all polygons in one pass over their stacked
+    vertices; a polygon with fewer than 3 vertices has area 0."""
+    areas = np.zeros(len(polys))
+    full = [i for i, p in enumerate(polys) if p.shape[0] >= 3]
+    if full:
+        sizes = np.array([polys[i].shape[0] for i in full])
+        starts = np.cumsum(sizes) - sizes
+        xy = np.concatenate([polys[i] for i in full])
+        nxt = np.arange(1, xy.shape[0] + 1)
+        nxt[starts + sizes - 1] = starts
+        x, y = xy[:, 0], xy[:, 1]
+        areas[full] = np.abs(np.add.reduceat(x * y[nxt] - x[nxt] * y, starts)) / 2.0
+    return areas
 
 
 @dataclass(frozen=True)
@@ -329,16 +360,37 @@ class VoronoiTessellation:
             / self.region.area_km2
 
 
-def voronoi_tessellation(lons, lats, region: Region,
-                         perturb: float = 1e-9,
-                         dedup_cap: int = 1000) -> VoronoiTessellation:
+def _clip_bisector(poly: np.ndarray, pts: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The part of poly on generator i's side of its bisector with j. The
+    line is computed from the pair (lo, hi), so both cells cut along the
+    same floats."""
+    lo, hi = (i, j) if i < j else (j, i)
+    normal = pts[hi] - pts[lo]
+    offset = float(normal @ (0.5 * (pts[lo] + pts[hi])))
+    return _clip_halfplane(poly, normal, offset, keep_le=(i == lo))
+
+
+def _reach2(poly: np.ndarray, p: np.ndarray) -> float:
+    """Squared distance from p to the farthest vertex of poly; 0 if empty."""
+    dx, dy = poly[:, 0] - p[0], poly[:, 1] - p[1]
+    return float((dx * dx + dy * dy).max(initial=0.0))
+
+
+def voronoi_tessellation(lons, lats, region: Region) -> VoronoiTessellation:
     """Region-clipped planar Voronoi diagram of the generators.
 
-    Each cell is the region polygon cut by the perpendicular bisector
-    half-plane against every other generator in the km projection; bisector
-    lines are computed once per index pair so shared edges agree to float
-    precision and the cells partition the region. Exactly coincident
-    generators are separated by deterministic 1e-9-degree nudges.
+    Each cell is the region polygon cut by perpendicular bisector
+    half-planes in the km projection. Only Delaunay neighbours share a
+    Voronoi edge, so a cell is first cut by its neighbours in one Qhull
+    Delaunay triangulation, nearest first. Qhull decides near-degenerate
+    configurations within its own tolerance and sets near-duplicates aside,
+    so every other generator whose bisector still cuts the cell is then
+    applied, nearest first, until the rest are out of the cell's reach. A
+    point Qhull set aside, and every point when Qhull cannot triangulate
+    (fewer than 3 or all collinear generators, or a simplex naming a point
+    outside the input), has no neighbours and is cut by that second pass
+    alone. Exactly coincident generators are separated
+    by deterministic 1e-9-degree nudges.
     """
     lons = np.atleast_1d(np.asarray(lons, dtype=float)).copy()
     lats = np.atleast_1d(np.asarray(lats, dtype=float)).copy()
@@ -349,36 +401,46 @@ def voronoi_tessellation(lons, lats, region: Region,
         key = (lons[i], lats[i])
         k = seen.get(key, 0)
         if k:
-            if k >= dedup_cap:
-                raise ValueError(f"more than {dedup_cap} coincident generators")
-            lons[i] += perturb * k
-            lats[i] += perturb * k
+            if k >= MAX_COINCIDENT:
+                raise ValueError(f"more than {MAX_COINCIDENT} coincident generators")
+            lons[i] += COINCIDENT_NUDGE_DEG * k
+            lats[i] += COINCIDENT_NUDGE_DEG * k
         seen[key] = k + 1
 
-    px, py = region.to_km(lons, lats)
-    pts = np.column_stack([px, py])
+    pts = np.column_stack(region.to_km(lons, lats))
     n = pts.shape[0]
-    ring = region.ring_km
+    try:
+        tri = Delaunay(pts)
+        if tri.simplices.max() >= n:
+            # Qhull left its point at infinity in a simplex (seen on nearly
+            # collinear near-duplicates); its neighbour lists are unusable
+            raise QhullError("simplex outside the input points")
+        indptr, neighbours = tri.vertex_neighbor_vertices
+    except QhullError:
+        indptr, neighbours = np.zeros(n + 1, dtype=int), np.zeros(0, dtype=int)
     polys = []
     for i in range(n):
-        poly = ring
-        d2 = np.sum((pts - pts[i]) ** 2, axis=1)
-        order = np.argsort(d2, kind="stable")
-        for j in order:
-            if j == i or poly.shape[0] == 0:
-                continue
-            half_dist = 0.5 * math.sqrt(d2[j])
-            reach = np.sqrt(np.max(np.sum((poly - pts[i]) ** 2, axis=1))) \
-                if poly.shape[0] else 0.0
-            if half_dist > reach:
-                break  # remaining generators are farther; bisectors cannot cut
-            lo, hi = (i, j) if i < j else (j, i)
-            normal = pts[hi] - pts[lo]
-            offset = float(normal @ (0.5 * (pts[lo] + pts[hi])))
-            poly = _clip_halfplane(poly, normal, offset, keep_le=(i == lo))
+        dx, dy = pts[:, 0] - pts[i, 0], pts[:, 1] - pts[i, 1]
+        d2 = dx * dx + dy * dy
+        first = np.sort(neighbours[indptr[i]:indptr[i + 1]])
+        poly = region.ring_km
+        for j in first[np.argsort(d2[first], kind="stable")]:
+            poly = _clip_bisector(poly, pts, i, j)
+        d2[first] = np.inf
+        d2[i] = np.inf
+        # the generators in reach whose bisector leaves a cell vertex on
+        # their side
+        near = np.flatnonzero(d2 <= 4.0 * _reach2(poly, pts[i]))
+        lo, hi = pts[np.minimum(near, i)], pts[np.maximum(near, i)]
+        normal = hi - lo
+        side = poly @ normal.T - np.sum(normal * (0.5 * (lo + hi)), axis=1)
+        cuts = near[(np.where(near > i, side, -side) > 0).any(axis=0)]
+        for j in cuts[np.argsort(d2[cuts], kind="stable")]:
+            if 0.25 * d2[j] > _reach2(poly, pts[i]):
+                break  # the remaining bisectors are out of reach
+            poly = _clip_bisector(poly, pts, i, j)
         polys.append(poly)
-    areas = np.array([_poly_area(p) for p in polys])
-    return VoronoiTessellation(lons, lats, polys, areas, region)
+    return VoronoiTessellation(lons, lats, polys, _poly_areas(polys), region)
 
 
 def voronoi_residuals(model, c: Catalog, region: Region,

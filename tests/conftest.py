@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,83 @@ def dense_pair_sums(x, y, weights, lags):
 @pytest.fixture(scope="session")
 def dense_pairs():
     return dense_pair_sums
+
+
+def reference_clip_halfplane(poly, normal, offset, keep_le):
+    """Reference for residuals._clip_halfplane: the Sutherland-Hodgman walk
+    over numpy rows that the walk on Python floats replaced."""
+    if poly.shape[0] == 0:
+        return poly
+    d = poly @ normal - offset
+    inside = d <= 0 if keep_le else d >= 0
+    m = poly.shape[0]
+    out = []
+    for i in range(m):
+        j = (i + 1) % m
+        if inside[i]:
+            out.append(poly[i])
+        if inside[i] != inside[j]:
+            t = d[i] / (d[i] - d[j])
+            out.append(poly[i] + t * (poly[j] - poly[i]))
+    return np.asarray(out) if out else np.empty((0, 2))
+
+
+def reference_shoelace(poly):
+    """Reference for residuals._poly_areas: one polygon at a time."""
+    if poly.shape[0] < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))) / 2.0
+
+
+def reference_voronoi(lons, lats, region):
+    """Reference for residuals.voronoi_tessellation: each cell clipped
+    against every other generator in distance order until the bisectors are
+    out of reach, the method the Delaunay-neighbour candidates replaced.
+    Returns (polys_km, areas_km2)."""
+    lons = np.atleast_1d(np.asarray(lons, dtype=float)).copy()
+    lats = np.atleast_1d(np.asarray(lats, dtype=float)).copy()
+    seen: dict = {}
+    for i in range(lons.size):
+        key = (lons[i], lats[i])
+        k = seen.get(key, 0)
+        if k:
+            lons[i] += 1e-9 * k
+            lats[i] += 1e-9 * k
+        seen[key] = k + 1
+    px, py = region.to_km(lons, lats)
+    pts = np.column_stack([px, py])
+    polys = []
+    for i in range(pts.shape[0]):
+        poly = region.ring_km
+        d2 = np.sum((pts - pts[i]) ** 2, axis=1)
+        for j in np.argsort(d2, kind="stable"):
+            if j == i or poly.shape[0] == 0:
+                continue
+            reach = np.sqrt(np.max(np.sum((poly - pts[i]) ** 2, axis=1)))
+            if 0.5 * math.sqrt(d2[j]) > reach:
+                break
+            lo, hi = (i, j) if i < j else (j, i)
+            normal = pts[hi] - pts[lo]
+            offset = float(normal @ (0.5 * (pts[lo] + pts[hi])))
+            poly = reference_clip_halfplane(poly, normal, offset, keep_le=(i == lo))
+        polys.append(poly)
+    return polys, np.array([reference_shoelace(p) for p in polys])
+
+
+@pytest.fixture(scope="session")
+def voronoi_oracle():
+    return reference_voronoi
+
+
+@pytest.fixture(scope="session")
+def clip_oracle():
+    return reference_clip_halfplane
+
+
+@pytest.fixture(scope="session")
+def shoelace_oracle():
+    return reference_shoelace
 
 
 @pytest.fixture

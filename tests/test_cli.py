@@ -371,6 +371,37 @@ def test_residuals_superpose_refusal_exits_3(paths, capsys):
     assert "above the cap" in capsys.readouterr().err
 
 
+def test_residuals_superpose_refusal_names_bound_and_count(paths, capsys):
+    from eqassess.intensity import HawkesIntensity, parse_hawkes_params
+    text = HAWKES_TEXT.replace("c = 0.05", "c = 0.001").replace("d = 0.5", "d = 0.01")
+    params = paths["dir"] / "hawkes.txt"
+    params.write_text(text)
+    rc = main(["residuals", "--kind", "superpose", "--catalog", paths["catalog"],
+               "--region", paths["region"], "--params", str(params),
+               "--out", str(paths["dir"] / "sp")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    region = Region([(0, 0), (1, 0), (1, 1), (0, 1)])
+    _, sup = HawkesIntensity(parse_hawkes_params(text), _demo_catalog()).bounds(region, 10.0)
+    expected = sup * region.area_km2 * 10.0
+    assert expected > 1e6
+    assert f"C = {sup!r}" in err
+    assert f"C*|A|*T = {expected:.6g} expected superposed points" in err
+    assert "Poisson(C)" in err and "--kind superthin" in err
+
+
+def test_tessellate_refuses_too_many_coincident_generators(paths, capsys):
+    n = 1001
+    cat = Catalog(np.linspace(0.0, 9.0, n), np.full(n, 0.5), np.full(n, 0.5),
+                  np.full(n, 4.5), window_days=10.0, m0=4.0)
+    catalog = paths["dir"] / "stack.csv"
+    catalog.write_text(serialize_catalog(cat))
+    rc = main(["tessellate", "--catalog", str(catalog), "--region", paths["region"],
+               "--out", str(paths["dir"] / "tess")])
+    assert rc == 3
+    assert "more than 1000 coincident generators" in capsys.readouterr().err
+
+
 def test_residuals_pixel_artifacts(paths):
     out = str(paths["dir"] / "px")
     rc = main(["residuals", "--kind", "pixel", "--catalog", paths["catalog"],

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from eqassess import (BinGrid, Catalog, GriddedForecast, GridIntensity,
                       HomogeneousIntensity, KernelIntensity, Region,
@@ -336,6 +339,233 @@ class TestVoronoi:
         for poly in tess.polys_lonlat():
             assert unit_region.contains(poly[:, 0] * 0.999 + 0.5 * 0.001,
                                         poly[:, 1] * 0.999 + 0.5 * 0.001).all()
+
+
+_L_SHAPE = Region([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+_VORONOI_REGIONS = [Region.rectangle(0.0, 1.0, 0.0, 1.0),
+                    Region.rectangle(10.0, 11.0, 40.0, 41.0), _L_SHAPE]
+_UNIT = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def voronoi_problems(draw):
+    """Generators in a region's bounding box: random, cocircular lattices,
+    collinear, n = 1 to 3, or random with exact and 1e-9-degree-nudged
+    duplicates and triplicates."""
+    region = draw(st.sampled_from(_VORONOI_REGIONS))
+    kind = draw(st.sampled_from(["random", "lattice", "collinear", "few",
+                                 "duplicates"]))
+    if kind in ("random", "few", "duplicates"):
+        size = (1, 3) if kind == "few" else (1, 50)
+        uv = np.array(draw(st.lists(st.tuples(_UNIT, _UNIT), min_size=size[0],
+                                    max_size=size[1])))
+    elif kind == "lattice":
+        nu, nv = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        u, v = np.meshgrid((np.arange(nu) + 0.5) / nu, (np.arange(nv) + 0.5) / nv)
+        uv = np.column_stack([u.ravel(), v.ravel()])
+    else:
+        start = np.array(draw(st.tuples(_UNIT, _UNIT)))
+        step = np.array(draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+                             | st.tuples(_UNIT, _UNIT).filter(lambda t: any(t))))
+        ts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=12,
+                           unique=True))
+        uv = np.clip(start + np.outer(ts, step / np.max(np.abs(step))), 0.0, 1.0)
+    if kind == "duplicates":
+        picks = draw(st.lists(st.integers(0, uv.shape[0] - 1), min_size=1,
+                              max_size=10))
+        copies = [uv[i] for i in picks for _ in range(draw(st.integers(1, 2)))]
+        nudge = draw(st.sampled_from([0.0, 1e-9]))
+        uv = np.vstack([uv] + [c + nudge * (k + 1) for k, c in enumerate(copies)])
+    lon_min, lon_max, lat_min, lat_max = region.bbox
+    return (region, lon_min + uv[:, 0] * (lon_max - lon_min),
+            lat_min + uv[:, 1] * (lat_max - lat_min))
+
+
+def _collapse(ring, tol):
+    """Drop each vertex within tol of the last one kept, cyclically."""
+    kept = []
+    for v in ring:
+        if not kept or np.hypot(*(v - kept[-1])) > tol:
+            kept.append(v)
+    while len(kept) > 1 and np.hypot(*(kept[0] - kept[-1])) <= tol:
+        kept.pop()
+    return np.array(kept).reshape(-1, 2)
+
+
+def _tolerances(tess):
+    """(area atol in km^2, vertex tolerance in km or None) for comparing
+    with the reference.
+
+    Generators closer than 1e-6 of the region's extent L are
+    near-coincident. Two bisectors of generators s apart meet at an angle
+    of about s / L, so the vertex they define moves by about ulp(L) * L / s
+    with the order of the clips. Three or more near-coincident generators
+    are nearly collinear: the vertex where their cells meet is set by
+    rounding and may lie anywhere along strips of width s, so only areas
+    are compared there, to L times the cluster's largest separation.
+    """
+    pts = np.column_stack(tess.region.to_km(tess.gen_lons, tess.gen_lats))
+    extent = float(np.hypot(*np.ptp(tess.region.ring_km, axis=0)))
+    if pts.shape[0] < 2:
+        return 1e-9, 1e-9
+    pairs = cKDTree(pts).query_pairs(1e-6 * extent, output_type="ndarray")
+    if pairs.shape[0] == 0:
+        sep = float(cKDTree(pts).query(pts, k=2)[0][:, 1].min())
+        return 1e-9, 1e-9 + 1e-15 * extent ** 2 / sep
+    sep = np.hypot(*(pts[pairs[:, 0]] - pts[pairs[:, 1]]).T)
+    if np.bincount(pairs.ravel()).max() >= 2:
+        return 1e-9 + extent * float(sep.max()), None
+    return 1e-9, 1e-9 + (1e-15 * extent ** 2 / sep.min() if sep.min() > 0 else np.inf)
+
+
+def _same_ring(a, b, tol):
+    """Every vertex of each ring within tol of one of the other's and, for
+    tol below 1e-6 km, the same cycle up to rotation once vertices within
+    tol of the previous one are merged."""
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return a.shape == b.shape
+    dist = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
+    if max(dist.min(axis=1).max(), dist.min(axis=0).max()) > tol:
+        return False
+    if tol >= 1e-6:
+        return True
+    a, b = _collapse(a, tol), _collapse(b, tol)
+    return a.shape == b.shape and any(
+        np.max(np.hypot(*(np.roll(a, -s, axis=0) - b).T)) <= tol
+        for s in range(a.shape[0]))
+
+
+_COORD = st.floats(-200.0, 200.0, allow_nan=False)
+
+
+class TestClipAndAreas:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_COORD, _COORD), min_size=0, max_size=12),
+           st.tuples(_COORD, _COORD), st.floats(-1e-6, 1e6), st.booleans(),
+           st.integers(-1, 11))
+    def test_clip_equals_reference_walk(self, clip_oracle, verts, normal, scale,
+                                       keep_le, through):
+        poly = np.array(verts, dtype=float).reshape(-1, 2)
+        normal = np.array(normal) * scale
+        # offsets through a vertex put it exactly on the line
+        offset = float(normal @ poly[through]) if 0 <= through < len(verts) else 3.0
+        got = residuals._clip_halfplane(poly, normal, offset, keep_le)
+        want = clip_oracle(poly, normal, offset, keep_le)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(_COORD, _COORD), max_size=9), max_size=8))
+    def test_areas_in_one_pass(self, shoelace_oracle, rings):
+        polys = [np.array(r, dtype=float).reshape(-1, 2) for r in rings]
+        got = residuals._poly_areas(polys)
+        for area, p in zip(got, polys):
+            # the summation order changed: allow rounding of the summed terms
+            terms = p[:, 0] * np.roll(p[:, 1], -1) - np.roll(p[:, 0], -1) * p[:, 1]
+            assert abs(area - shoelace_oracle(p)) <= 1e-13 * np.sum(np.abs(terms))
+            assert p.shape[0] >= 3 or area == 0.0
+
+
+class TestVoronoiAgainstReference:
+    """The Delaunay-neighbour candidates give the cells of the reference
+    that clips against every generator in reach."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(voronoi_problems())
+    def test_matches_reference(self, voronoi_oracle, problem):
+        region, lons, lats = problem
+        tess = voronoi_tessellation(lons, lats, region)
+        polys, areas = voronoi_oracle(lons, lats, region)
+        assert tess.n_cells == len(polys)
+        ref_defect = abs(float(areas.sum()) - region.area_km2) / region.area_km2
+        assert tess.partition_defect <= ref_defect + 1e-12
+        atol, vtol = _tolerances(tess)
+        assert np.all(np.isclose(tess.areas_km2, areas, rtol=1e-9, atol=atol))
+        if vtol is not None:
+            for got, want in zip(tess.polys_km, polys):
+                assert _same_ring(got, want, vtol)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_few_generators(self, voronoi_oracle, unit_region, n):
+        lons, lats = np.linspace(0.2, 0.8, n), np.array([0.3, 0.7, 0.4][:n])
+        tess = voronoi_tessellation(lons, lats, unit_region)
+        _, areas = voronoi_oracle(lons, lats, unit_region)
+        assert np.allclose(tess.areas_km2, areas, rtol=1e-12, atol=0.0)
+        assert tess.partition_defect < 1e-12
+
+    def test_collinear_generators(self, voronoi_oracle, unit_region):
+        lons = np.linspace(0.1, 0.9, 9)
+        tess = voronoi_tessellation(lons, 0.2 + 0.5 * lons, unit_region)
+        _, areas = voronoi_oracle(lons, 0.2 + 0.5 * lons, unit_region)
+        assert np.allclose(tess.areas_km2, areas, rtol=1e-12, atol=0.0)
+
+    def test_nudged_copies_set_aside(self, voronoi_oracle, unit_region):
+        # Qhull leaves the 1e-9-degree copies out of its triangulation; they
+        # must still cut their neighbours' cells
+        gen = np.random.default_rng(50)
+        lons, lats = gen.uniform(0, 1, 50), gen.uniform(0, 1, 50)
+        lons = np.concatenate([lons, lons[:5] + 1e-9, lons[:5] + 2e-9])
+        lats = np.concatenate([lats, lats[:5] + 1e-9, lats[:5] + 2e-9])
+        tess = voronoi_tessellation(lons, lats, unit_region)
+        _, areas = voronoi_oracle(lons, lats, unit_region)
+        assert np.all(np.isclose(tess.areas_km2, areas, rtol=1e-9, atol=1e-9))
+        assert tess.partition_defect < 1e-12
+
+    @pytest.mark.parametrize("region, lons, lats", [
+        (Region.rectangle(10.0, 11.0, 40.0, 41.0), [10.125, 10.0, 10.0, 10.125, 10.125],
+         [40.75, 40.0, 41.0, 40.75, 40.75]),
+        (Region.rectangle(0.0, 1.0, 0.0, 1.0), [0.5, 1.0, 0.5, 0.5], [0.625] * 4),
+    ])
+    def test_nudged_triplicates(self, voronoi_oracle, region, lons, lats):
+        # the three nudged copies are collinear to rounding; Qhull leaves out
+        # the edge between the outer two (first case) or sets the middle
+        # one aside (second), and the in-reach pass must restore the cut
+        tess = voronoi_tessellation(lons, lats, region)
+        _, areas = voronoi_oracle(lons, lats, region)
+        assert tess.partition_defect < 1e-12
+        assert np.allclose(tess.areas_km2, areas, rtol=1e-9, atol=1e-9)
+
+    def test_qhull_simplex_outside_the_points(self, voronoi_oracle):
+        # copies of one point about 1e-9 degree apart on a diagonal: Qhull
+        # returns a simplex holding its point at infinity, and the neighbour
+        # lists of that triangulation raise MemoryError
+        region = Region.rectangle(10.0, 11.0, 40.0, 41.0)
+        lons = [10.20462645100535, 10.20462645100535, 10.20462645200535,
+                10.20462645300535, 10.20462645400535, 10.20462645500535,
+                10.20462645600535, 10.20462645700535, 10.20462645800535,
+                10.20462645900535, 10.20462646000535, 10.20462646100535,
+                10.20462646200535, 10.20462646300535]
+        lats = [40.079964003266745, 40.079964003266745, 40.07996400426675,
+                40.079964005266746, 40.07996400626675, 40.079964007266746,
+                40.07996400826675, 40.079964009266746, 40.07996401026675,
+                40.079964011266746, 40.07996401226675, 40.079964013266746,
+                40.07996401426675, 40.07996401526675]
+        tess = voronoi_tessellation(lons, lats, region)
+        _, areas = voronoi_oracle(lons, lats, region)
+        assert tess.partition_defect < 1e-12
+        assert np.isclose(tess.areas_km2.sum(), areas.sum(), rtol=1e-12)
+
+    def test_nonconvex_region(self, voronoi_oracle):
+        gen = RngStream(501).generator()
+        pts = []
+        while len(pts) < 20:
+            x, y = gen.uniform(0, 2, 2)
+            if _L_SHAPE.contains(x, y):
+                pts.append((x, y))
+        lons, lats = np.array(pts).T
+        tess = voronoi_tessellation(lons, lats, _L_SHAPE)
+        polys, areas = voronoi_oracle(lons, lats, _L_SHAPE)
+        assert np.allclose(tess.areas_km2, areas, rtol=1e-9, atol=1e-9)
+        assert all(_same_ring(a, b, 1e-9) for a, b in zip(tess.polys_km, polys))
+
+    def test_generator_outside_region_gets_empty_cell(self, unit_region):
+        tess = voronoi_tessellation([0.2, 0.8, 3.0], [0.5, 0.5, 0.5], unit_region)
+        assert tess.polys_km[2].shape == (0, 2)
+        assert tess.areas_km2[2] == 0.0
+        assert tess.partition_defect < 1e-12
+
+    def test_too_many_coincident_generators(self, unit_region):
+        with pytest.raises(ValueError, match="more than 1000 coincident generators"):
+            voronoi_tessellation(np.full(1001, 0.5), np.full(1001, 0.5), unit_region)
 
 
 class TestVoronoiResiduals:
