@@ -12,7 +12,7 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -128,10 +128,7 @@ def parse_region(text: str) -> Region:
 
 
 def serialize_region(region: Region) -> str:
-    out = ["lon,lat"]
-    for lon, lat in region.vertices:
-        out.append(f"{_fmt(lon)},{_fmt(lat)}")
-    return "\n".join(out) + "\n"
+    return csv_text({"lon": region.vertices[:, 0], "lat": region.vertices[:, 1]})
 
 
 @dataclass(frozen=True)
@@ -205,11 +202,6 @@ def empty_catalog(window_days: float, m0: float = 0.0) -> Catalog:
     return Catalog(z, z, z, z, window_days, m0)
 
 
-def _fmt(x: float) -> str:
-    # repr gives the shortest decimal string that round-trips the double
-    return repr(float(x))
-
-
 _COMMENT_LINE = re.compile(r"^[ \t]*#[^\n]*", re.MULTILINE)
 _PLAIN_BYTES = b"0123456789+-.eE, \t\r\n"
 
@@ -267,6 +259,27 @@ def _bulk_rows(text: str, header: tuple) -> np.ndarray | None:
     except ValueError:
         return None
     return rows if rows.shape[1] == len(header) else None
+
+
+def csv_text(columns: dict, comments: dict | None = None) -> str:
+    """CSV text of equal-length columns under a header of their names.
+
+    Each comment becomes a leading `# name = value` line with a float value.
+    Floats are written by repr, the shortest string that round-trips the
+    double (nan, inf and -0.0 included), and the entries of every other
+    column by str. Each column is formatted in one pass over its
+    ndarray.tolist(); the rows are then joined from those strings.
+    """
+    lines = [f"# {name} = {float(v)!r}" for name, v in (comments or {}).items()]
+    lines.append(",".join(columns))
+    cells = [_column_text(col) for col in columns.values()]
+    lines.extend(map(",".join, zip(*cells)))
+    return "\n".join(lines) + "\n"
+
+
+def _column_text(col) -> list:
+    a = np.asarray(col)
+    return list(map(repr if a.dtype.kind == "f" else str, a.tolist()))
 
 
 def _csv_records(text: str, header: tuple, what: str):
@@ -388,10 +401,8 @@ def parse_catalog(text: str) -> Catalog:
 
 
 def serialize_catalog(c: Catalog) -> str:
-    out = [f"# window_days = {_fmt(c.window_days)}", f"# m0 = {_fmt(c.m0)}", "time,lon,lat,mag"]
-    for i in range(c.n):
-        out.append(f"{_fmt(c.times[i])},{_fmt(c.lons[i])},{_fmt(c.lats[i])},{_fmt(c.mags[i])}")
-    return "\n".join(out) + "\n"
+    return csv_text({"time": c.times, "lon": c.lons, "lat": c.lats, "mag": c.mags},
+                    {"window_days": c.window_days, "m0": c.m0})
 
 
 def filter_catalog(c: Catalog, region: Region | None = None, t0: float = 0.0,
@@ -712,18 +723,15 @@ class RegionLattice:
         return float(self.cell_km2[self.inside].sum())
 
 
-def region_lattice(region: Region, n: int = 200, nx: int | None = None,
-                   ny: int | None = None) -> RegionLattice:
-    nx = nx or n
-    ny = ny or n
+def region_lattice(region: Region, n: int = 200) -> RegionLattice:
     lon_min, lon_max, lat_min, lat_max = region.bbox
-    dlon = (lon_max - lon_min) / nx
-    dlat = (lat_max - lat_min) / ny
-    cx = lon_min + dlon * (np.arange(nx) + 0.5)
-    cy = lat_min + dlat * (np.arange(ny) + 0.5)
+    dlon = (lon_max - lon_min) / n
+    dlat = (lat_max - lat_min) / n
+    cx = lon_min + dlon * (np.arange(n) + 0.5)
+    cy = lat_min + dlat * (np.arange(n) + 0.5)
     gx, gy = np.meshgrid(cx, cy)
     lons = gx.ravel()
     lats = gy.ravel()
     inside = region.contains(lons, lats)
     cell = (KM_PER_DEG * np.cos(np.radians(lats)) * dlon) * (KM_PER_DEG * dlat)
-    return RegionLattice(lons, lats, inside, cell, nx, ny)
+    return RegionLattice(lons, lats, inside, cell, n, n)

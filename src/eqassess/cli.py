@@ -15,25 +15,25 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import os
 import sys
 
 import numpy as np
 
-from .catalog import (Catalog, Region, parse_catalog, parse_region,
-                      region_lattice, serialize_catalog)
+from .catalog import Catalog, Region, csv_text, parse_catalog, parse_region, serialize_catalog
 from .consistency import (l_test, m_test, n_test, r_test, results_to_csv,
-                          s_test, t_test_pairwise, w_test_pairwise)
+                          s_test, sims_to_csv, t_test_pairwise, w_test_pairwise)
 from .forecast import GriddedForecast, parse_forecast
-from .intensity import (HawkesIntensity, HomogeneousIntensity, fit_mle,
-                        parse_hawkes_params, serialize_hawkes_params)
+from .intensity import (GridIntensity, HawkesParams, fit_mle, parse_hawkes_params,
+                        parse_model_params, serialize_fit)
 from .render import (render_error_diagram, render_histogram, render_k_curve,
                      render_map, render_point_map)
 from .residuals import (cell_residuals_to_csv, cell_residuals_to_geojson,
-                        deviance_residuals, geojson_polygon, homogeneity_test,
-                        pixel_residuals, super_thin, superpose_residuals,
-                        thin_residuals, voronoi_residuals, voronoi_tessellation)
+                        deviance_residuals, pixel_residuals, point_report,
+                        points_to_csv, points_to_geojson, super_thin,
+                        superpose_residuals, tessellation_to_csv,
+                        tessellation_to_geojson, thin_residuals, voronoi_residuals,
+                        voronoi_tessellation)
 from .rng import RngStream
 from .simulate import (simulate_hawkes, simulate_homogeneous,
                        simulate_poisson_grid)
@@ -148,6 +148,15 @@ def _resolve(command: str, args: argparse.Namespace, allowed: set) -> RunConfig:
     return RunConfig(command, out_dir, seed, jobs, options)
 
 
+def _replace_file(path: str, data: bytes) -> None:
+    """Write data to path through a temporary file, so readers never see a
+    partial file."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 class Workspace:
     """Atomic writer that records (path, sha256) for the manifest."""
 
@@ -158,11 +167,8 @@ class Workspace:
 
     def write(self, name: str, text: str) -> str:
         path = os.path.join(self.out_dir, name)
-        tmp = path + ".tmp"
         data = text.encode("utf-8")
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        _replace_file(path, data)
         self.entries.append((name, hashlib.sha256(data).hexdigest()))
         return path
 
@@ -170,16 +176,10 @@ class Workspace:
         # jobs is deliberately not echoed: outputs must not depend on the
         # parallelism setting, and that includes the manifest itself
         lines = [f"# command = {cfg.command}", f"# seed = {cfg.seed}"]
-        for key in sorted(cfg.options):
-            lines.append(f"# {key} = {cfg.options[key]}")
-        for name, digest in self.entries:
-            lines.append(f"{name}\t{digest}")
-        text = "\n".join(lines) + "\n"
+        lines += [f"# {key} = {cfg.options[key]}" for key in sorted(cfg.options)]
+        lines += [f"{name}\t{digest}" for name, digest in self.entries]
         path = os.path.join(self.out_dir, "manifest.txt")
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(text.encode("utf-8"))
-        os.replace(tmp, path)
+        _replace_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
         return path
 
 
@@ -211,40 +211,11 @@ def _load_forecast(cfg: RunConfig, key: str, window: float) -> GriddedForecast:
     return _parse_data(lambda t: parse_forecast(t, window), text)
 
 
-def _params_family(text: str) -> str:
-    for raw in text.splitlines():
-        s = raw.strip()
-        if s.startswith("#") and "=" in s:
-            key, _, value = s[1:].partition("=")
-            if key.strip() == "family":
-                return value.strip()
-    return "hawkes"
-
-
 def _load_model(cfg: RunConfig, history: Catalog):
-    """Build an intensity model from a params file.
-
-    The file's `# family = ...` comment picks the model; a Hawkes model
-    conditions on the supplied catalog as its event history.
-    """
+    """The intensity model of the --params file; a Hawkes model conditions
+    on the supplied catalog as its event history."""
     text = _read_text(cfg.require("params"), "params")
-    family = _params_family(text)
-    if family == "homogeneous":
-        for raw in text.splitlines():
-            s = raw.strip()
-            if not s or s.startswith("#"):
-                continue
-            name, _, value = s.partition("=")
-            if name.strip() == "mu":
-                try:
-                    return HomogeneousIntensity(float(value.strip()))
-                except ValueError as e:
-                    raise DataError(f"params: {e}") from None
-        raise DataError("params: homogeneous file needs a mu line")
-    if family != "hawkes":
-        raise DataError(f"params: unknown family {family!r}")
-    params = _parse_data(parse_hawkes_params, text)
-    return HawkesIntensity(params, history)
+    return _parse_data(lambda t: parse_model_params(t, history), text)
 
 
 # --- commands -------------------------------------------------------------
@@ -265,7 +236,6 @@ def _cmd_fit(cfg: RunConfig) -> int:
             init = _parse_data(parse_hawkes_params,
                                _read_text(cfg.get("init"), "init params"))
         else:
-            from .intensity import HawkesParams
             init = HawkesParams(mu=0.5 * max(c.n, 1) / at, k=0.05, c=0.01,
                                 p=1.3, a=1.0, d=1.0, q=1.5, m0=c.m0)
     else:
@@ -278,16 +248,7 @@ def _cmd_fit(cfg: RunConfig) -> int:
     except ValueError as e:
         raise DataError(str(e)) from None
     ws = Workspace(cfg.out_dir)
-    if family == "homogeneous":
-        text = (f"# family = homogeneous\n"
-                f"# log_likelihood = {fit.log_lik!r}\n"
-                f"# iterations = {fit.iterations}\n"
-                f"# grad_norm = {fit.grad_norm!r}\n"
-                f"# converged = {str(fit.converged).lower()}\n"
-                f"mu = {fit.params.rate!r}\n")
-    else:
-        text = "# family = hawkes\n" + serialize_hawkes_params(fit.params, fit)
-    path = ws.write("params.txt", text)
+    path = ws.write("params.txt", serialize_fit(fit))
     ws.finish(cfg)
     print(f"fit: family={family} log_lik={fit.log_lik!r} "
           f"converged={str(fit.converged).lower()} -> {path}")
@@ -380,22 +341,13 @@ def _cmd_test(cfg: RunConfig) -> int:
     ws = Workspace(cfg.out_dir)
     path = ws.write("results.csv", results_to_csv(results))
     if cfg.get("sims_out", False):
-        rows = ["test,rep,statistic"]
-        for r in results:
-            sims = getattr(r, "sim_statistics", None)
-            if sims is None:
-                continue
-            for i, v in enumerate(sims):
-                rows.append(f"{r.name},{i},{repr(float(v))}")
-        ws.write("sims.csv", "\n".join(rows) + "\n")
+        ws.write("sims.csv", sims_to_csv(results))
     if cfg.get("plots", False):
         for r in results:
-            sims = getattr(r, "sim_statistics", None)
-            if sims is None:
-                continue
-            ws.write(f"hist_{r.name}.svg",
-                     render_histogram(sims, float(r.statistic),
-                                      title=f"{r.name} test null distribution"))
+            if r.sim_statistics is not None:
+                ws.write(f"hist_{r.name}.svg",
+                         render_histogram(r.sim_statistics, float(r.statistic),
+                                          title=f"{r.name} test null distribution"))
     ws.finish(cfg)
     for r in results:
         score = r.quantile if hasattr(r, "quantile") else r.p_value
@@ -403,44 +355,6 @@ def _cmd_test(cfg: RunConfig) -> int:
               f"score={float(score)!r} decision={r.decision}")
     print(f"test: -> {path}")
     return 0
-
-
-def _points_geojson(ps) -> str:
-    feats = []
-    for i in range(ps.n):
-        feats.append({
-            "type": "Feature",
-            "geometry": {"type": "Point",
-                         "coordinates": [float(ps.lons[i]), float(ps.lats[i])]},
-            "properties": {"time": float(ps.times[i]), "tag": str(ps.tags[i])},
-        })
-    doc = {"type": "FeatureCollection", "features": feats}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _points_csv(ps) -> str:
-    out = ["time,lon,lat,tag"]
-    for i in range(ps.n):
-        out.append(f"{repr(float(ps.times[i]))},{repr(float(ps.lons[i]))},"
-                   f"{repr(float(ps.lats[i]))},{ps.tags[i]}")
-    return "\n".join(out) + "\n"
-
-
-def _point_report(ps, region: Region) -> str:
-    lines = [f"nominal_rate = {ps.nominal_rate!r}",
-             f"n_points = {ps.n}",
-             f"n_retained = {int(np.sum(ps.tags == 'retained'))}",
-             f"n_superposed = {int(np.sum(ps.tags == 'superposed'))}"]
-    if ps.note:
-        lines.append(f"note = {ps.note}")
-    hom = homogeneity_test(ps, region, method="quadrat")
-    lines.append(f"quadrat_statistic = {hom.statistic!r}")
-    lines.append(f"quadrat_p = {hom.p_value!r}")
-    if hom.df is not None:
-        lines.append(f"quadrat_df = {hom.df}")
-    if hom.note:
-        lines.append(f"quadrat_note = {hom.note}")
-    return "\n".join(lines) + "\n"
 
 
 def _write_cells(ws: Workspace, stem: str, rs, title: str):
@@ -468,17 +382,15 @@ def _cmd_residuals(cfg: RunConfig) -> int:
                     # default level: the catalog's own mean rate
                     k = c.n / (region.area_km2 * c.window_days)
                 ps = super_thin(c, model, float(k), region, rng)
-            ws.write("points.csv", _points_csv(ps))
-            ws.write("points.geojson", _points_geojson(ps))
+            ws.write("points.csv", points_to_csv(ps))
+            ws.write("points.geojson", points_to_geojson(ps))
             ws.write("map.svg", render_point_map(ps.lons, ps.lats, ps.tags,
                                                  region, title=f"{kind} residuals"))
-            ws.write("report.txt", _point_report(ps, region))
+            ws.write("report.txt", point_report(ps, region))
         elif kind == "rescale":
             model = _load_model(cfg, c)
             lam = model.compensator(region, np.append(c.times, c.window_days))
-            rows = [f"# total_mass = {float(lam[-1])!r}", "tau"]
-            rows += [repr(float(t)) for t in lam[:-1]]
-            ws.write("taus.csv", "\n".join(rows) + "\n")
+            ws.write("taus.csv", csv_text({"tau": lam[:-1]}, {"total_mass": lam[-1]}))
         elif kind == "pixel":
             fa = _load_forecast(cfg, "forecast_a", cfg.get("window", c.window_days))
             raw, pearson = pixel_residuals(fa, c, fa.grid)
@@ -511,7 +423,6 @@ def _cmd_kfn(cfg: RunConfig) -> int:
     if cfg.get("params") is not None:
         model = _load_model(cfg, c)
     else:
-        from .intensity import GridIntensity
         model = GridIntensity(_load_forecast(cfg, "forecast",
                                              cfg.get("window", c.window_days)))
     rng = RngStream(cfg.seed) if cfg.get("envelope", False) else None
@@ -559,27 +470,8 @@ def _cmd_tessellate(cfg: RunConfig) -> int:
     except ValueError as e:
         raise DataError(str(e)) from None
     ws = Workspace(cfg.out_dir)
-    feats = []
-    polys = tess.polys_lonlat()
-    for i in range(tess.n_cells):
-        feats.append({
-            "type": "Feature",
-            "geometry": geojson_polygon(polys[i]),
-            "properties": {"cell_id": i,
-                           "gen_lon": float(tess.gen_lons[i]),
-                           "gen_lat": float(tess.gen_lats[i]),
-                           "area_km2": float(tess.areas_km2[i])},
-        })
-    doc = {"type": "FeatureCollection", "features": feats}
-    ws.write("cells.geojson", json.dumps(doc, sort_keys=True,
-                                         separators=(",", ":")) + "\n")
-    rows = [f"# partition_defect = {tess.partition_defect!r}",
-            "cell_id,gen_lon,gen_lat,area_km2"]
-    for i in range(tess.n_cells):
-        rows.append(f"{i},{repr(float(tess.gen_lons[i]))},"
-                    f"{repr(float(tess.gen_lats[i]))},"
-                    f"{repr(float(tess.areas_km2[i]))}")
-    ws.write("areas.csv", "\n".join(rows) + "\n")
+    ws.write("cells.geojson", tessellation_to_geojson(tess))
+    ws.write("areas.csv", tessellation_to_csv(tess))
     ws.finish(cfg)
     print(f"tessellate: cells={tess.n_cells} "
           f"defect={tess.partition_defect!r} -> {cfg.out_dir}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import pdtr, pdtrc, stdtr
 
-from .catalog import Catalog, bin_counts
+from .catalog import Catalog, bin_counts, csv_text
 from .forecast import (GriddedForecast, expected_total, joint_log_likelihood,
                        marginal_magnitude, marginal_space, poisson_log_pmf,
                        scale_to_count, sparse_log_likelihood)
@@ -315,12 +315,22 @@ def paradox_fixture():
 
 def results_to_csv(results) -> str:
     """Rows of test,statistic,quantile_or_p,n_sim,decision."""
-    out = ["test,statistic,quantile_or_p,n_sim,decision"]
-    for r in results:
-        if isinstance(r, TestResult):
-            score = r.quantile
-        else:
-            score = r.p_value
-        out.append(f"{r.name},{repr(float(r.statistic))},{repr(float(score))},"
-                   f"{r.n_sim},{r.decision}")
-    return "\n".join(out) + "\n"
+    scores = [r.quantile if isinstance(r, TestResult) else r.p_value for r in results]
+    return csv_text({"test": [r.name for r in results],
+                     "statistic": np.array([r.statistic for r in results], dtype=float),
+                     "quantile_or_p": np.array(scores, dtype=float),
+                     "n_sim": [r.n_sim for r in results],
+                     "decision": [r.decision for r in results]})
+
+
+def sims_to_csv(results) -> str:
+    """Rows of test,rep,statistic: each simulated statistic of the results
+    that kept theirs, in result order."""
+    sims = [(r.name, np.asarray(r.sim_statistics, dtype=float)) for r in results
+            if r.sim_statistics is not None]
+    # np.concatenate needs an array even when no result kept its statistics
+    return csv_text({
+        "test": np.repeat([name for name, _ in sims], [s.size for _, s in sims]),
+        "rep": np.concatenate([np.arange(0)] + [np.arange(s.size) for _, s in sims]),
+        "statistic": np.concatenate([np.empty(0)] + [s for _, s in sims]),
+    })

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .catalog import (BinGrid, Catalog, Region, _fmt, _is_float, _read_numeric_csv,
-                      bin_counts)
+from .catalog import (BinGrid, Catalog, Region, _is_float, _read_numeric_csv,
+                      bin_counts, csv_text)
 
 FORECAST_HEADER = ("lon_min", "lon_max", "lat_min", "lat_max", "mag_min", "mag_max", "rate", "mask")
 
@@ -79,10 +79,8 @@ def _valid_forecast_rows(rows: np.ndarray) -> bool:
 
 
 def serialize_forecast(f: GriddedForecast) -> str:
-    out = [",".join(FORECAST_HEADER)]
-    for box, rate in zip(f.grid.boxes, f.rates):
-        out.append(",".join(_fmt(v) for v in box) + f",{_fmt(rate)},1")
-    return "\n".join(out) + "\n"
+    columns = [*f.grid.boxes.T, f.rates, np.ones(f.grid.n_cells, dtype=int)]
+    return csv_text(dict(zip(FORECAST_HEADER, columns)))
 
 
 def expected_total(f: GriddedForecast) -> float:

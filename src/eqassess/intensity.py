@@ -696,16 +696,31 @@ def background_from_catalog(training: Catalog, d: float, region: Region,
 # --- parameter file round trip ------------------------------------------
 
 
-def serialize_hawkes_params(params: HawkesParams, fit: FitResult | None = None) -> str:
+_HAWKES_NAMES = ("mu", "k", "c", "p", "a", "d", "q", "m0")
+
+
+def _params_text(values: dict, fit: FitResult | None) -> str:
     lines = []
     if fit is not None:
         lines.append(f"# log_likelihood = {fit.log_lik!r}")
         lines.append(f"# iterations = {fit.iterations}")
         lines.append(f"# grad_norm = {fit.grad_norm!r}")
         lines.append(f"# converged = {str(fit.converged).lower()}")
-    for name in ("mu", "k", "c", "p", "a", "d", "q", "m0"):
-        lines.append(f"{name} = {getattr(params, name)!r}")
+    lines += [f"{name} = {v!r}" for name, v in values.items()]
     return "\n".join(lines) + "\n"
+
+
+def serialize_hawkes_params(params: HawkesParams, fit: FitResult | None = None) -> str:
+    return _params_text({name: getattr(params, name) for name in _HAWKES_NAMES}, fit)
+
+
+def serialize_fit(fit: FitResult) -> str:
+    """A params file of a fit: `# family = ...`, the fit's diagnostics as
+    comments, then the fitted parameters (`mu = ...` alone for the
+    homogeneous family)."""
+    if fit.family == "homogeneous":
+        return "# family = homogeneous\n" + _params_text({"mu": fit.params.rate}, fit)
+    return "# family = hawkes\n" + serialize_hawkes_params(fit.params, fit)
 
 
 def parse_hawkes_params(text: str) -> HawkesParams:
@@ -722,10 +737,40 @@ def parse_hawkes_params(text: str) -> HawkesParams:
             vals[name] = float(v.strip())
         except ValueError:
             raise ValueError(f"params: line {lineno}: malformed value {v.strip()!r}") from None
-    missing = [n for n in ("mu", "k", "c", "p", "a", "d", "q", "m0") if n not in vals]
+    missing = [n for n in _HAWKES_NAMES if n not in vals]
     if missing:
         raise ValueError(f"params: missing {', '.join(missing)}")
-    extra = [n for n in vals if n not in ("mu", "k", "c", "p", "a", "d", "q", "m0")]
+    extra = [n for n in vals if n not in _HAWKES_NAMES]
     if extra:
         raise ValueError(f"params: unknown names {', '.join(sorted(extra))}")
     return HawkesParams(**vals)
+
+
+def parse_model_params(text: str, history: Catalog):
+    """The intensity model of a params file.
+
+    The file's first `# family = ...` comment picks the model (hawkes when
+    there is none); a Hawkes model conditions on history as its event
+    history.
+    """
+    family = "hawkes"
+    for raw in text.splitlines():
+        key, eq, value = raw.strip().partition("=")
+        if eq and key.startswith("#") and key[1:].strip() == "family":
+            family = value.strip()
+            break
+    if family == "homogeneous":
+        for raw in text.splitlines():
+            s = raw.strip()
+            if not s or s.startswith("#"):
+                continue
+            name, _, value = s.partition("=")
+            if name.strip() == "mu":
+                try:
+                    return HomogeneousIntensity(float(value.strip()))
+                except ValueError as e:
+                    raise ValueError(f"params: {e}") from None
+        raise ValueError("params: homogeneous file needs a mu line")
+    if family != "hawkes":
+        raise ValueError(f"params: unknown family {family!r}")
+    return HawkesIntensity(parse_hawkes_params(text), history)

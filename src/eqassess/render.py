@@ -14,16 +14,38 @@ from .summaries import ErrorDiagram, KFunctionCurve
 
 _W, _H = 640, 480
 _PAD = 52
+# the plot area's outline
+_FRAME = (f'<rect x="{_PAD}" y="{_PAD}" width="{_W - 2 * _PAD}" '
+          f'height="{_H - 2 * _PAD}" fill="none" stroke="black"/>\n')
 
 
 def _f(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _svg_open(width: int = _W, height: int = _H) -> str:
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">\n'
-            f'<rect width="{width}" height="{height}" fill="white"/>\n')
+def _svg_open(title: str = "", defs: str = "") -> str:
+    """The SVG element, its white background, any defs, then the title."""
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
+            f'height="{_H}" viewBox="0 0 {_W} {_H}">\n'
+            f'<rect width="{_W}" height="{_H}" fill="white"/>\n' + defs)
+    if title:
+        head += _text(_W / 2, 24, title, anchor="middle", size=14)
+    return head
+
+
+def _to_px(x, y, lo=(0.0, 0.0), span=(1.0, 1.0), size=(_W - 2 * _PAD, _H - 2 * _PAD)):
+    """Pixel coordinates of data points: the data box from lo spanning span
+    fills size pixels right of the left pad and up from the bottom pad.
+    Whole arrays map as _PAD + (x - lo) / span * size in that order of float
+    operations, so a point maps to the same pixel as one at a time."""
+    px = _PAD + (np.asarray(x, dtype=float) - lo[0]) / span[0] * size[0]
+    py = (_H - _PAD) - (np.asarray(y, dtype=float) - lo[1]) / span[1] * size[1]
+    return px, py
+
+
+def _pairs(px, py) -> list:
+    """'x,y' pixel pairs to 2 decimals, formatted in one pass."""
+    return list(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
 
 
 def _text(x, y, s, anchor="start", size=12) -> str:
@@ -45,12 +67,10 @@ def _diverging_color(v: float, vmax: float) -> str:
 
 
 def _axes_1x1(x_label: str, y_label: str) -> str:
-    """Unit-square axes with quarter ticks; returns SVG plus the mapping."""
-    out = []
+    """Unit-square axes with quarter ticks, in _to_px's default mapping."""
+    out = [_FRAME]
     x0, y0 = _PAD, _H - _PAD
     x1, y1 = _W - _PAD, _PAD
-    out.append(f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
-               f'fill="none" stroke="black"/>\n')
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         px = x0 + frac * (x1 - x0)
         py = y0 - frac * (y0 - y1)
@@ -63,8 +83,11 @@ def _axes_1x1(x_label: str, y_label: str) -> str:
     return "".join(out)
 
 
-def _unit_xy(u: float, v: float):
-    return _PAD + u * (_W - 2 * _PAD), (_H - _PAD) - v * (_H - 2 * _PAD)
+_HATCH = ('<defs><pattern id="hatch" width="8" height="8" '
+          'patternUnits="userSpaceOnUse">'
+          '<rect width="8" height="8" fill="white"/>'
+          '<path d="M0,8 L8,0" stroke="#555555" stroke-width="1"/>'
+          '</pattern></defs>\n')
 
 
 def render_map(rs, title: str = "") -> str:
@@ -81,31 +104,20 @@ def render_map(rs, title: str = "") -> str:
     span_x = max(lon_max - lon_min, 1e-12)
     span_y = max(lat_max - lat_min, 1e-12)
     scale = min((_W - 2 * _PAD) / span_x, (_H - 2 * _PAD - 20) / span_y)
-
-    def to_px(lon, lat):
-        return (_PAD + (lon - lon_min) * scale,
-                (_H - _PAD) - (lat - lat_min) * scale)
+    drawn = [i for i, p in enumerate(polys) if p.shape[0] >= 3]
+    xy = np.concatenate([polys[i] for i in drawn] or [np.empty((0, 2))])
+    pairs = _pairs(*_to_px(xy[:, 0], xy[:, 1], (lon_min, lat_min), size=(scale, scale)))
+    ends = np.cumsum([polys[i].shape[0] for i in drawn], dtype=int).tolist()
 
     finite = rs.values[np.isfinite(rs.values)]
     vmax = float(np.max(np.abs(finite))) if finite.size else 0.0
-    out = [_svg_open()]
-    out.append('<defs><pattern id="hatch" width="8" height="8" '
-               'patternUnits="userSpaceOnUse">'
-               '<rect width="8" height="8" fill="white"/>'
-               '<path d="M0,8 L8,0" stroke="#555555" stroke-width="1"/>'
-               '</pattern></defs>\n')
-    if title:
-        out.append(_text(_W / 2, 24, title, anchor="middle", size=14))
-    for i, poly in enumerate(polys):
-        if poly.shape[0] < 3:
-            continue
-        coords = " ".join(f"{_f(px)},{_f(py)}" for px, py in
-                          (to_px(x, y) for x, y in poly))
+    out = [_svg_open(title, _HATCH)]
+    for i, start, end in zip(drawn, [0] + ends, ends):
         if rs.flags[i]:
             fill = "url(#hatch)"
         else:
             fill = _diverging_color(float(rs.values[i]), vmax)
-        out.append(f'<polygon points="{coords}" fill="{fill}" '
+        out.append(f'<polygon points="{" ".join(pairs[start:end])}" fill="{fill}" '
                    f'stroke="#333333" stroke-width="0.5"/>\n')
     # legend: thin gradient bar, negative (red) to positive (blue)
     bar_x, bar_y, bar_w, bar_h = _PAD, _H - 30, 200, 10
@@ -134,42 +146,28 @@ def render_point_map(lons, lats, tags, region, title: str = "") -> str:
     lat_max = max(float(ring[:, 1].max()), float(lats.max()) if lats.size else -math.inf)
     scale = min((_W - 2 * _PAD) / max(lon_max - lon_min, 1e-12),
                 (_H - 2 * _PAD) / max(lat_max - lat_min, 1e-12))
+    lo, size = (lon_min, lat_min), (scale, scale)
 
-    def to_px(lon, lat):
-        return (_PAD + (lon - lon_min) * scale,
-                (_H - _PAD) - (lat - lat_min) * scale)
-
-    out = [_svg_open()]
-    if title:
-        out.append(_text(_W / 2, 24, title, anchor="middle", size=14))
-    outline = " ".join(f"{_f(px)},{_f(py)}" for px, py in
-                       (to_px(x, y) for x, y in ring))
+    out = [_svg_open(title)]
+    outline = " ".join(_pairs(*_to_px(ring[:, 0], ring[:, 1], lo, size=size)))
     out.append(f'<polygon points="{outline}" fill="none" stroke="black"/>\n')
     colors = {"retained": "#21448f", "superposed": "#b2182b"}
-    for i in range(lons.size):
-        px, py = to_px(lons[i], lats[i])
-        color = colors.get(str(tags[i]), "#333333")
-        out.append(f'<circle cx="{_f(px)}" cy="{_f(py)}" r="2.5" '
-                   f'fill="{color}" fill-opacity="0.8"/>\n')
+    px, py = _to_px(lons, lats, lo, size=size)
+    for x, y, tag in zip(px.tolist(), py.tolist(), np.asarray(tags).tolist()):
+        out.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="2.5" '
+                   f'fill="{colors.get(str(tag), "#333333")}" fill-opacity="0.8"/>\n')
     out.append(_text(_W - _PAD, 24, f"n={lons.size}", anchor="end"))
     out.append("</svg>\n")
     return "".join(out)
 
 
 def render_error_diagram(diag: ErrorDiagram, title: str = "") -> str:
-    out = [_svg_open()]
-    if title:
-        out.append(_text(_W / 2, 24, title, anchor="middle", size=14))
+    out = [_svg_open(title)]
     out.append(_axes_1x1("alarm fraction", "miss fraction"))
-    p0 = _unit_xy(0.0, 1.0)
-    p1 = _unit_xy(1.0, 0.0)
-    out.append(f'<line x1="{_f(p0[0])}" y1="{_f(p0[1])}" x2="{_f(p1[0])}" '
-               f'y2="{_f(p1[1])}" stroke="#999999" stroke-dasharray="4,4"/>\n')
-    pts = " ".join(
-        f"{_f(px)},{_f(py)}" for px, py in
-        (_unit_xy(a, m) for a, m in zip(diag.alarm_fractions,
-                                        diag.miss_fractions))
-    )
+    (x0, x1), (y0, y1) = _to_px([0.0, 1.0], [1.0, 0.0])
+    out.append(f'<line x1="{_f(x0)}" y1="{_f(y0)}" x2="{_f(x1)}" '
+               f'y2="{_f(y1)}" stroke="#999999" stroke-dasharray="4,4"/>\n')
+    pts = " ".join(_pairs(*_to_px(diag.alarm_fractions, diag.miss_fractions)))
     out.append(f'<polyline points="{pts}" fill="none" stroke="#21448f" '
                f'stroke-width="1.5"/>\n')
     out.append(_text(_W - _PAD, 24, f"n={diag.n_events}", anchor="end"))
@@ -185,16 +183,10 @@ def render_k_curve(curve: KFunctionCurve, title: str = "") -> str:
         series += [curve.envelope_lo, curve.envelope_hi]
     y_max = max(float(np.max(s)) for s in series) or 1.0
     x_max = float(lags.max()) or 1.0
+    span = (x_max, y_max)
 
-    def to_px(h, k):
-        return (_PAD + (h / x_max) * (_W - 2 * _PAD),
-                (_H - _PAD) - (k / y_max) * (_H - 2 * _PAD))
-
-    out = [_svg_open()]
-    if title:
-        out.append(_text(_W / 2, 24, title, anchor="middle", size=14))
-    out.append(f'<rect x="{_PAD}" y="{_PAD}" width="{_W - 2 * _PAD}" '
-               f'height="{_H - 2 * _PAD}" fill="none" stroke="black"/>\n')
+    out = [_svg_open(title)]
+    out.append(_FRAME)
     for frac in (0.0, 0.5, 1.0):
         out.append(_text(_PAD + frac * (_W - 2 * _PAD), _H - _PAD + 18,
                          f"{frac * x_max:.3g}", anchor="middle"))
@@ -202,18 +194,15 @@ def render_k_curve(curve: KFunctionCurve, title: str = "") -> str:
                          f"{frac * y_max:.3g}", anchor="end"))
     out.append(_text((_W) / 2, _H - 12, "lag (km)", anchor="middle"))
     if curve.envelope_lo is not None:
-        band = [to_px(h, k) for h, k in zip(lags, curve.envelope_lo)]
-        band += [to_px(h, k) for h, k in
-                 zip(lags[::-1], curve.envelope_hi[::-1])]
-        coords = " ".join(f"{_f(px)},{_f(py)}" for px, py in band)
-        out.append(f'<polygon points="{coords}" fill="#c6d4f2" '
+        band = _to_px(np.concatenate([lags, lags[::-1]]),
+                      np.concatenate([curve.envelope_lo, curve.envelope_hi[::-1]]),
+                      span=span)
+        out.append(f'<polygon points="{" ".join(_pairs(*band))}" fill="#c6d4f2" '
                    f'fill-opacity="0.6" stroke="none"/>\n')
-    ref_pts = " ".join(f"{_f(px)},{_f(py)}" for px, py in
-                       (to_px(h, k) for h, k in zip(lags, ref)))
+    ref_pts = " ".join(_pairs(*_to_px(lags, ref, span=span)))
     out.append(f'<polyline points="{ref_pts}" fill="none" stroke="#999999" '
                f'stroke-dasharray="4,4"/>\n')
-    obs_pts = " ".join(f"{_f(px)},{_f(py)}" for px, py in
-                       (to_px(h, k) for h, k in zip(lags, curve.k_values)))
+    obs_pts = " ".join(_pairs(*_to_px(lags, curve.k_values, span=span)))
     out.append(f'<polyline points="{obs_pts}" fill="none" stroke="#b2182b" '
                f'stroke-width="1.5"/>\n')
     out.append(_text(_W - _PAD, 24, f"n={curve.n_points}", anchor="end"))
@@ -242,29 +231,20 @@ def render_histogram(sim_statistics, observed: float, title: str = "",
     counts, edges = np.histogram(sims, bins=n_bins, range=(lo, hi))
     c_max = int(counts.max()) or 1
 
-    def to_px(x, frac):
-        return (_PAD + (x - lo) / (hi - lo) * (_W - 2 * _PAD),
-                (_H - _PAD) - frac * (_H - 2 * _PAD))
-
-    out = [_svg_open()]
-    if title:
-        out.append(_text(_W / 2, 24, title, anchor="middle", size=14))
-    out.append(f'<rect x="{_PAD}" y="{_PAD}" width="{_W - 2 * _PAD}" '
-               f'height="{_H - 2 * _PAD}" fill="none" stroke="black"/>\n')
-    for i in range(n_bins):
-        if counts[i] == 0:
-            continue
-        x_l, _ = to_px(edges[i], 0)
-        x_r, _ = to_px(edges[i + 1], 0)
-        _, y_t = to_px(edges[i], counts[i] / c_max)
-        out.append(f'<rect x="{_f(x_l)}" y="{_f(y_t)}" '
-                   f'width="{_f(x_r - x_l)}" height="{_f(_H - _PAD - y_t)}" '
-                   f'fill="#7a9bd4" stroke="#333333" stroke-width="0.5"/>\n')
     marker = observed
     if not math.isfinite(marker):
         marker = lo if marker < 0 else hi
-    mx, _ = to_px(marker, 0)
-    out.append(f'<line x1="{_f(mx)}" y1="{_PAD}" x2="{_f(mx)}" '
+    lo_xy, span = (lo, 0.0), (hi - lo, 1.0)
+    xs, _ = _to_px(np.append(edges, marker), 0.0, lo_xy, span)
+    _, tops = _to_px(edges[:-1], counts / c_max, lo_xy, span)
+
+    out = [_svg_open(title)]
+    out.append(_FRAME)
+    for i in np.flatnonzero(counts).tolist():
+        out.append(f'<rect x="{_f(xs[i])}" y="{_f(tops[i])}" '
+                   f'width="{_f(xs[i + 1] - xs[i])}" height="{_f(_H - _PAD - tops[i])}" '
+                   f'fill="#7a9bd4" stroke="#333333" stroke-width="0.5"/>\n')
+    out.append(f'<line x1="{_f(xs[-1])}" y1="{_PAD}" x2="{_f(xs[-1])}" '
                f'y2="{_H - _PAD}" stroke="#b2182b" stroke-width="1.5"/>\n')
     out.append(_text(_W - _PAD, 24, f"obs={observed:.6g}", anchor="end"))
     for frac in (0.0, 0.5, 1.0):

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import chdtrc
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .catalog import BinGrid, Catalog, Region, bin_counts, region_lattice
+from .catalog import BinGrid, Catalog, Region, bin_counts, csv_text, region_lattice
 from .forecast import GriddedForecast, forecast_from_intensity, poisson_log_pmf
 from .rng import RngStream
 from .simulate import MAX_CASCADE, simulate_homogeneous, simulate_inhomogeneous
@@ -251,12 +251,13 @@ def deviance_residuals(fa: GriddedForecast, fb: GriddedForecast,
                            fa.rates - fb.rates, counts)
 
 
+def _cell_columns(rs: CellResidualSet) -> dict:
+    return {"cell_id": np.arange(rs.n_cells), "kind": [rs.kind] * rs.n_cells,
+            "value": np.asarray(rs.values, dtype=float)}
+
+
 def cell_residuals_to_csv(rs: CellResidualSet) -> str:
-    out = ["cell_id,kind,value,flag"]
-    for i in range(rs.n_cells):
-        v = repr(float(rs.values[i]))
-        out.append(f"{i},{rs.kind},{v},{int(bool(rs.flags[i]))}")
-    return "\n".join(out) + "\n"
+    return csv_text({**_cell_columns(rs), "flag": np.asarray(rs.flags, dtype=bool).astype(int)})
 
 
 def geojson_polygon(ring) -> dict:
@@ -268,22 +269,40 @@ def geojson_polygon(ring) -> dict:
     return {"type": "Polygon", "coordinates": [coords]}
 
 
-def cell_residuals_to_geojson(rs: CellResidualSet) -> str:
-    feats = []
-    for i in range(rs.n_cells):
-        feats.append({
-            "type": "Feature",
-            "geometry": geojson_polygon(rs.cell_polys[i]),
-            "properties": {
-                "cell_id": i,
-                "kind": rs.kind,
-                "value": None if not math.isfinite(float(rs.values[i]))
-                         else float(rs.values[i]),
-                "flag": bool(rs.flags[i]),
-            },
-        })
+def geojson_features(geometries, properties: dict) -> str:
+    """GeoJSON FeatureCollection text with one feature per geometry, the
+    i-th carrying the i-th entry of each property column.
+
+    Floats are written by repr and non-finite ones as null; booleans as
+    true/false; keys are sorted and no whitespace is added.
+    """
+    columns = []
+    for col in properties.values():
+        a = np.asarray(col)
+        values = a.tolist()
+        if a.dtype.kind == "f":
+            for i in np.flatnonzero(~np.isfinite(a)).tolist():
+                values[i] = None
+        columns.append(values)
+    feats = [{"type": "Feature", "geometry": g, "properties": dict(zip(properties, row))}
+             for g, row in zip(geometries, zip(*columns))]
     doc = {"type": "FeatureCollection", "features": feats}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def cell_residuals_to_geojson(rs: CellResidualSet) -> str:
+    return geojson_features(map(geojson_polygon, rs.cell_polys),
+                            {**_cell_columns(rs), "flag": np.asarray(rs.flags, dtype=bool)})
+
+
+def points_to_csv(ps: ResidualPointSet) -> str:
+    return csv_text({"time": ps.times, "lon": ps.lons, "lat": ps.lats, "tag": ps.tags})
+
+
+def points_to_geojson(ps: ResidualPointSet) -> str:
+    points = [{"type": "Point", "coordinates": xy}
+              for xy in np.column_stack([ps.lons, ps.lats]).tolist()]
+    return geojson_features(points, {"time": ps.times, "tag": ps.tags})
 
 
 # --- Voronoi --------------------------------------------------------------
@@ -358,6 +377,20 @@ class VoronoiTessellation:
     def partition_defect(self) -> float:
         return abs(float(self.areas_km2.sum()) - self.region.area_km2) \
             / self.region.area_km2
+
+
+def _tessellation_columns(tess: VoronoiTessellation) -> dict:
+    return {"cell_id": np.arange(tess.n_cells), "gen_lon": tess.gen_lons,
+            "gen_lat": tess.gen_lats, "area_km2": tess.areas_km2}
+
+
+def tessellation_to_csv(tess: VoronoiTessellation) -> str:
+    return csv_text(_tessellation_columns(tess), {"partition_defect": tess.partition_defect})
+
+
+def tessellation_to_geojson(tess: VoronoiTessellation) -> str:
+    return geojson_features(map(geojson_polygon, tess.polys_lonlat()),
+                            _tessellation_columns(tess))
 
 
 def _clip_bisector(poly: np.ndarray, pts: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -569,3 +602,22 @@ def homogeneity_test(ps, region: Region, method: str = "quadrat",
         return HomogeneityResult("kfunction", dev_obs, p)
 
     raise ValueError(f"unknown homogeneity method {method!r}")
+
+
+def point_report(ps: ResidualPointSet, region: Region) -> str:
+    """report.txt of a residual point pattern: its rate and counts, then
+    the quadrat homogeneity test of the pattern."""
+    lines = [f"nominal_rate = {ps.nominal_rate!r}",
+             f"n_points = {ps.n}",
+             f"n_retained = {int(np.sum(ps.tags == 'retained'))}",
+             f"n_superposed = {int(np.sum(ps.tags == 'superposed'))}"]
+    if ps.note:
+        lines.append(f"note = {ps.note}")
+    hom = homogeneity_test(ps, region, method="quadrat")
+    lines.append(f"quadrat_statistic = {hom.statistic!r}")
+    lines.append(f"quadrat_p = {hom.p_value!r}")
+    if hom.df is not None:
+        lines.append(f"quadrat_df = {hom.df}")
+    if hom.note:
+        lines.append(f"quadrat_note = {hom.note}")
+    return "\n".join(lines) + "\n"

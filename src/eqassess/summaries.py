@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .catalog import Catalog, Region, region_lattice
+from .catalog import Catalog, Region, csv_text, region_lattice
 from .forecast import GriddedForecast, marginal_space
 from .rng import RngStream
 from .simulate import simulate_homogeneous
@@ -105,18 +105,12 @@ def weighted_k(model, c: Catalog, region: Region,
     return KFunctionCurve(lags_km, k_obs, c.n, lo, hi)
 
 
-def _float_csv(header: str, *columns) -> str:
-    """CSV text of equal-length float columns, each value written by repr."""
-    rows = (",".join(repr(float(v)) for v in row) for row in zip(*columns))
-    return "\n".join([header, *rows]) + "\n"
-
-
 def k_curve_to_csv(curve: KFunctionCurve) -> str:
-    columns = [curve.lags_km, curve.k_values, curve.reference()]
-    if curve.envelope_lo is None:
-        return _float_csv("lag_km,k_value,reference", *columns)
-    return _float_csv("lag_km,k_value,reference,envelope_lo,envelope_hi",
-                      *columns, curve.envelope_lo, curve.envelope_hi)
+    columns = {"lag_km": curve.lags_km, "k_value": curve.k_values,
+               "reference": curve.reference()}
+    if curve.envelope_lo is not None:
+        columns.update(envelope_lo=curve.envelope_lo, envelope_hi=curve.envelope_hi)
+    return csv_text(columns)
 
 
 # --- error diagrams -------------------------------------------------------
@@ -190,19 +184,21 @@ def error_diagram(model_or_forecast, c: Catalog, region: Region,
         lats = lat.lats[lat.inside]
         measure = lat.cell_km2[lat.inside]
         values = model_or_forecast.integrate(lons, lats, c.window_days) / c.window_days
-        # the lattice cell holding each event, numbered among inside cells
+        # the lattice cell holding each event, numbered among inside cells;
+        # the bounding box is closed, its east and north edges in the last cells
         lon_min, lon_max, lat_min, lat_max = region.bbox
         ix = np.floor((c.lons - lon_min) / (lon_max - lon_min) * lat.nx).astype(int)
         iy = np.floor((c.lats - lat_min) / (lat_max - lat_min) * lat.ny).astype(int)
         flat = np.clip(iy, 0, lat.ny - 1) * lat.nx + np.clip(ix, 0, lat.nx - 1)
         number = np.cumsum(lat.inside) - 1
-        cell = np.where((ix >= 0) & (ix <= lat.nx) & (iy >= 0) & (iy <= lat.ny)
-                        & lat.inside[flat], number[flat], -1)
+        in_box = ((c.lons >= lon_min) & (c.lons <= lon_max)
+                  & (c.lats >= lat_min) & (c.lats <= lat_max))
+        cell = np.where(in_box & lat.inside[flat], number[flat], -1)
     ev = np.where(cell >= 0, values[cell], 0.0)
     thresh, alarm, miss = _diagram_from_values(values, measure, ev, n_thresholds)
     return ErrorDiagram(thresh, alarm, miss, c.n)
 
 
 def error_diagram_to_csv(diag: ErrorDiagram) -> str:
-    return _float_csv("threshold,alarm_fraction,miss_fraction", diag.thresholds,
-                      diag.alarm_fractions, diag.miss_fractions)
+    return csv_text({"threshold": diag.thresholds, "alarm_fraction": diag.alarm_fractions,
+                     "miss_fraction": diag.miss_fractions})

@@ -111,6 +111,34 @@ class TestHawkesParams:
         with pytest.raises(ValueError):
             parse_hawkes_params(text + "extra = 3\n")
 
+    def test_fit_file_round_trip(self, small_catalog):
+        fit = intensity.FitResult(HomogeneousIntensity(2.5e-4), -12.5, 3, 1e-9, True,
+                                  "homogeneous", "")
+        text = intensity.serialize_fit(fit)
+        assert text == ("# family = homogeneous\n# log_likelihood = -12.5\n"
+                        "# iterations = 3\n# grad_norm = 1e-09\n# converged = true\n"
+                        "mu = 0.00025\n")
+        assert intensity.parse_model_params(text, small_catalog).rate == 2.5e-4
+        p = HawkesParams(mu=0.1, k=0.05, c=0.01, p=1.2, a=1.0, d=1.0, q=1.5, m0=4.0)
+        text = intensity.serialize_fit(fit._replace(params=p, family="hawkes"))
+        assert text.startswith("# family = hawkes\n# log_likelihood = -12.5\n")
+        model = intensity.parse_model_params(text, small_catalog)
+        assert model.params == p and model.history is small_catalog
+        # no family comment means hawkes
+        assert intensity.parse_model_params(serialize_hawkes_params(p),
+                                            small_catalog).params == p
+
+    @pytest.mark.parametrize("text,message", [
+        ("# family = homogeneous\n", "params: homogeneous file needs a mu line"),
+        ("# family = homogeneous\nmu = x\n",
+         "params: could not convert string to float: 'x'"),
+        ("# family = sparkle\nmu = 1.0\n", "params: unknown family 'sparkle'"),
+    ])
+    def test_model_params_errors(self, small_catalog, text, message):
+        with pytest.raises(ValueError) as err:
+            intensity.parse_model_params(text, small_catalog)
+        assert str(err.value) == message
+
 
 class TestHawkesIntensity:
     PARAMS = HawkesParams(mu=0.1, k=0.05, c=0.01, p=1.2, a=1.0, d=1.0, q=1.5,

@@ -222,6 +222,23 @@ class TestErrorDiagram:
         mid = (diag.alarm_fractions > 0) & (diag.alarm_fractions < 1)
         assert not mid.any() or np.all(diag.miss_fractions[mid] == 0.0)
 
+    @pytest.mark.parametrize("lon,missed", [(1.0, 0.0), (1.03, 1.0), (1.13, 1.0)])
+    def test_model_path_bbox_edge(self, unit_region, lon, missed):
+        # an event on the east edge of the box falls in the last lattice
+        # column; one east of it, even within a lattice cell's width, is in
+        # no cell and is missed by the constant surface's one positive level
+        c = Catalog(np.array([0.5]), np.array([lon]), np.array([0.5]),
+                    np.array([4.5]), 1.0, 4.0)
+        diag = error_diagram(HomogeneousIntensity(1e-3), c, unit_region, n_grid=10)
+        assert diag.thresholds.size == 3
+        assert diag.miss_fractions[1] == missed
+
+    def test_model_path_bbox_edge_together(self, unit_region):
+        c = Catalog(np.full(3, 0.5), np.array([1.0, 1.03, 1.13]), np.full(3, 0.5),
+                    np.full(3, 4.5), 1.0, 4.0)
+        diag = error_diagram(HomogeneousIntensity(1e-3), c, unit_region, n_grid=10)
+        assert diag.miss_fractions[1] == pytest.approx(2.0 / 3.0)
+
     def test_model_path_peaked_field(self, unit_region):
         model = KernelIntensity([0.5], [0.5], d=20.0, scale=200.0)
         sup = model.rate_at(0.5, 0.5)[0]
