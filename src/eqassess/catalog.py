@@ -282,6 +282,49 @@ def _column_text(col) -> list:
     return list(map(repr if a.dtype.kind == "f" else str, a.tolist()))
 
 
+def _format_distinct(values, fmt) -> np.ndarray:
+    """fmt(v) of each entry of an array, as an object array of its shape,
+    with one fmt call per distinct value; floats are told apart by their
+    64-bit pattern, so -0.0 and 0.0 keep their own strings."""
+    a = np.asarray(values)
+    is_float = a.dtype.kind == "f"
+    distinct, inverse = np.unique(a.astype(float).view(np.int64) if is_float else a,
+                                  return_inverse=True)
+    texts = list(map(fmt, (distinct.view(float) if is_float else distinct).tolist()))
+    return np.array(texts, dtype=object)[inverse].reshape(a.shape)
+
+
+def _stack_rings(polys):
+    """The vertices of (m, 2) rings stacked in one float array, and the
+    sizes m; a ring without vertices, of any shape, has size 0."""
+    sizes = np.array([len(p) for p in polys], dtype=int)
+    rings = list(itertools.compress(polys, sizes))
+    return (np.concatenate(rings, dtype=float) if rings else np.empty((0, 2))), sizes
+
+
+_FIELD = "\x00"  # marks a field in a _fill_rings template, whose own text never holds it
+
+
+def _fill_rings(template, texts, sizes, closed: bool = False, columns=()) -> list:
+    """One string per stacked ring of m vertices: template(m) with its
+    _FIELDs filled by the ring's vertex texts x0, y0, ..., x(m-1), y(m-1)
+    (then x0, y0 again if closed and m > 0) and its entry of each column.
+    texts holds one (x, y) row per stacked vertex. Rings of one size are
+    joined in one pass from one template's pieces."""
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty(len(sizes), dtype=object)
+    for m in np.unique(sizes).tolist():
+        rings = np.flatnonzero(sizes == m)
+        verts = starts[rings, None] + np.arange(m + (closed and m > 0)) % max(m, 1)
+        pieces = template(m).split(_FIELD)
+        parts = np.empty((rings.size, 2 * len(pieces) - 1), dtype=object)
+        parts[:, 0::2] = pieces
+        parts[:, 1::2] = np.column_stack([texts[verts].reshape(rings.size, -1)]
+                                         + [np.asarray(c, dtype=object)[rings] for c in columns])
+        out[rings] = list(map("".join, parts.tolist()))
+    return out.tolist()
+
+
 def _csv_records(text: str, header: tuple, what: str):
     """Yield (row number, fields) for each data row, in the row loop's checks."""
     import csv

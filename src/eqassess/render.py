@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from .catalog import _FIELD, _fill_rings, _format_distinct, _stack_rings
 from .summaries import ErrorDiagram, KFunctionCurve
 
 _W, _H = 640, 480
@@ -19,8 +20,7 @@ _FRAME = (f'<rect x="{_PAD}" y="{_PAD}" width="{_W - 2 * _PAD}" '
           f'height="{_H - 2 * _PAD}" fill="none" stroke="black"/>\n')
 
 
-def _f(x: float) -> str:
-    return f"{x:.2f}"
+_f = "{:.2f}".format  # one pixel coordinate
 
 
 def _svg_open(title: str = "", defs: str = "") -> str:
@@ -43,9 +43,14 @@ def _to_px(x, y, lo=(0.0, 0.0), span=(1.0, 1.0), size=(_W - 2 * _PAD, _H - 2 * _
     return px, py
 
 
+def _px_texts(px, py) -> np.ndarray:
+    """(n, 2) texts of pixel points by _f, each distinct value formatted once."""
+    return _format_distinct(np.column_stack([px, py]), _f)
+
+
 def _pairs(px, py) -> list:
-    """'x,y' pixel pairs to 2 decimals, formatted in one pass."""
-    return list(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
+    """'x,y' pixel pairs to 2 decimals."""
+    return list(map(",".join, _px_texts(px, py).tolist()))
 
 
 def _text(x, y, s, anchor="start", size=12) -> str:
@@ -53,17 +58,19 @@ def _text(x, y, s, anchor="start", size=12) -> str:
             f'font-size="{size}" text-anchor="{anchor}">{s}</text>\n')
 
 
-def _diverging_color(v: float, vmax: float) -> str:
-    """White at 0, saturating blue for positive and red for negative."""
-    if not math.isfinite(v) or vmax <= 0:
-        return "#ffffff"
-    t = min(1.0, abs(v) / vmax)
-    if v >= 0:
-        target = (33, 68, 160)
-    else:
-        target = (178, 24, 43)
-    r, g, b = (round(255 + t * (ch - 255)) for ch in target)
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _diverging_colors(values, vmax: float) -> np.ndarray:
+    """'#rrggbb' fill of each value: white at 0, saturating blue for
+    positive and red for negative at |v| >= vmax; white for a non-finite
+    value or vmax <= 0. Channels round half to even, as round() does."""
+    v = np.asarray(values, dtype=float).reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.abs(v) / vmax
+    t = np.where(ratio < 1.0, ratio, 1.0)  # min(1.0, ratio), nan giving 1.0
+    target = np.where((v >= 0)[:, None], [33, 68, 160], [178, 24, 43])
+    rgb = np.round(255 + t[:, None] * (target - 255)).astype(int)
+    code = rgb @ np.array([1 << 16, 1 << 8, 1])
+    code[~np.isfinite(v) | (vmax <= 0)] = 0xffffff
+    return _format_distinct(code, "#{:06x}".format)
 
 
 def _axes_1x1(x_label: str, y_label: str) -> str:
@@ -97,36 +104,31 @@ def render_map(rs, title: str = "") -> str:
     flagged (undefined) cells are cross-hatched. The legend reports the
     symmetric color-scale limit.
     """
-    polys = [np.asarray(p, dtype=float) for p in rs.cell_polys]
-    pts = np.concatenate([p for p in polys if p.shape[0]], axis=0)
-    lon_min, lat_min = pts.min(axis=0)
-    lon_max, lat_max = pts.max(axis=0)
+    xy, sizes = _stack_rings(rs.cell_polys)
+    lon_min, lat_min = xy.min(axis=0)
+    lon_max, lat_max = xy.max(axis=0)
     span_x = max(lon_max - lon_min, 1e-12)
     span_y = max(lat_max - lat_min, 1e-12)
     scale = min((_W - 2 * _PAD) / span_x, (_H - 2 * _PAD - 20) / span_y)
-    drawn = [i for i, p in enumerate(polys) if p.shape[0] >= 3]
-    xy = np.concatenate([polys[i] for i in drawn] or [np.empty((0, 2))])
-    pairs = _pairs(*_to_px(xy[:, 0], xy[:, 1], (lon_min, lat_min), size=(scale, scale)))
-    ends = np.cumsum([polys[i].shape[0] for i in drawn], dtype=int).tolist()
+    texts = _px_texts(*_to_px(xy[:, 0], xy[:, 1], (lon_min, lat_min), size=(scale, scale)))
 
     finite = rs.values[np.isfinite(rs.values)]
     vmax = float(np.max(np.abs(finite))) if finite.size else 0.0
-    out = [_svg_open(title, _HATCH)]
-    for i, start, end in zip(drawn, [0] + ends, ends):
-        if rs.flags[i]:
-            fill = "url(#hatch)"
-        else:
-            fill = _diverging_color(float(rs.values[i]), vmax)
-        out.append(f'<polygon points="{" ".join(pairs[start:end])}" fill="{fill}" '
-                   f'stroke="#333333" stroke-width="0.5"/>\n')
+    fills = np.where(np.asarray(rs.flags, dtype=bool), "url(#hatch)",
+                     _diverging_colors(rs.values, vmax))
+    drawn = sizes >= 3  # rings of fewer vertices are not drawn
+    out = [_svg_open(title, _HATCH), *_fill_rings(
+        lambda m: (f'<polygon points="{" ".join([_FIELD + "," + _FIELD] * m)}" '
+                   f'fill="{_FIELD}" stroke="#333333" stroke-width="0.5"/>\n'),
+        texts[np.repeat(drawn, sizes)], sizes[drawn], columns=[fills[drawn]])]
     # legend: thin gradient bar, negative (red) to positive (blue)
     bar_x, bar_y, bar_w, bar_h = _PAD, _H - 30, 200, 10
     steps = 40
-    for s in range(steps):
-        v = vmax * (2 * (s + 0.5) / steps - 1)
+    legend = _diverging_colors(vmax * (2 * (np.arange(steps) + 0.5) / steps - 1), vmax)
+    for s, fill in enumerate(legend.tolist()):
         out.append(f'<rect x="{_f(bar_x + s * bar_w / steps)}" y="{bar_y}" '
                    f'width="{_f(bar_w / steps + 0.5)}" height="{bar_h}" '
-                   f'fill="{_diverging_color(v, vmax)}"/>\n')
+                   f'fill="{fill}"/>\n')
     out.append(_text(bar_x, bar_y - 4, f"-{vmax:.3g}"))
     out.append(_text(bar_x + bar_w, bar_y - 4, f"+{vmax:.3g}", anchor="end"))
     out.append(_text(bar_x + bar_w / 2, bar_y - 4, "0", anchor="middle"))
@@ -152,10 +154,10 @@ def render_point_map(lons, lats, tags, region, title: str = "") -> str:
     outline = " ".join(_pairs(*_to_px(ring[:, 0], ring[:, 1], lo, size=size)))
     out.append(f'<polygon points="{outline}" fill="none" stroke="black"/>\n')
     colors = {"retained": "#21448f", "superposed": "#b2182b"}
-    px, py = _to_px(lons, lats, lo, size=size)
-    for x, y, tag in zip(px.tolist(), py.tolist(), np.asarray(tags).tolist()):
-        out.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="2.5" '
-                   f'fill="{colors.get(str(tag), "#333333")}" fill-opacity="0.8"/>\n')
+    texts = _px_texts(*_to_px(lons, lats, lo, size=size))
+    fills = _format_distinct(np.asarray(tags), lambda tag: colors.get(str(tag), "#333333"))
+    out.extend(map('<circle cx="{}" cy="{}" r="2.5" fill="{}" fill-opacity="0.8"/>\n'.format,
+                   texts[:, 0].tolist(), texts[:, 1].tolist(), fills.tolist()))
     out.append(_text(_W - _PAD, 24, f"n={lons.size}", anchor="end"))
     out.append("</svg>\n")
     return "".join(out)

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.special import chdtrc
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .catalog import BinGrid, Catalog, Region, bin_counts, csv_text, region_lattice
+from .catalog import (_FIELD, BinGrid, Catalog, Region, _fill_rings, _format_distinct,
+                      _stack_rings, bin_counts, csv_text, empty_catalog, region_lattice)
 from .forecast import GriddedForecast, forecast_from_intensity, poisson_log_pmf
 from .rng import RngStream
 from .simulate import MAX_CASCADE, simulate_homogeneous, simulate_inhomogeneous
@@ -74,9 +75,15 @@ class ResidualPointSet:
         return self.tags == "retained"
 
 
-def _order(times, lons, lats, tags):
-    idx = np.lexsort((tags, lats, lons, times))
-    return times[idx], lons[idx], lats[idx], tags[idx]
+def _pattern(c: Catalog, keep, sim: Catalog, rate: float, region: Region) -> ResidualPointSet:
+    """The kept events of c, tagged retained, and sim's points, tagged
+    superposed, sorted by (time, lon, lat, tag)."""
+    t = np.concatenate([c.times[keep], sim.times])
+    x = np.concatenate([c.lons[keep], sim.lons])
+    y = np.concatenate([c.lats[keep], sim.lats])
+    tags = np.concatenate([np.full(t.size - sim.n, "retained"), np.full(sim.n, "superposed")])
+    idx = np.lexsort((tags, y, x, t))
+    return ResidualPointSet(t[idx], x[idx], y[idx], tags[idx], rate, region, c.window_days)
 
 
 def thin_residuals(c: Catalog, model, region: Region,
@@ -99,9 +106,7 @@ def thin_residuals(c: Catalog, model, region: Region,
         probs = np.minimum(1.0, b / lam)
     gen = rng.generator()
     keep = gen.uniform(size=c.n) < probs
-    tags = np.full(int(keep.sum()), "retained")
-    t, x, y, g = _order(c.times[keep], c.lons[keep], c.lats[keep], tags)
-    return ResidualPointSet(t, x, y, g, b, region, c.window_days)
+    return _pattern(c, keep, empty_catalog(c.window_days), b, region)
 
 
 def superpose_residuals(c: Catalog, model, region: Region,
@@ -121,12 +126,7 @@ def superpose_residuals(c: Catalog, model, region: Region,
             "shrinks it; use super-thinning instead (residuals --kind superthin)")
     sim = simulate_inhomogeneous(_Deficit(model, sup), sup, region,
                                  c.window_days, rng)
-    times = np.concatenate([c.times, sim.times])
-    lons = np.concatenate([c.lons, sim.lons])
-    lats = np.concatenate([c.lats, sim.lats])
-    tags = np.concatenate([np.full(c.n, "retained"), np.full(sim.n, "superposed")])
-    t, x, y, g = _order(times, lons, lats, tags)
-    return ResidualPointSet(t, x, y, g, sup, region, c.window_days)
+    return _pattern(c, slice(None), sim, sup, region)
 
 
 def super_thin(c: Catalog, model, k: float, region: Region,
@@ -142,13 +142,7 @@ def super_thin(c: Catalog, model, k: float, region: Region,
         keep = gen.uniform(size=c.n) < np.minimum(1.0, k / lam)
     sim = simulate_inhomogeneous(_Deficit(model, k), k, region,
                                  c.window_days, rng.substream(1))
-    times = np.concatenate([c.times[keep], sim.times])
-    lons = np.concatenate([c.lons[keep], sim.lons])
-    lats = np.concatenate([c.lats[keep], sim.lats])
-    tags = np.concatenate([np.full(int(keep.sum()), "retained"),
-                           np.full(sim.n, "superposed")])
-    t, x, y, g = _order(times, lons, lats, tags)
-    return ResidualPointSet(t, x, y, g, k, region, c.window_days)
+    return _pattern(c, keep, sim, k, region)
 
 
 class RescaledTimes(NamedTuple):
@@ -201,9 +195,10 @@ class CellResidualSet:
         return self.values.size
 
 
-def _box_ring(box) -> np.ndarray:
-    lo_x, hi_x, lo_y, hi_y = box[:4]
-    return np.array([[lo_x, lo_y], [hi_x, lo_y], [hi_x, hi_y], [lo_x, hi_y]])
+def _box_rings(grid: BinGrid) -> list:
+    """Each cell's box as the ring (lo, lo), (hi, lo), (hi, hi), (lo, hi) in
+    (lon, lat), all cut from one array."""
+    return list(grid.boxes[:, [0, 2, 1, 2, 1, 3, 0, 3]].reshape(-1, 4, 2))
 
 
 def pixel_residuals(model_or_forecast, c: Catalog, grid: BinGrid,
@@ -226,7 +221,7 @@ def pixel_residuals(model_or_forecast, c: Catalog, grid: BinGrid,
     flags = expected <= 0
     with np.errstate(divide="ignore", invalid="ignore"):
         pearson = np.where(flags, np.nan, raw / np.sqrt(expected))
-    polys = [_box_ring(b) for b in grid.boxes]
+    polys = _box_rings(grid)
     return (
         CellResidualSet("raw", raw.astype(float), flags, polys, expected, counts),
         CellResidualSet("pearson", pearson, flags, polys, expected, counts),
@@ -246,7 +241,7 @@ def deviance_residuals(fa: GriddedForecast, fb: GriddedForecast,
     counts = bin_counts(c, fa.grid).counts
     values = poisson_log_pmf(counts, fa.rates) - poisson_log_pmf(counts, fb.rates)
     flags = ~np.isfinite(values)
-    polys = [_box_ring(b) for b in fa.grid.boxes]
+    polys = _box_rings(fa.grid)
     return CellResidualSet("deviance", values, flags, polys,
                            fa.rates - fb.rates, counts)
 
@@ -260,38 +255,35 @@ def cell_residuals_to_csv(rs: CellResidualSet) -> str:
     return csv_text({**_cell_columns(rs), "flag": np.asarray(rs.flags, dtype=bool).astype(int)})
 
 
-def geojson_polygon(ring) -> dict:
-    """GeoJSON Polygon geometry of an (m, 2) vertex array, its ring closed
-    by repeating the first vertex; an empty array gives an empty ring."""
-    coords = np.asarray(ring, dtype=float).tolist()
-    if coords:
-        coords.append(coords[0])
-    return {"type": "Polygon", "coordinates": [coords]}
+def geojson_features(xy, sizes, properties: dict, geometry: str = "Polygon") -> str:
+    """GeoJSON FeatureCollection text with one feature per stacked ring
+    (see _stack_rings), the i-th carrying the i-th entry of each property
+    column. A Polygon's ring is closed by repeating its first vertex, an
+    empty ring staying empty; a Point is a ring of one vertex.
 
-
-def geojson_features(geometries, properties: dict) -> str:
-    """GeoJSON FeatureCollection text with one feature per geometry, the
-    i-th carrying the i-th entry of each property column.
-
-    Floats are written by repr and non-finite ones as null; booleans as
-    true/false; keys are sorted and no whitespace is added.
+    The text is json.dumps's with sorted keys and no whitespace: property
+    floats by repr, non-finite ones as null; coordinates as json writes them
+    (NaN, Infinity). Each distinct value is formatted once.
     """
-    columns = []
-    for col in properties.values():
-        a = np.asarray(col)
-        values = a.tolist()
-        if a.dtype.kind == "f":
-            for i in np.flatnonzero(~np.isfinite(a)).tolist():
-                values[i] = None
-        columns.append(values)
-    feats = [{"type": "Feature", "geometry": g, "properties": dict(zip(properties, row))}
-             for g, row in zip(geometries, zip(*columns))]
-    doc = {"type": "FeatureCollection", "features": feats}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    names = sorted(properties)
+    fmt = {"f": lambda v: repr(v) if math.isfinite(v) else "null", "i": str, "u": str}
+    columns = [_format_distinct(a, fmt.get(a.dtype.kind, json.dumps))
+               for a in (np.asarray(properties[k]) for k in names)]
+    props = ",".join(json.dumps(k) + ":" + _FIELD for k in names)
+    vertex = f"[{_FIELD},{_FIELD}]"
+
+    def feature(m):
+        coords = vertex if geometry == "Point" else "[[" + ",".join([vertex] * (m + (m > 0))) + "]]"
+        return (f'{{"geometry":{{"coordinates":{coords},"type":"{geometry}"}},'
+                f'"properties":{{{props}}},"type":"Feature"}}')
+
+    texts = _format_distinct(xy, lambda v: repr(v) if math.isfinite(v) else json.dumps(v))
+    feats = _fill_rings(feature, texts, sizes, closed=geometry == "Polygon", columns=columns)
+    return '{"features":[' + ",".join(feats) + '],"type":"FeatureCollection"}\n'
 
 
 def cell_residuals_to_geojson(rs: CellResidualSet) -> str:
-    return geojson_features(map(geojson_polygon, rs.cell_polys),
+    return geojson_features(*_stack_rings(rs.cell_polys),
                             {**_cell_columns(rs), "flag": np.asarray(rs.flags, dtype=bool)})
 
 
@@ -300,9 +292,8 @@ def points_to_csv(ps: ResidualPointSet) -> str:
 
 
 def points_to_geojson(ps: ResidualPointSet) -> str:
-    points = [{"type": "Point", "coordinates": xy}
-              for xy in np.column_stack([ps.lons, ps.lats]).tolist()]
-    return geojson_features(points, {"time": ps.times, "tag": ps.tags})
+    return geojson_features(np.column_stack([ps.lons, ps.lats]), np.ones(ps.n, dtype=int),
+                            {"time": ps.times, "tag": ps.tags}, geometry="Point")
 
 
 # --- Voronoi --------------------------------------------------------------
@@ -338,12 +329,12 @@ def _clip_halfplane(poly: np.ndarray, normal: np.ndarray, offset: float,
 def _poly_areas(polys: list) -> np.ndarray:
     """Shoelace areas of all polygons in one pass over their stacked
     vertices; a polygon with fewer than 3 vertices has area 0."""
-    areas = np.zeros(len(polys))
-    full = [i for i, p in enumerate(polys) if p.shape[0] >= 3]
-    if full:
-        sizes = np.array([polys[i].shape[0] for i in full])
+    xy, sizes = _stack_rings(polys)
+    full = sizes >= 3
+    areas = np.zeros(sizes.size)
+    if full.any():
+        xy, sizes = xy[np.repeat(full, sizes)], sizes[full]
         starts = np.cumsum(sizes) - sizes
-        xy = np.concatenate([polys[i] for i in full])
         nxt = np.arange(1, xy.shape[0] + 1)
         nxt[starts + sizes - 1] = starts
         x, y = xy[:, 0], xy[:, 1]
@@ -364,14 +355,9 @@ class VoronoiTessellation:
         return self.gen_lons.size
 
     def polys_lonlat(self) -> list:
-        out = []
-        for poly in self.polys_km:
-            if poly.shape[0] == 0:
-                out.append(poly)
-                continue
-            lons, lats = self.region.from_km(poly[:, 0], poly[:, 1])
-            out.append(np.column_stack([lons, lats]))
-        return out
+        xy, sizes = _stack_rings(self.polys_km)
+        lonlat = np.column_stack(self.region.from_km(xy[:, 0], xy[:, 1]))
+        return np.split(lonlat, np.cumsum(sizes)[:-1])
 
     @property
     def partition_defect(self) -> float:
@@ -389,8 +375,7 @@ def tessellation_to_csv(tess: VoronoiTessellation) -> str:
 
 
 def tessellation_to_geojson(tess: VoronoiTessellation) -> str:
-    return geojson_features(map(geojson_polygon, tess.polys_lonlat()),
-                            _tessellation_columns(tess))
+    return geojson_features(*_stack_rings(tess.polys_lonlat()), _tessellation_columns(tess))
 
 
 def _clip_bisector(poly: np.ndarray, pts: np.ndarray, i: int, j: int) -> np.ndarray:

@@ -168,7 +168,7 @@ def aligned_history(unit_region):
 
 # --- output writers -------------------------------------------------------
 # The row loops that csv_text, geojson_features and render's _to_px/_pairs
-# replaced, kept as the oracles of tests/test_writers.py. Each takes the
+# and _diverging_colors replaced, kept as the oracles of tests/test_writers.py. Each takes the
 # same object as the writer it checks.
 
 
@@ -338,8 +338,22 @@ def _ref_head(title, defs=""):
     return out
 
 
+def reference_diverging_color(v, vmax):
+    """render._diverging_colors one value at a time, as render_map called
+    it per cell: white at 0, saturating blue for positive and red for
+    negative."""
+    if not math.isfinite(v) or vmax <= 0:
+        return "#ffffff"
+    t = min(1.0, abs(v) / vmax)
+    if v >= 0:
+        target = (33, 68, 160)
+    else:
+        target = (178, 24, 43)
+    r, g, b = (round(255 + t * (ch - 255)) for ch in target)
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
 def reference_render_map(rs, title=""):
-    from eqassess.render import _diverging_color
     polys = [np.asarray(p, dtype=float) for p in rs.cell_polys]
     pts = np.concatenate([p for p in polys if p.shape[0]], axis=0)
     lon_min, lat_min = pts.min(axis=0)
@@ -367,7 +381,7 @@ def reference_render_map(rs, title=""):
         if rs.flags[i]:
             fill = "url(#hatch)"
         else:
-            fill = _diverging_color(float(rs.values[i]), vmax)
+            fill = reference_diverging_color(float(rs.values[i]), vmax)
         out.append(f'<polygon points="{coords}" fill="{fill}" '
                    f'stroke="#333333" stroke-width="0.5"/>\n')
     bar_x, bar_y, bar_w, bar_h = _PAD, _H - 30, 200, 10
@@ -376,7 +390,7 @@ def reference_render_map(rs, title=""):
         v = vmax * (2 * (s + 0.5) / steps - 1)
         out.append(f'<rect x="{_ref_f(bar_x + s * bar_w / steps)}" y="{bar_y}" '
                    f'width="{_ref_f(bar_w / steps + 0.5)}" height="{bar_h}" '
-                   f'fill="{_diverging_color(v, vmax)}"/>\n')
+                   f'fill="{reference_diverging_color(v, vmax)}"/>\n')
     out.append(_text(bar_x, bar_y - 4, f"-{vmax:.3g}"))
     out.append(_text(bar_x + bar_w, bar_y - 4, f"+{vmax:.3g}", anchor="end"))
     out.append(_text(bar_x + bar_w / 2, bar_y - 4, "0", anchor="middle"))

@@ -6,7 +6,12 @@ from eqassess import (GriddedForecast, HomogeneousIntensity, RngStream,
                       render_error_diagram, render_histogram, render_k_curve,
                       render_map, render_point_map, simulate_homogeneous,
                       simulate_poisson_grid, thin_residuals, weighted_k)
-from eqassess.render import _diverging_color
+from eqassess.render import _diverging_colors
+
+
+def _diverging_color(v, vmax):
+    """The array colour function on a one-element input."""
+    return _diverging_colors(np.array([v]), vmax)[0]
 
 
 class TestDivergingColor:

@@ -19,13 +19,12 @@ from eqassess import (Catalog, CellResidualSet, ErrorDiagram, KFunctionCurve,
                       k_curve_to_csv, render_error_diagram, render_histogram,
                       render_k_curve, render_map, render_point_map, results_to_csv,
                       serialize_catalog, serialize_forecast, serialize_region)
-from eqassess.catalog import csv_text
+from eqassess.catalog import _stack_rings, csv_text
 from eqassess import consistency
 from eqassess.consistency import sims_to_csv
-from eqassess.render import _pairs, _to_px
-from eqassess.residuals import (geojson_features, geojson_polygon, points_to_csv,
-                                points_to_geojson, tessellation_to_csv,
-                                tessellation_to_geojson)
+from eqassess.render import _diverging_colors, _pairs, _to_px
+from eqassess.residuals import (geojson_features, points_to_csv, points_to_geojson,
+                                tessellation_to_csv, tessellation_to_geojson)
 
 SUBNORMALS = [5e-324, -5e-324, 2.2250738585072014e-308 / 3]
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, *SUBNORMALS, 1e308]
@@ -203,9 +202,106 @@ def test_tessellation_writers_match(writer_oracles, data):
     assert tessellation_to_geojson(tess) == writer_oracles.cells_geojson(tess)
 
 
+# --- distinct values -------------------------------------------------------
+# The writers format each distinct 64-bit value once, so inputs drawn from a
+# small pool repeat values: -0.0 next to 0.0, one subnormal many times, and
+# NaNs with different payloads, which must all still read as the oracles do.
+
+NAN_PAYLOADS = [float(np.array(bits, dtype=np.uint64).view(float))
+                for bits in (0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000F00)]
+POOL = [-0.0, 0.0, 5e-324, 0.1, -2.5, 1e300]
+pool_float = st.sampled_from(POOL)
+pool_value = st.sampled_from([*POOL, *NAN_PAYLOADS, math.inf, -math.inf])
+
+
+def _pool_cells(data, elements):
+    """8 to 12 cells of 3 to 5 vertices from the pool: repeats on every draw."""
+    n = data.draw(st.integers(8, 12))
+    rings = [data.draw(st.integers(3, 5).flatmap(lambda m: floats(2 * m, elements)))
+             .reshape(-1, 2) for _ in range(n)]
+    return CellResidualSet(
+        "pearson", data.draw(floats(n, pool_value)),
+        np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),
+        rings, data.draw(floats(n, pool_value)), np.zeros(n, dtype=int))
+
+
+@settings_
+@given(st.data())
+def test_cell_writers_match_on_repeated_values(writer_oracles, data):
+    # GeoJSON coordinates may be non-finite (json's NaN and Infinity); the
+    # SVG's bounding box needs finite ones
+    rs = _pool_cells(data, pool_value)
+    assert cell_residuals_to_geojson(rs) == writer_oracles.cell_residuals_to_geojson(rs)
+    rs = _pool_cells(data, pool_float)
+    assert render_map(rs) == writer_oracles.render_map(rs)
+
+
+@settings_
+@given(st.data())
+def test_point_and_tessellation_writers_match_on_repeated_values(writer_oracles, data):
+    n = data.draw(st.integers(8, 12))
+    tags = np.array(data.draw(st.lists(st.sampled_from(["retained", "superposed"]),
+                                       min_size=n, max_size=n)))
+    # the point and tessellation oracles write non-finite property floats as
+    # json does, not as null: properties finite, coordinates from the whole pool
+    ps = types.SimpleNamespace(n=n, tags=tags, times=data.draw(floats(n, pool_float)),
+                               **{k: data.draw(floats(n, pool_value)) for k in ("lons", "lats")})
+    assert points_to_geojson(ps) == writer_oracles.points_geojson(ps)
+    region = types.SimpleNamespace(vertices=data.draw(floats(8, pool_float)).reshape(-1, 2))
+    lons, lats = (data.draw(floats(n, pool_float)) for _ in range(2))
+    assert (render_point_map(lons, lats, tags, region)
+            == writer_oracles.render_point_map(lons, lats, tags, region))
+    polys = _pool_cells(data, pool_value).cell_polys
+    tess = types.SimpleNamespace(n_cells=len(polys), polys_lonlat=lambda: polys, **{
+        k: data.draw(floats(len(polys), pool_float))
+        for k in ("gen_lons", "gen_lats", "areas_km2")})
+    assert tessellation_to_geojson(tess) == writer_oracles.cells_geojson(tess)
+
+
+def test_repeated_values_literal(writer_oracles):
+    sub = 5e-324
+    ring = np.array([[-0.0, 0.0], [0.0, -0.0], [sub, sub], [sub, 0.0]])
+    rs = CellResidualSet("raw", np.array([-0.0, 0.0, NAN_PAYLOADS[0], NAN_PAYLOADS[1]]),
+                         np.zeros(4, dtype=bool), [ring, ring[::-1], ring, ring[1:]],
+                         np.zeros(4), np.zeros(4, dtype=int))
+    text = cell_residuals_to_geojson(rs)
+    assert text == writer_oracles.cell_residuals_to_geojson(rs)
+    assert text.count("[-0.0,0.0]") == 5 and text.count("[0.0,-0.0]") == 5
+    assert text.count('"value":-0.0') == 1 and text.count('"value":null') == 2
+    assert render_map(rs) == writer_oracles.render_map(rs)
+
+
+# values at t = k/8 of vmax, exact at these scales; t = 1/2 puts the four
+# odd channel offsets (-187, -95, -77, -231) on a .5 tie
+eighths = st.tuples(st.integers(-8, 8), st.sampled_from([5.0, 0.125, 2.0 ** -1070]))
+
+
+@settings_
+@given(st.data())
+def test_diverging_colors_match_scalar(writer_oracles, data):
+    vmax = data.draw(st.one_of(
+        st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 5e-324]),
+        st.floats()))
+    values = data.draw(st.lists(any_float, max_size=12))
+    k, scale = data.draw(eighths)
+    values += [k / 8 * scale, -k / 8 * scale]
+    got = _diverging_colors(np.array(values), vmax).tolist()
+    assert got == [writer_oracles.diverging_color(v, vmax) for v in values]
+    ties = _diverging_colors(np.array([k / 8 * scale]), scale).tolist()
+    assert ties == [writer_oracles.diverging_color(k / 8 * scale, scale)]
+
+
+def test_diverging_colors_round_ties_to_even(writer_oracles):
+    # 255 - 0.5 * 187 = 161.5 -> 162 and 255 - 0.5 * 95 = 207.5 -> 208 (blue);
+    # 255 - 0.5 * 77 = 216.5 -> 216 and 255 - 0.5 * 231 = 139.5 -> 140 (red)
+    got = _diverging_colors(np.array([2.5, -2.5]), 5.0).tolist()
+    assert got == ["#90a2d0", "#d88c95"]
+    assert got == [writer_oracles.diverging_color(v, 5.0) for v in (2.5, -2.5)]
+
+
 def test_geojson_writes_non_finite_properties_as_null():
-    text = geojson_features([{"type": "Point", "coordinates": [0.0, 0.0]}] * 3,
-                            {"v": [math.nan, math.inf, -math.inf]})
+    text = geojson_features(np.zeros((3, 2)), np.ones(3, dtype=int),
+                            {"v": [math.nan, math.inf, -math.inf]}, geometry="Point")
     assert text.count('"v":null') == 3 and "NaN" not in text and "Infinity" not in text
 
 
@@ -285,7 +381,7 @@ def test_csv_literal():
 
 def test_geojson_literal():
     text = geojson_features(
-        [geojson_polygon([[0, 0], [1, 0], [1, 1]]), geojson_polygon(np.empty((0, 2)))],
+        *_stack_rings([[[0, 0], [1, 0], [1, 1]], np.empty((0, 2))]),
         {"cell_id": np.arange(2), "value": [0.5, math.nan], "flag": np.array([False, True])})
     assert text == (
         '{"features":['
