@@ -29,8 +29,8 @@ from .intensity import (GridIntensity, HawkesParams, fit_mle, parse_hawkes_param
 from .render import (render_error_diagram, render_histogram, render_k_curve,
                      render_map, render_point_map)
 from .residuals import (cell_residuals_to_csv, cell_residuals_to_geojson,
-                        deviance_residuals, pixel_residuals, point_report,
-                        points_to_csv, points_to_geojson, super_thin,
+                        cell_value_texts, deviance_residuals, pixel_residuals,
+                        point_report, points_to_csv, points_to_geojson, super_thin,
                         superpose_residuals, tessellation_to_csv,
                         tessellation_to_geojson, thin_residuals, voronoi_residuals,
                         voronoi_tessellation)
@@ -358,8 +358,9 @@ def _cmd_test(cfg: RunConfig) -> int:
 
 
 def _write_cells(ws: Workspace, stem: str, rs, title: str):
-    ws.write(f"{stem}.csv", cell_residuals_to_csv(rs))
-    ws.write(f"{stem}.geojson", cell_residuals_to_geojson(rs))
+    texts = cell_value_texts(rs)
+    ws.write(f"{stem}.csv", cell_residuals_to_csv(rs, texts))
+    ws.write(f"{stem}.geojson", cell_residuals_to_geojson(rs, texts))
     ws.write(f"{stem}.svg", render_map(rs, title=title))
 
 

@@ -246,13 +246,22 @@ def deviance_residuals(fa: GriddedForecast, fb: GriddedForecast,
                            fa.rates - fb.rates, counts)
 
 
-def _cell_columns(rs: CellResidualSet) -> dict:
+def cell_value_texts(rs: CellResidualSet) -> np.ndarray:
+    """repr of each cell's value, one repr per distinct value: the value
+    column that both cell writers share."""
+    return _format_distinct(np.asarray(rs.values, dtype=float), repr)
+
+
+def _cell_columns(rs: CellResidualSet, value_texts) -> dict:
+    texts = cell_value_texts(rs) if value_texts is None else value_texts
     return {"cell_id": np.arange(rs.n_cells), "kind": [rs.kind] * rs.n_cells,
-            "value": np.asarray(rs.values, dtype=float)}
+            "value": texts}
 
 
-def cell_residuals_to_csv(rs: CellResidualSet) -> str:
-    return csv_text({**_cell_columns(rs), "flag": np.asarray(rs.flags, dtype=bool).astype(int)})
+def cell_residuals_to_csv(rs: CellResidualSet, value_texts=None) -> str:
+    """CSV of a cell map; value_texts, when given, is cell_value_texts(rs)."""
+    return csv_text({**_cell_columns(rs, value_texts),
+                     "flag": np.asarray(rs.flags, dtype=bool).astype(int)})
 
 
 def geojson_features(xy, sizes, properties: dict, geometry: str = "Polygon") -> str:
@@ -263,11 +272,12 @@ def geojson_features(xy, sizes, properties: dict, geometry: str = "Polygon") -> 
 
     The text is json.dumps's with sorted keys and no whitespace: property
     floats by repr, non-finite ones as null; coordinates as json writes them
-    (NaN, Infinity). Each distinct value is formatted once.
+    (NaN, Infinity). Each distinct value is formatted once. A column of
+    Python objects holds the JSON texts of its entries, written as they are.
     """
     names = sorted(properties)
     fmt = {"f": lambda v: repr(v) if math.isfinite(v) else "null", "i": str, "u": str}
-    columns = [_format_distinct(a, fmt.get(a.dtype.kind, json.dumps))
+    columns = [a if a.dtype.kind == "O" else _format_distinct(a, fmt.get(a.dtype.kind, json.dumps))
                for a in (np.asarray(properties[k]) for k in names)]
     props = ",".join(json.dumps(k) + ":" + _FIELD for k in names)
     vertex = f"[{_FIELD},{_FIELD}]"
@@ -282,9 +292,13 @@ def geojson_features(xy, sizes, properties: dict, geometry: str = "Polygon") -> 
     return '{"features":[' + ",".join(feats) + '],"type":"FeatureCollection"}\n'
 
 
-def cell_residuals_to_geojson(rs: CellResidualSet) -> str:
+def cell_residuals_to_geojson(rs: CellResidualSet, value_texts=None) -> str:
+    """GeoJSON of a cell map; value_texts, when given, is cell_value_texts(rs)."""
+    columns = _cell_columns(rs, value_texts)
+    # JSON has no nan or inf
+    columns["value"] = np.where(np.isfinite(rs.values), columns["value"], "null")
     return geojson_features(*_stack_rings(rs.cell_polys),
-                            {**_cell_columns(rs), "flag": np.asarray(rs.flags, dtype=bool)})
+                            {**columns, "flag": np.asarray(rs.flags, dtype=bool)})
 
 
 def points_to_csv(ps: ResidualPointSet) -> str:

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from eqassess import BinGrid, Catalog, Region
+from eqassess.catalog import km_distance
+from eqassess.intensity import (_ClippedMass, _earlier_pairs, _row_spans, hawkes_unpack,
+                                spatial_mass, temporal_mass)
 
 
 @pytest.fixture
@@ -164,6 +167,119 @@ def aligned_history(unit_region):
     h = 5.0 / 2000
     times = np.round(cat.times / h) * h
     return params, Catalog(times, cat.lons, cat.lats, cat.mags, 5.0, 4.0)
+
+
+class DenseHawkes:
+    """Reference for HawkesIntensity.rate_at and integrate: the full query x
+    history rectangle in _row_spans blocks, with every lag <= 0 zeroed by
+    the lag kernel, the loop the causal staircase replaced."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def _parts(self, lons, lats, times, lag_kernel):
+        m = self.model
+        p = m.params
+        h = m.history
+        lons = np.atleast_1d(np.asarray(lons, dtype=float))
+        lats = np.atleast_1d(np.asarray(lats, dtype=float))
+        times = np.broadcast_to(np.asarray(times, dtype=float), lons.shape)
+        if m.background is None:
+            bg = np.full(lons.shape, p.mu, dtype=float)
+        else:
+            bg = m.background.rate_at(lons, lats).astype(float)
+        out = np.zeros(lons.shape)
+        if h.n == 0 or p.k == 0:
+            return bg, out
+        prod = m._productivity()
+        for lo, hi in _row_spans(lons.size, h.n):
+            dt = times[lo:hi, None] - h.times[None, :]
+            r = km_distance(lons[lo:hi, None], lats[lo:hi, None],
+                            h.lons[None, :], h.lats[None, :])
+            out[lo:hi] = (lag_kernel(dt) * (r * r + p.d) ** -p.q) @ prod
+        return bg, out
+
+    def rate_at(self, lons, lats, times):
+        p = self.model.params
+
+        def lag(dt):
+            active = dt > 0
+            return np.where(active, (np.where(active, dt, 1.0) + p.c) ** -p.p, 0.0)
+
+        bg, trig = self._parts(lons, lats, times, lag)
+        return bg + trig
+
+    def integrate(self, lons, lats, t):
+        p = self.model.params
+        bg, trig = self._parts(lons, lats, t, lambda dt: temporal_mass(
+            np.maximum(dt, 0.0), p.c, p.p))
+        return bg * t + trig
+
+
+@pytest.fixture(scope="session")
+def dense_hawkes():
+    return DenseHawkes
+
+
+def allocating_hawkes_score(c, region, m0, mode="approx"):
+    """Reference for intensity.hawkes_score: the closure that allocated its
+    pair-sized temporaries afresh on every evaluation."""
+    earlier, later = _earlier_pairs(c.times)
+    dt = c.times[later] - c.times[earlier]
+    r2 = km_distance(c.lons[earlier], c.lats[earlier], c.lons[later], c.lats[later]) ** 2
+    dmag = c.mags - m0
+    left = c.window_days - c.times
+    at = region.area_km2 * c.window_days
+    clipped = _ClippedMass(c, region) if mode == "quadrature" else None
+
+    def score(theta):
+        try:
+            prm = hawkes_unpack(theta, m0)
+        except (OverflowError, ValueError):
+            return math.inf, np.full(7, np.nan)
+        mu, k, cc, p, a, d, q = prm.mu, prm.k, prm.c, prm.p, prm.a, prm.d, prm.q
+        with np.errstate(all="ignore"):
+            log_lag = np.log(dt + cc)
+            log_dist = np.log(r2 + d)
+            prod = k * np.exp(a * dmag)
+            term = prod[earlier] * np.exp(-p * log_lag - q * log_dist)
+            lam = mu + np.bincount(later, weights=term, minlength=c.n)
+            point = float(np.sum(np.log(lam)))
+            ti = temporal_mass(left, cc, p)
+            tail = (left + cc) ** (1.0 - p)
+            ti_c = cc * ((left + cc) ** -p - cc ** -p)
+            ti_p = np.log(left + cc) * tail - math.log(cc) * cc ** (1.0 - p) - ti
+            if mode == "approx":
+                smass = spatial_mass(d, q)
+                mass = np.full(c.n, smass)
+                mass_d = np.full(c.n, -(q - 1.0) * smass)
+                mass_q = np.full(c.n, -smass * ((q - 1.0) * math.log(d) + 1.0))
+            else:
+                mass = clipped.masses(d, q)
+                mass_d, mass_q = clipped.mass_partials(d, q)
+            trig_i = prod * ti * mass
+            trig = float(np.sum(trig_i))
+            value = -(point - (mu * at + trig))
+            if not math.isfinite(value):
+                return math.inf, np.full(7, np.nan)
+            w = term / lam[later]
+            grad = np.array([
+                mu * (at - np.sum(1.0 / lam)),
+                trig - np.sum(w),
+                cc * p * np.sum(w / (dt + cc)) + np.sum(prod * ti_c * mass),
+                (p - 1.0) * np.sum(w * log_lag) + np.sum(prod * ti_p * mass),
+                a * (np.sum(trig_i * dmag) - np.sum(w * dmag[earlier])),
+                d * q * np.sum(w / (r2 + d)) + np.sum(prod * ti * mass_d),
+                (q - 1.0) * np.sum(w * log_dist) + np.sum(prod * ti * mass_q),
+            ])
+        return value, grad
+
+    return score
+
+
+@pytest.fixture(scope="session")
+def score_oracle():
+    return allocating_hawkes_score
 
 
 # --- output writers -------------------------------------------------------

@@ -271,13 +271,22 @@ class TestHawkesProtocol:
             for i in range(history.n)) for t in ts]
         np.testing.assert_allclose(m.compensator(unit_region, ts), want, rtol=1e-12)
 
+    # 4 * _ROW_ALIGN + 1 points leave one row past the last whole span; with
+    # a long history, a lone row's sum differs from its sum inside a span
+    @pytest.mark.parametrize("n_history, n_points",
+                             [(None, 300), (694, 4 * intensity._ROW_ALIGN + 1)])
     def test_chunk_size_does_not_change_results(self, unit_region, aligned_history,
-                                                monkeypatch):
+                                                monkeypatch, n_history, n_points):
         params, history = aligned_history
-        bg = KernelIntensity(history.lons[:7], history.lats[:7], d=5.0, scale=0.3)
         gen = np.random.default_rng(4)
-        lons, lats = gen.uniform(0.0, 1.0, 300), gen.uniform(0.0, 1.0, 300)
-        times = gen.uniform(0.0, 5.0, 300)
+        if n_history is not None:
+            history = Catalog(np.sort(gen.uniform(0.0, 5.0, n_history)),
+                              gen.uniform(0.0, 1.0, n_history),
+                              gen.uniform(0.0, 1.0, n_history),
+                              gen.uniform(4.0, 6.0, n_history), 5.0, 4.0)
+        bg = KernelIntensity(history.lons[:7], history.lats[:7], d=5.0, scale=0.3)
+        lons, lats = gen.uniform(0.0, 1.0, n_points), gen.uniform(0.0, 1.0, n_points)
+        times = gen.uniform(0.0, 5.0, n_points)
 
         def everything():
             m = HawkesIntensity(params, history, background=bg)
@@ -293,6 +302,68 @@ class TestHawkesProtocol:
             monkeypatch.setattr(intensity, "_CHUNK_BYTES", budget)
             for a, b in zip(one, everything()):
                 assert np.array_equal(a, b)
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_history=st.sampled_from([1, 2, 30, 150]),
+           n_points=st.sampled_from([1, 7, 64, 129, 257, 300]),
+           span_rows=st.sampled_from([1, 2, None]), ties=st.booleans(),
+           k_zero=st.booleans(), kernel_bg=st.booleans())
+    def test_rate_and_integral_match_dense_sums(self, dense_hawkes, seed, n_history,
+                                                n_points, span_rows, ties, k_zero,
+                                                kernel_bg):
+        gen = np.random.default_rng(seed)
+        times = np.sort(gen.uniform(0.0, 5.0, n_history))
+        if ties:
+            times = np.floor(times * 2.0) / 2.0
+        history = Catalog(times, gen.uniform(0.0, 1.0, n_history),
+                          gen.uniform(0.0, 1.0, n_history),
+                          gen.uniform(4.0, 6.0, n_history), 5.0, 4.0)
+        params = HawkesParams(mu=3e-4, k=0.0 if k_zero else 0.004, c=0.1, p=1.5,
+                              a=1.0, d=0.5, q=1.8, m0=4.0)
+        bg = KernelIntensity(history.lons[:3], history.lats[:3], d=5.0, scale=0.3) \
+            if kernel_bg else None
+        m = HawkesIntensity(params, history, background=bg)
+        lons, lats = gen.uniform(0.0, 1.0, n_points), gen.uniform(0.0, 1.0, n_points)
+        # unsorted, some at history times (excluded: strictly earlier only),
+        # some before the first event and after the last
+        qt = gen.uniform(-1.0, 6.0, n_points)
+        at_event = gen.random(n_points) < 0.3
+        qt[at_event] = gen.choice(history.times, int(at_event.sum()))
+        t_end = float(gen.choice([gen.uniform(-1.0, 6.0), gen.choice(history.times)]))
+        with pytest.MonkeyPatch.context() as mp:
+            if span_rows is not None:
+                # spans of one or two _ROW_ALIGN rows: more than 3 blocks
+                mp.setattr(intensity, "_CHUNK_BYTES",
+                           8 * span_rows * intensity._ROW_ALIGN * history.n)
+            dense = dense_hawkes(m)
+            for got, want in [(m.rate_at(lons, lats, qt), dense.rate_at(lons, lats, qt)),
+                              (m.integrate(lons, lats, t_end),
+                               dense.integrate(lons, lats, t_end)),
+                              (m.integrate(lons, lats, qt), dense.integrate(lons, lats, qt))]:
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_rate_at_own_events_builds_only_the_causal_staircase(self, monkeypatch):
+        gen = np.random.default_rng(8)
+        n = 700
+        history = Catalog(np.sort(gen.uniform(0.0, 5.0, n)), gen.uniform(0.0, 1.0, n),
+                          gen.uniform(0.0, 1.0, n), gen.uniform(4.0, 6.0, n), 5.0, 4.0)
+        params = HawkesParams(mu=3e-4, k=0.004, c=0.1, p=1.5, a=1.0, d=0.5, q=1.8,
+                              m0=4.0)
+        built = []
+        km = intensity.km_distance
+
+        def counting(*args):
+            r = km(*args)
+            built.append(r.size)
+            return r
+
+        monkeypatch.setattr(intensity, "km_distance", counting)
+        HawkesIntensity(params, history).rate_at(history.lons, history.lats,
+                                                 history.times)
+        # the strictly-earlier pairs, plus at most _ROW_ALIGN columns a row
+        # of rounding; the dense rectangle would build n * n
+        assert 0 < sum(built) <= n * (n - 1) // 2 + n * intensity._ROW_ALIGN
 
 
 class TestBranchingRatio:
@@ -513,6 +584,36 @@ class TestFitMle:
         oracle = central_gradient(hawkes_objective(cat, region, 4.0, mode), theta)
         scale = np.maximum(np.abs(grad), 1e-6 * np.max(np.abs(grad)))
         assert np.max(np.abs(grad - oracle) / scale) < 1e-4
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([0, 1, 2, 7, 40]),
+           ties=st.booleans(), mode=st.sampled_from(["approx", "quadrature"]),
+           spread=st.sampled_from([0.3, 3.0]))
+    def test_score_reuses_buffers_exactly(self, score_oracle, seed, n, ties, mode,
+                                          spread):
+        region = Region.rectangle(0.0, 1.0, 0.0, 1.0)
+        gen = np.random.default_rng(seed)
+        times = gen.uniform(0.0, 10.0, n)
+        if ties:
+            times = np.floor(times)
+        cat = Catalog(times, gen.uniform(0.0, 1.0, n), gen.uniform(0.0, 1.0, n),
+                      gen.uniform(4.0, 6.0, n), 10.0, 4.0)
+        base = hawkes_pack(HawkesParams(mu=1e-4, k=0.004, c=0.04, p=1.4, a=0.9,
+                                        d=0.6, q=1.7, m0=4.0))
+        score, oracle = hawkes_score(cat, region, 4.0, mode), score_oracle(cat, region, 4.0, mode)
+        # several evaluations of one closure, some of them non-finite
+        for _ in range(4):
+            theta = base + gen.normal(0.0, spread, size=7)
+            try:
+                want_value, want_grad = oracle(theta)
+            except OverflowError:
+                # a Python float power overflowed; the closure raises alike
+                with pytest.raises(OverflowError):
+                    score(theta)
+                continue
+            value, grad = score(theta)
+            assert value == want_value
+            assert np.array_equal(grad, want_grad, equal_nan=True)
 
     def test_pack_unpack_round_trip(self):
         p = HawkesParams(mu=0.1, k=0.05, c=0.01, p=1.2, a=1.0, d=1.0, q=1.5,

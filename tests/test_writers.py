@@ -20,6 +20,7 @@ from eqassess import (Catalog, CellResidualSet, ErrorDiagram, KFunctionCurve,
                       render_k_curve, render_map, render_point_map, results_to_csv,
                       serialize_catalog, serialize_forecast, serialize_region)
 from eqassess.catalog import _stack_rings, csv_text
+from eqassess.residuals import cell_value_texts
 from eqassess import consistency
 from eqassess.consistency import sims_to_csv
 from eqassess.render import _diverging_colors, _pairs, _to_px
@@ -164,12 +165,19 @@ def _cell_set(data, elements=coord):
         data.draw(floats(n)), np.zeros(n, dtype=int))
 
 
+def assert_cell_writers_match(writer_oracles, rs):
+    """Both cell writers, each formatting its own value column and both
+    sharing one from cell_value_texts."""
+    for texts in (None, cell_value_texts(rs)):
+        assert cell_residuals_to_csv(rs, texts) == writer_oracles.cell_residuals_to_csv(rs)
+        assert (cell_residuals_to_geojson(rs, texts)
+                == writer_oracles.cell_residuals_to_geojson(rs))
+
+
 @settings_
 @given(st.data())
 def test_cell_residual_writers_match(writer_oracles, data):
-    rs = _cell_set(data, finite_float)
-    assert cell_residuals_to_csv(rs) == writer_oracles.cell_residuals_to_csv(rs)
-    assert cell_residuals_to_geojson(rs) == writer_oracles.cell_residuals_to_geojson(rs)
+    assert_cell_writers_match(writer_oracles, _cell_set(data, finite_float))
 
 
 @settings_
@@ -230,8 +238,7 @@ def _pool_cells(data, elements):
 def test_cell_writers_match_on_repeated_values(writer_oracles, data):
     # GeoJSON coordinates may be non-finite (json's NaN and Infinity); the
     # SVG's bounding box needs finite ones
-    rs = _pool_cells(data, pool_value)
-    assert cell_residuals_to_geojson(rs) == writer_oracles.cell_residuals_to_geojson(rs)
+    assert_cell_writers_match(writer_oracles, _pool_cells(data, pool_value))
     rs = _pool_cells(data, pool_float)
     assert render_map(rs) == writer_oracles.render_map(rs)
 
@@ -264,8 +271,8 @@ def test_repeated_values_literal(writer_oracles):
     rs = CellResidualSet("raw", np.array([-0.0, 0.0, NAN_PAYLOADS[0], NAN_PAYLOADS[1]]),
                          np.zeros(4, dtype=bool), [ring, ring[::-1], ring, ring[1:]],
                          np.zeros(4), np.zeros(4, dtype=int))
+    assert_cell_writers_match(writer_oracles, rs)
     text = cell_residuals_to_geojson(rs)
-    assert text == writer_oracles.cell_residuals_to_geojson(rs)
     assert text.count("[-0.0,0.0]") == 5 and text.count("[0.0,-0.0]") == 5
     assert text.count('"value":-0.0') == 1 and text.count('"value":null') == 2
     assert render_map(rs) == writer_oracles.render_map(rs)
