@@ -3,7 +3,8 @@
 Generates one benchmark workload's inputs for a seed (with the workload
 definitions of bench/workloads.py, imported read-only), runs the workload's
 commands once against each tree, and prints the SHA-256 of every artifact
-with `match` or `MISMATCH`. Both runs use the same input and output paths,
+with `match` or `MISMATCH`; a mismatching CSV file also gets the largest
+relative difference in each of its numeric columns. Both runs use the same input and output paths,
 because each manifest echoes the paths it was given; the output directory
 is emptied between them. Exits 1 on any mismatch, in a file or in a
 command's exit code.
@@ -19,6 +20,7 @@ directory that is removed afterwards.
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -55,15 +57,56 @@ def run_tree(src: str, commands: list) -> list:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def digests(out: str) -> dict:
-    """SHA-256 of every file under out, by path relative to out."""
+def contents(out: str) -> dict:
+    """The bytes of every file under out, by path relative to out."""
     found = {}
     for parent, _, files in os.walk(out):
         for name in files:
             path = os.path.join(parent, name)
             with open(path, "rb") as fh:
-                found[os.path.relpath(path, out)] = hashlib.sha256(fh.read()).hexdigest()
+                found[os.path.relpath(path, out)] = fh.read()
     return found
+
+
+def _numeric_fields(text: str) -> dict:
+    """Each `# name = value` comment and each column whose every entry
+    parses as a float, by name, as a list of floats."""
+    fields, rows = {}, []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            name, _, value = line[1:].partition("=")
+            try:
+                fields["# " + name.strip()] = [float(value)]
+            except ValueError:
+                pass
+        else:
+            rows.append(line.split(","))
+    header, body = (rows[0], rows[1:]) if rows else ([], [])
+    for k, name in enumerate(header):
+        try:
+            fields[name] = [float(row[k]) for row in body]
+        except (ValueError, IndexError):
+            pass
+    return fields
+
+
+def _relative_difference(x: float, y: float) -> float:
+    """|x - y| / max(|x|, |y|): 0 for equal values (two nans included), inf
+    where only one side is finite or a nan."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def csv_drift(base: str, head: str) -> dict:
+    """The largest relative difference in each numeric field (column or
+    `#` comment) of two CSV texts, for the fields both have with the same
+    number of values."""
+    a, b = _numeric_fields(base), _numeric_fields(head)
+    return {name: max(map(_relative_difference, a[name], b[name]), default=0.0)
+            for name in a if name in b and len(a[name]) == len(b[name])}
 
 
 def compare(workload, seed: int, base: str, head: str, work: str) -> int:
@@ -77,7 +120,7 @@ def compare(workload, seed: int, base: str, head: str, work: str) -> int:
     for src in (base, head):
         shutil.rmtree(out, ignore_errors=True)
         codes = run_tree(src, commands)
-        sides.append((codes, digests(out)))
+        sides.append((codes, contents(out)))
     (codes_a, files_a), (codes_b, files_b) = sides
     bad = 0
     for (op, _), a, b in zip(ops, codes_a, codes_b):
@@ -85,12 +128,17 @@ def compare(workload, seed: int, base: str, head: str, work: str) -> int:
             bad += 1
             print(f"MISMATCH exit {op}: base={a} head={b}")
     for name in sorted(set(files_a) | set(files_b)):
-        a, b = files_a.get(name, "missing"), files_b.get(name, "missing")
+        a, b = (hashlib.sha256(files[name]).hexdigest() if name in files else "missing"
+                for files in (files_a, files_b))
         if a == b:
             print(f"match    {name} {a}")
-        else:
-            bad += 1
-            print(f"MISMATCH {name} base={a} head={b}")
+            continue
+        bad += 1
+        line = f"MISMATCH {name} base={a} head={b}"
+        if name.endswith(".csv") and name in files_a and name in files_b:
+            drift = csv_drift(files_a[name].decode(), files_b[name].decode())
+            line += " max rel diff: " + ", ".join(f"{col} {v:.2g}" for col, v in drift.items())
+        print(line)
     print(f"{workload.name} seed {seed}: {len(files_a | files_b)} artifacts, "
           f"{bad} mismatch{'es' if bad != 1 else ''}")
     return 1 if bad else 0

@@ -20,12 +20,24 @@ import numpy as np
 KM_PER_DEG = 111.32
 
 
+def km_distance2(lon1, lat1, lon2, lat2):
+    """Squared planar km distance, equirectangular at the pair's mean latitude.
+
+    cos of the mean latitude is cos(a/2) cos(b/2) - sin(a/2) sin(b/2), each
+    factor taken on its own argument's shape: an outer call (m x 1 against
+    1 x n) takes m + n cosines and m + n sines, not m * n cosines."""
+    half1 = np.radians(0.5 * np.asarray(lat1, dtype=float))
+    half2 = np.radians(0.5 * np.asarray(lat2, dtype=float))
+    dx = (KM_PER_DEG * np.cos(half1)) * np.cos(half2)
+    dx -= (KM_PER_DEG * np.sin(half1)) * np.sin(half2)
+    dx = dx * (np.asarray(lon2, dtype=float) - np.asarray(lon1, dtype=float))
+    dy = KM_PER_DEG * (np.asarray(lat2, dtype=float) - np.asarray(lat1, dtype=float))
+    return dx * dx + dy * dy
+
+
 def km_distance(lon1, lat1, lon2, lat2):
-    """Planar km distance between points, equirectangular at the pair's mean latitude."""
-    lat_mid = np.radians(0.5 * (np.asarray(lat1) + np.asarray(lat2)))
-    dx = KM_PER_DEG * np.cos(lat_mid) * (np.asarray(lon2) - np.asarray(lon1))
-    dy = KM_PER_DEG * (np.asarray(lat2) - np.asarray(lat1))
-    return np.hypot(dx, dy)
+    """Planar km distance between points: the square root of km_distance2."""
+    return np.sqrt(km_distance2(lon1, lat1, lon2, lat2))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .catalog import Catalog, Region, km_distance, region_lattice
+from .catalog import Catalog, Region, km_distance, km_distance2, region_lattice
 from .forecast import GriddedForecast, marginal_space
 from .rng import RngStream
 
@@ -245,7 +245,9 @@ class HawkesIntensity:
         blocks. A block builds the kernel only over the first n history
         events: n is the block's longest strictly-earlier prefix, rounded up
         to a multiple of _ROW_ALIGN (at most history.n), so a point's sum
-        does not depend on the block it falls in.
+        does not depend on the block it falls in. Each block's kernel is
+        built in place in the one buffer km_distance2 returns; lag_kernel
+        may overwrite the lags it is given.
         """
         p = self.params
         h = self.history
@@ -265,17 +267,18 @@ class HawkesIntensity:
         for lo, hi in _row_spans(lons.size, h.n):
             rows = order[lo:hi]
             n = min(-(-int(prefix[hi - 1]) // _ROW_ALIGN) * _ROW_ALIGN, h.n)
-            dt = times[rows, None] - h.times[:n]
-            r = km_distance(lons[rows, None], lats[rows, None], h.lons[:n], h.lats[:n])
-            out[rows] = (lag_kernel(dt) * (r * r + p.d) ** -p.q) @ prod[:n]
+            kernel = km_distance2(lons[rows, None], lats[rows, None], h.lons[:n], h.lats[:n])
+            np.power(np.add(kernel, p.d, out=kernel), -p.q, out=kernel)
+            kernel *= lag_kernel(times[rows, None] - h.times[:n])
+            out[rows] = kernel @ prod[:n]
         return bg, out
 
     def rate_at(self, lons, lats, times):
         p = self.params
 
         def lag(dt):
-            active = dt > 0
-            return np.where(active, (np.where(active, dt, 1.0) + p.c) ** -p.p, 0.0)
+            np.copyto(dt, np.inf, where=dt <= 0)  # (inf + c)^-p is exactly 0
+            return np.power(np.add(dt, p.c, out=dt), -p.p, out=dt)
 
         bg, trig = self._parts(lons, lats, times, lag)
         return bg + trig
@@ -529,14 +532,14 @@ def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") ->
     distances, and the region-clipping geometry are precomputed once, and
     every pair-sized temporary is written into buffers allocated once, so
     an evaluation allocates no pair-sized memory. A parameter vector that
-    does not unpack, or gives a non-finite value, scores inf with a nan
-    gradient.
+    does not unpack, overflows a float power or gives a non-finite value
+    scores inf with a nan gradient.
     """
     if mode not in ("approx", "quadrature"):
         raise ValueError(f"unknown integral mode {mode!r}")
     earlier, later = _earlier_pairs(c.times)
     dt = c.times[later] - c.times[earlier]
-    r2 = km_distance(c.lons[earlier], c.lats[earlier], c.lons[later], c.lats[later]) ** 2
+    r2 = km_distance2(c.lons[earlier], c.lats[earlier], c.lons[later], c.lats[later])
     dmag = c.mags - m0
     left = c.window_days - c.times
     at = region.area_km2 * c.window_days
@@ -546,11 +549,7 @@ def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") ->
     # here is in range
     log_lag, log_dist, term, w, tmp = np.empty((5, earlier.size))
 
-    def score(theta: np.ndarray):
-        try:
-            prm = hawkes_unpack(theta, m0)
-        except (OverflowError, ValueError):
-            return math.inf, np.full(7, np.nan)
+    def evaluate(prm: HawkesParams):
         mu, k, cc, p, a, d, q = prm.mu, prm.k, prm.c, prm.p, prm.a, prm.d, prm.q
         with np.errstate(all="ignore"):
             np.log(np.add(dt, cc, out=log_lag), out=log_lag)
@@ -598,6 +597,12 @@ def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") ->
                 (q - 1.0) * w_log_dist + np.sum(prod * ti * mass_q),
             ])
         return value, grad
+
+    def score(theta: np.ndarray):
+        try:
+            return evaluate(hawkes_unpack(theta, m0))
+        except (OverflowError, ValueError):
+            return math.inf, np.full(7, np.nan)
 
     return score
 

@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.special import chdtrc
-from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .catalog import (_FIELD, BinGrid, Catalog, Region, _fill_rings, _format_distinct,
                       _stack_rings, bin_counts, csv_text, empty_catalog, region_lattice)
@@ -424,6 +423,7 @@ def voronoi_tessellation(lons, lats, region: Region) -> VoronoiTessellation:
     alone. Exactly coincident generators are separated
     by deterministic 1e-9-degree nudges.
     """
+    from scipy.spatial import Delaunay, QhullError  # on first use: `test` never pays its 0.15 s
     lons = np.atleast_1d(np.asarray(lons, dtype=float)).copy()
     lats = np.atleast_1d(np.asarray(lats, dtype=float)).copy()
     if lons.size == 0:
@@ -484,6 +484,7 @@ def voronoi_residuals(model, c: Catalog, region: Region,
     (model.integrate) over the cell by lattice quadrature, owned lattice
     points decided by nearest generator. Zero-mass cells are flagged.
     """
+    from scipy.spatial import cKDTree  # loaded on first use, as in voronoi_tessellation
     if c.n == 0:
         raise ValueError("voronoi residuals need at least one event")
     tess = voronoi_tessellation(c.lons, c.lats, region)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .catalog import Catalog, Region, csv_text, region_lattice
 from .forecast import GriddedForecast, marginal_space
@@ -40,6 +39,7 @@ def _weighted_k_values(x, y, weights, lags):
     (w = 1 if weights is None). A k-d tree finds the pairs within the largest
     lag, in memory O(those pairs); binning each pair's np.hypot distance by
     the sorted lags gives every lag exactly the pairs with d_ij <= h."""
+    from scipy.spatial import cKDTree  # on first use, as in residuals.voronoi_tessellation
     order = np.argsort(lags)
     # the hair keeps the tree's squared-distance test a superset of hypot's
     reach = np.nextafter(lags.max(initial=0.0), np.inf) * (1.0 + 1e-9)

@@ -4,9 +4,24 @@ import numpy as np
 import pytest
 
 from eqassess import BinGrid, Catalog, Region
-from eqassess.catalog import km_distance
+from eqassess.catalog import KM_PER_DEG, km_distance2
 from eqassess.intensity import (_ClippedMass, _earlier_pairs, _row_spans, hawkes_unpack,
                                 spatial_mass, temporal_mass)
+
+
+def km_distance_reference(lon1, lat1, lon2, lat2):
+    """Reference for catalog.km_distance: the cosine of each pair's mean
+    latitude, then np.hypot, the formula km_distance2's per-point factors
+    replaced."""
+    lat_mid = np.radians(0.5 * (np.asarray(lat1) + np.asarray(lat2)))
+    dx = KM_PER_DEG * np.cos(lat_mid) * (np.asarray(lon2) - np.asarray(lon1))
+    dy = KM_PER_DEG * (np.asarray(lat2) - np.asarray(lat1))
+    return np.hypot(dx, dy)
+
+
+@pytest.fixture(scope="session")
+def km_oracle():
+    return km_distance_reference
 
 
 @pytest.fixture
@@ -194,9 +209,9 @@ class DenseHawkes:
         prod = m._productivity()
         for lo, hi in _row_spans(lons.size, h.n):
             dt = times[lo:hi, None] - h.times[None, :]
-            r = km_distance(lons[lo:hi, None], lats[lo:hi, None],
-                            h.lons[None, :], h.lats[None, :])
-            out[lo:hi] = (lag_kernel(dt) * (r * r + p.d) ** -p.q) @ prod
+            r2 = km_distance2(lons[lo:hi, None], lats[lo:hi, None],
+                              h.lons[None, :], h.lats[None, :])
+            out[lo:hi] = (lag_kernel(dt) * (r2 + p.d) ** -p.q) @ prod
         return bg, out
 
     def rate_at(self, lons, lats, times):
@@ -226,7 +241,7 @@ def allocating_hawkes_score(c, region, m0, mode="approx"):
     pair-sized temporaries afresh on every evaluation."""
     earlier, later = _earlier_pairs(c.times)
     dt = c.times[later] - c.times[earlier]
-    r2 = km_distance(c.lons[earlier], c.lats[earlier], c.lons[later], c.lats[later]) ** 2
+    r2 = km_distance2(c.lons[earlier], c.lats[earlier], c.lons[later], c.lats[later])
     dmag = c.mags - m0
     left = c.window_days - c.times
     at = region.area_km2 * c.window_days

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from eqassess import (BinGrid, Catalog, Region, bin_counts, empty_catalog,
                       filter_catalog, km_distance, parse_catalog, parse_region,
                       region_lattice, serialize_catalog, serialize_region)
-from eqassess.catalog import KM_PER_DEG
+from eqassess.catalog import KM_PER_DEG, km_distance2
 
 # 80 x 50 disjoint unit boxes east of lon 10, lon-fastest
 _FILLERS = BinGrid.regular(np.arange(10.0, 91.0), np.arange(0.0, 51.0),
@@ -59,6 +59,30 @@ class TestKmDistance:
         assert km_distance(3.0, 4.0, 3.0, 4.0) == 0.0
         assert km_distance(1.0, 2.0, 3.0, 4.0) == pytest.approx(
             km_distance(3.0, 4.0, 1.0, 2.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(coords=st.lists(st.tuples(st.floats(-180.0, 180.0), st.floats(-80.0, 80.0)),
+                           min_size=2, max_size=12),
+           pick=st.lists(st.integers(0, 11), min_size=2, max_size=12))
+    def test_matches_per_pair_cosine_reference(self, km_oracle, coords, pick):
+        # coordinates at 1e-9 degree resolution: a nonzero separation is
+        # then far above the range where squaring it would underflow
+        pts = np.round(np.array(coords), 9)
+        # the second points are drawn from the first, so some pairs coincide
+        # (where the reference is 0, the tolerance then asks for exactly 0)
+        other = pts[np.resize(np.array(pick) % len(pts), len(pts))]
+        lon, lat, olon, olat = pts[:, 0], pts[:, 1], other[:, 0], other[:, 1]
+        cases = [(lon[0], lat[0], olon[0], olat[0]),          # scalars
+                 (lon, lat, olon, olat),                      # equal-length pairs
+                 (lon[:, None], lat[:, None], olon[None, :], olat[None, :])]  # outer
+        for args in cases:
+            want = km_oracle(*args)
+            np.testing.assert_allclose(km_distance2(*args), want * want, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(km_distance(*args), want, rtol=1e-13, atol=0.0)
+        # a point against itself is exactly 0, in every pairing
+        assert np.all(km_distance2(lon, lat, lon, lat) == 0.0)
+        assert np.all(np.diagonal(km_distance2(lon[:, None], lat[:, None],
+                                               lon[None, :], lat[None, :])) == 0.0)
 
 
 class TestRegion:

@@ -497,11 +497,14 @@ def test_fit_takes_no_n_grid(paths):
     assert rc == 2
 
 
-def test_import_leaves_scipy_stats_and_optimize_unloaded():
-    """scipy.stats costs every process about 0.5 s at start-up and
-    scipy.optimize about 0.1 s; only a fit loads the optimizer."""
+def test_import_leaves_scipy_stats_optimize_and_spatial_unloaded():
+    """scipy.stats costs every process about 0.5 s at start-up,
+    scipy.optimize about 0.1 s and scipy.spatial about 0.15 s; only a fit
+    loads the optimizer, and only tessellations and K pair counts the
+    spatial trees."""
     code = ("import sys, eqassess.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.spatial') "
+            "if m in sys.modules))")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -351,14 +351,14 @@ class TestHawkesProtocol:
         params = HawkesParams(mu=3e-4, k=0.004, c=0.1, p=1.5, a=1.0, d=0.5, q=1.8,
                               m0=4.0)
         built = []
-        km = intensity.km_distance
+        km2 = intensity.km_distance2
 
         def counting(*args):
-            r = km(*args)
-            built.append(r.size)
-            return r
+            r2 = km2(*args)
+            built.append(r2.size)
+            return r2
 
-        monkeypatch.setattr(intensity, "km_distance", counting)
+        monkeypatch.setattr(intensity, "km_distance2", counting)
         HawkesIntensity(params, history).rate_at(history.lons, history.lats,
                                                  history.times)
         # the strictly-earlier pairs, plus at most _ROW_ALIGN columns a row
@@ -607,13 +607,18 @@ class TestFitMle:
             try:
                 want_value, want_grad = oracle(theta)
             except OverflowError:
-                # a Python float power overflowed; the closure raises alike
-                with pytest.raises(OverflowError):
-                    score(theta)
-                continue
+                # a Python float power overflowed; the closure scores inf
+                want_value, want_grad = math.inf, np.full(7, np.nan)
             value, grad = score(theta)
             assert value == want_value
             assert np.array_equal(grad, want_grad, equal_nan=True)
+
+    def test_score_is_inf_where_a_float_power_overflows(self, small_catalog, unit_region):
+        # c = 0.01 and p = 201 give c ** (1 - p) = 1e400 in temporal_mass
+        theta = np.array([-5.0, -3.0, math.log(0.01), math.log(200.0), 0.0, 0.0, 0.0])
+        value, grad = hawkes_score(small_catalog, unit_region, 4.0)(theta)
+        assert value == math.inf
+        assert np.isnan(grad).all()
 
     def test_pack_unpack_round_trip(self):
         p = HawkesParams(mu=0.1, k=0.05, c=0.01, p=1.2, a=1.0, d=1.0, q=1.5,
