@@ -4,9 +4,12 @@ Generates one benchmark workload's inputs for a seed (with the workload
 definitions of bench/workloads.py, imported read-only), runs the workload's
 commands once against each tree, and prints the SHA-256 of every artifact
 with `match` or `MISMATCH`; a mismatching CSV file also gets the largest
-relative difference in each of its numeric columns. Both runs use the same input and output paths,
-because each manifest echoes the paths it was given; the output directory
-is emptied between them. Exits 1 on any mismatch, in a file or in a
+relative difference in each of its numeric columns, and a mismatching
+GeoJSON file of the same feature and ring sizes the largest absolute
+coordinate difference and the largest relative difference of each numeric
+property (otherwise "shapes differ"). Both runs use the same input and
+output paths, because each manifest echoes the paths it was given; the
+output directory is emptied between them. Exits 1 on any mismatch, in a file or in a
 command's exit code.
 
     python scripts/compare_outputs.py --workload grid-diagnostics --seed 7 \\
@@ -90,14 +93,19 @@ def _numeric_fields(text: str) -> dict:
     return fields
 
 
-def _relative_difference(x: float, y: float) -> float:
-    """|x - y| / max(|x|, |y|): 0 for equal values (two nans included), inf
-    where only one side is finite or a nan."""
+def _absolute_difference(x: float, y: float) -> float:
+    """|x - y|: 0 for equal values (two nans included), inf where only one
+    side is finite or a nan."""
     if x == y or (math.isnan(x) and math.isnan(y)):
         return 0.0
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return math.inf
-    return abs(x - y) / max(abs(x), abs(y))
+    return abs(x - y) if math.isfinite(x) and math.isfinite(y) else math.inf
+
+
+def _relative_difference(x: float, y: float) -> float:
+    """_absolute_difference(x, y) / max(|x|, |y|), where that is finite and
+    nonzero."""
+    d = _absolute_difference(x, y)
+    return d / max(abs(x), abs(y)) if 0.0 < d < math.inf else d
 
 
 def csv_drift(base: str, head: str) -> dict:
@@ -107,6 +115,41 @@ def csv_drift(base: str, head: str) -> dict:
     a, b = _numeric_fields(base), _numeric_fields(head)
     return {name: max(map(_relative_difference, a[name], b[name]), default=0.0)
             for name in a if name in b and len(a[name]) == len(b[name])}
+
+
+def _numbers(x, out: list):
+    """Append the numbers of the nested lists x to out, in order, and
+    return x's shape: None for a number, else the list of its items'
+    shapes."""
+    if isinstance(x, list):
+        return [_numbers(v, out) for v in x]
+    out.append(x)
+    return None
+
+
+def _is_number(v) -> bool:
+    return v is None or (isinstance(v, (int, float)) and not isinstance(v, bool))
+
+
+def geojson_drift(base: str, head: str):
+    """For two GeoJSON FeatureCollection texts of the same feature count
+    and geometry shapes: the largest absolute coordinate difference, under
+    "coordinates", and the largest relative difference of each property
+    that is numeric (or null) in every feature of both. None where the
+    shapes differ."""
+    feats = [json.loads(text)["features"] for text in (base, head)]
+    coords = ([], [])
+    shapes = [[(f["geometry"]["type"], _numbers(f["geometry"]["coordinates"], out)) for f in fs]
+              for fs, out in zip(feats, coords)]
+    if shapes[0] != shapes[1]:
+        return None
+    drift = {"coordinates": max(map(_absolute_difference, *coords), default=0.0)}
+    for name in sorted(feats[0][0]["properties"] if feats[0] else ()):
+        columns = [[f["properties"].get(name) for f in fs] for fs in feats]
+        if all(map(_is_number, columns[0] + columns[1])):
+            nan = [[math.nan if v is None else v for v in col] for col in columns]
+            drift[name] = max(map(_relative_difference, *nan), default=0.0)
+    return drift
 
 
 def compare(workload, seed: int, base: str, head: str, work: str) -> int:
@@ -138,6 +181,11 @@ def compare(workload, seed: int, base: str, head: str, work: str) -> int:
         if name.endswith(".csv") and name in files_a and name in files_b:
             drift = csv_drift(files_a[name].decode(), files_b[name].decode())
             line += " max rel diff: " + ", ".join(f"{col} {v:.2g}" for col, v in drift.items())
+        if name.endswith(".geojson") and name in files_a and name in files_b:
+            drift = geojson_drift(files_a[name].decode(), files_b[name].decode())
+            line += " shapes differ" if drift is None else (
+                f" max abs coordinate diff {drift.pop('coordinates'):.2g}, max rel diff: "
+                + ", ".join(f"{prop} {v:.2g}" for prop, v in drift.items()))
         print(line)
     print(f"{workload.name} seed {seed}: {len(files_a | files_b)} artifacts, "
           f"{bad} mismatch{'es' if bad != 1 else ''}")

@@ -72,13 +72,16 @@ class RunConfig:
 # option name -> converter; shared across commands
 _CONVERTERS = {
     "seed": int, "jobs": int, "restarts": int, "max_iter": int,
-    "n_grid": int, "n_sim": int, "n_sub": int,
+    "n_grid": int, "n_sim": int,
     "rate": float, "window": float, "mag": float, "gr_b": float,
     "mag_span": float, "k": float, "level": float, "gtol": float,
     "sims_out": None, "plots": None, "envelope": None,  # booleans
 }
 
 _BOOL_KEYS = {"sims_out", "plots", "envelope"}
+
+# count option name -> its least value; a smaller one is a usage error
+_LEAST = {"jobs": 1, "n_grid": 1, "n_sim": 1, "max_iter": 1, "restarts": 0}
 
 
 def _to_bool(v) -> bool:
@@ -140,12 +143,12 @@ def _resolve(command: str, args: argparse.Namespace, allowed: set) -> RunConfig:
         if v is not None:
             merged[key] = v
     options = {k: _convert(k, v) for k, v in merged.items()}
+    for key, least in _LEAST.items():
+        if options.get(key, least) < least:
+            raise ConfigError(f"--{key.replace('_', '-')} must be at least {least}")
     out_dir = str(options.pop("out", "out"))
     seed = int(options.pop("seed", 0))
-    jobs = int(options.pop("jobs", 1))
-    if jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
-    return RunConfig(command, out_dir, seed, jobs, options)
+    return RunConfig(command, out_dir, seed, options.pop("jobs", 1), options)
 
 
 def _replace_file(path: str, data: bytes) -> None:

@@ -9,6 +9,7 @@ Voronoi) compare observed and integrated-expected counts per region cell.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -315,34 +316,40 @@ COINCIDENT_NUDGE_DEG = 1e-9  # step between exactly coincident generators
 MAX_COINCIDENT = 1000
 
 
-def _clip_halfplane(poly: np.ndarray, normal: np.ndarray, offset: float,
-                    keep_le: bool) -> np.ndarray:
-    """Sutherland-Hodgman clip of a polygon against n.x <= c (or >= c).
-    The vertex walk runs on Python floats, which round each operation as
-    numpy does."""
-    if poly.shape[0] == 0:
-        return poly
-    d = poly @ normal - offset
-    inside = d <= 0 if keep_le else d >= 0
-    if inside.all():
-        return poly
-    d, inside, verts = d.tolist(), inside.tolist(), poly.tolist()
-    out = []
-    for i in range(len(verts)):
-        j = i + 1 if i + 1 < len(verts) else 0
-        if inside[i]:
-            out.append(verts[i])
-        if inside[i] != inside[j]:
-            t = d[i] / (d[i] - d[j])
-            (xi, yi), (xj, yj) = verts[i], verts[j]
-            out.append([xi + t * (xj - xi), yi + t * (yj - yi)])
-    return np.array(out) if out else np.empty((0, 2))
+def _clip_rings(xy, counts, normal, offset, keep_le):
+    """Sutherland-Hodgman clip of k rings at once, each by its own line.
+
+    Ring r is xy[r, :counts[r]] of the padded (k, cap, 2) array. It keeps
+    the side n.p <= c of the line n = normal[r], c = offset[r] where
+    keep_le[r] holds, and n.p >= c elsewhere. Returns the clipped rings as
+    (xy, counts), padded to the longest. Each ring is the vertex walk's:
+    every kept vertex, each followed by the crossing on the edge to the
+    next vertex where one end is kept and the other not, at
+    xi + t * (xj - xi) with t = di / (di - dj). Output slots are the
+    running count of those emits. Side values are x * nx + y * ny - c
+    elementwise, so a vertex's value depends on neither its ring's length
+    nor the padding.
+    """
+    d = xy[..., 0] * normal[:, :1] + xy[..., 1] * normal[:, 1:] - offset[:, None]
+    slot = np.arange(xy.shape[1])
+    valid = slot < counts[:, None]
+    inside = valid & np.where(keep_le[:, None], d <= 0, d >= 0)
+    nxt = np.where(slot + 1 < counts[:, None], slot + 1, 0)
+    cross = valid & (inside != np.take_along_axis(inside, nxt, axis=1))
+    emit = inside + cross.astype(np.intp)
+    end, sizes = np.cumsum(emit, axis=1), emit.sum(axis=1)
+    out = np.zeros((len(xy), sizes.max(initial=0), 2))
+    r, i = np.nonzero(inside)
+    out[r, end[r, i] - emit[r, i]] = xy[r, i]
+    (r, i), j = np.nonzero(cross), nxt[cross]
+    t = d[r, i] / (d[r, i] - d[r, j])
+    out[r, end[r, i] - 1] = xy[r, i] + t[:, None] * (xy[r, j] - xy[r, i])
+    return out, sizes
 
 
-def _poly_areas(polys: list) -> np.ndarray:
-    """Shoelace areas of all polygons in one pass over their stacked
-    vertices; a polygon with fewer than 3 vertices has area 0."""
-    xy, sizes = _stack_rings(polys)
+def _poly_areas(xy, sizes) -> np.ndarray:
+    """Shoelace areas of stacked polygons (see _stack_rings) in one pass; a
+    polygon with fewer than 3 vertices has area 0."""
     full = sizes >= 3
     areas = np.zeros(sizes.size)
     if full.any():
@@ -391,20 +398,54 @@ def tessellation_to_geojson(tess: VoronoiTessellation) -> str:
     return geojson_features(*_stack_rings(tess.polys_lonlat()), _tessellation_columns(tess))
 
 
-def _clip_bisector(poly: np.ndarray, pts: np.ndarray, i: int, j: int) -> np.ndarray:
-    """The part of poly on generator i's side of its bisector with j. The
-    line is computed from the pair (lo, hi), so both cells cut along the
-    same floats."""
-    lo, hi = (i, j) if i < j else (j, i)
-    normal = pts[hi] - pts[lo]
-    offset = float(normal @ (0.5 * (pts[lo] + pts[hi])))
-    return _clip_halfplane(poly, normal, offset, keep_le=(i == lo))
+def _bisectors(pts, i, j):
+    """The bisector (normal, offset) of each pair of generators i, j, and
+    whether i keeps its side n.p <= c. The line is computed from the pair
+    (lo, hi), so both cells cut along the same floats."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    normal, mid = pts[hi] - pts[lo], 0.5 * (pts[lo] + pts[hi])
+    return normal, normal[:, 0] * mid[:, 0] + normal[:, 1] * mid[:, 1], i == lo
 
 
-def _reach2(poly: np.ndarray, p: np.ndarray) -> float:
-    """Squared distance from p to the farthest vertex of poly; 0 if empty."""
-    dx, dy = poly[:, 0] - p[0], poly[:, 1] - p[1]
-    return float((dx * dx + dy * dy).max(initial=0.0))
+def _d2(a, b):
+    """Squared planar distance dx * dx + dy * dy from points b to points a."""
+    dx, dy = a[..., 0] - b[..., 0], a[..., 1] - b[..., 1]
+    return dx * dx + dy * dy
+
+
+def _reach_sq(rings, counts, pts, cells):
+    """Squared distance from each cell's generator to the farthest vertex of
+    its ring; 0 for an empty ring."""
+    xy = rings[cells, :counts[cells].max(initial=0)]
+    valid = np.arange(xy.shape[1]) < counts[cells, None]
+    return np.where(valid, _d2(xy, pts[cells, None]), 0.0).max(axis=1, initial=0.0)
+
+
+def _cut_cells(rings, counts, pts, cell, other, stop: bool):
+    """Cut ring rings[cell] by its bisector with other, in rounds: round r
+    cuts every cell by its r-th pair in (d2, other) order. With stop, a
+    cell's cuts end at its first pair with 0.25 * d2 beyond its ring's
+    reach. Updates counts; returns the rings, widened as cuts need."""
+    d2 = _d2(pts[other], pts[cell])
+    order = np.lexsort((other, d2, cell))
+    cell, other, d2 = cell[order], other[order], d2[order]
+    rank = np.arange(cell.size) - np.searchsorted(cell, cell)
+    alive = np.ones(counts.size, dtype=bool)
+    for r in range(cell.size):
+        idx = np.flatnonzero((rank == r) & alive[cell])
+        if idx.size == 0:  # a cell with an r+1-th pair has an r-th
+            break
+        if stop:
+            within = 0.25 * d2[idx] <= _reach_sq(rings, counts, pts, cell[idx])
+            alive[cell[idx[~within]]] = False
+            idx = idx[within]
+        c = cell[idx]
+        xy, counts[c] = _clip_rings(rings[c, :counts[c].max(initial=0)], counts[c],
+                                    *_bisectors(pts, c, other[idx]))
+        if xy.shape[1] > rings.shape[1]:
+            rings = np.pad(rings, ((0, 0), (0, xy.shape[1] - rings.shape[1]), (0, 0)))
+        rings[c, :xy.shape[1]] = xy
+    return rings
 
 
 def voronoi_tessellation(lons, lats, region: Region) -> VoronoiTessellation:
@@ -420,24 +461,26 @@ def voronoi_tessellation(lons, lats, region: Region) -> VoronoiTessellation:
     point Qhull set aside, and every point when Qhull cannot triangulate
     (fewer than 3 or all collinear generators, or a simplex naming a point
     outside the input), has no neighbours and is cut by that second pass
-    alone. Exactly coincident generators are separated
-    by deterministic 1e-9-degree nudges.
+    alone. Each pass cuts all cells at once, one neighbour rank a round.
+    Exactly coincident generators are separated by deterministic
+    1e-9-degree nudges, a copy stepping on until no generator is there.
     """
-    from scipy.spatial import Delaunay, QhullError  # on first use: `test` never pays its 0.15 s
+    from scipy.spatial import Delaunay, QhullError, cKDTree  # here: `test` never pays its 0.15 s
     lons = np.atleast_1d(np.asarray(lons, dtype=float)).copy()
     lats = np.atleast_1d(np.asarray(lats, dtype=float)).copy()
     if lons.size == 0:
         raise ValueError("tessellation needs at least one generator")
-    seen: dict = {}
-    for i in range(lons.size):
-        key = (lons[i], lats[i])
-        k = seen.get(key, 0)
-        if k:
-            if k >= MAX_COINCIDENT:
-                raise ValueError(f"more than {MAX_COINCIDENT} coincident generators")
-            lons[i] += COINCIDENT_NUDGE_DEG * k
-            lats[i] += COINCIDENT_NUDGE_DEG * k
-        seen[key] = k + 1
+    keys = list(zip(lons.tolist(), lats.tolist()))
+    taken, seen = set(keys), {}
+    for i, (x, y) in enumerate(keys):
+        k, step = seen.get((x, y), (0, 0))
+        if k >= MAX_COINCIDENT:
+            raise ValueError(f"more than {MAX_COINCIDENT} coincident generators")
+        while k and (lons[i], lats[i]) in taken:
+            step += 1
+            lons[i], lats[i] = x + COINCIDENT_NUDGE_DEG * step, y + COINCIDENT_NUDGE_DEG * step
+        taken.add((lons[i], lats[i]))
+        seen[x, y] = (k + 1, step)
 
     pts = np.column_stack(region.to_km(lons, lats))
     n = pts.shape[0]
@@ -450,29 +493,29 @@ def voronoi_tessellation(lons, lats, region: Region) -> VoronoiTessellation:
         indptr, neighbours = tri.vertex_neighbor_vertices
     except QhullError:
         indptr, neighbours = np.zeros(n + 1, dtype=int), np.zeros(0, dtype=int)
-    polys = []
-    for i in range(n):
-        dx, dy = pts[:, 0] - pts[i, 0], pts[:, 1] - pts[i, 1]
-        d2 = dx * dx + dy * dy
-        first = np.sort(neighbours[indptr[i]:indptr[i + 1]])
-        poly = region.ring_km
-        for j in first[np.argsort(d2[first], kind="stable")]:
-            poly = _clip_bisector(poly, pts, i, j)
-        d2[first] = np.inf
-        d2[i] = np.inf
-        # the generators in reach whose bisector leaves a cell vertex on
-        # their side
-        near = np.flatnonzero(d2 <= 4.0 * _reach2(poly, pts[i]))
-        lo, hi = pts[np.minimum(near, i)], pts[np.maximum(near, i)]
-        normal = hi - lo
-        side = poly @ normal.T - np.sum(normal * (0.5 * (lo + hi)), axis=1)
-        cuts = near[(np.where(near > i, side, -side) > 0).any(axis=0)]
-        for j in cuts[np.argsort(d2[cuts], kind="stable")]:
-            if 0.25 * d2[j] > _reach2(poly, pts[i]):
-                break  # the remaining bisectors are out of reach
-            poly = _clip_bisector(poly, pts, i, j)
-        polys.append(poly)
-    return VoronoiTessellation(lons, lats, polys, _poly_areas(polys), region)
+    rings, counts = np.tile(region.ring_km, (n, 1, 1)), np.full(n, region.ring_km.shape[0])
+    cell = np.repeat(np.arange(n), np.diff(indptr))
+    rings = _cut_cells(rings, counts, pts, cell, neighbours, stop=False)
+    # the generators in reach, other than self and the Delaunay neighbours,
+    # whose bisector leaves a vertex of the cell on their side (the tree's
+    # radius is widened by 1e-9, so that its rounding loses none)
+    reach2 = _reach_sq(rings, counts, pts, np.arange(n))
+    near = cKDTree(pts).query_ball_point(pts, 2.0 * np.sqrt(reach2) * (1.0 + 1e-9))
+    i = np.repeat(np.arange(n), np.fromiter(map(len, near), np.intp, n))
+    j = np.fromiter(itertools.chain.from_iterable(near), np.intp, i.size)
+    del near  # a Python int per pair
+    keep = (j != i) & (_d2(pts[j], pts[i]) <= 4.0 * reach2[i]) \
+        & ~np.isin(i * n + j, cell * n + neighbours)
+    i, j = i[keep], j[keep]
+    normal, offset, keep_le = _bisectors(pts, i, j)
+    cuts = np.zeros(i.size, dtype=bool)
+    for s in range(rings.shape[1]):  # vertex by vertex: no (pairs x vertices) array
+        side = rings[i, s, 0] * normal[:, 0] + rings[i, s, 1] * normal[:, 1] - offset
+        cuts |= (s < counts[i]) & (np.where(keep_le, side, -side) > 0)
+    rings = _cut_cells(rings, counts, pts, i[cuts], j[cuts], stop=True)
+    xy = rings[np.arange(rings.shape[1]) < counts[:, None]]
+    return VoronoiTessellation(lons, lats, np.split(xy, np.cumsum(counts)[:-1]),
+                               _poly_areas(xy, counts), region)
 
 
 def voronoi_residuals(model, c: Catalog, region: Region,

@@ -90,11 +90,12 @@ def dense_pairs():
 
 
 def reference_clip_halfplane(poly, normal, offset, keep_le):
-    """Reference for residuals._clip_halfplane: the Sutherland-Hodgman walk
-    over numpy rows that the walk on Python floats replaced."""
+    """Reference for residuals._clip_rings: the Sutherland-Hodgman walk
+    over numpy rows of one ring, with side values x * nx + y * ny - c
+    taken elementwise."""
     if poly.shape[0] == 0:
         return poly
-    d = poly @ normal - offset
+    d = poly[:, 0] * normal[0] + poly[:, 1] * normal[1] - offset
     inside = d <= 0 if keep_le else d >= 0
     m = poly.shape[0]
     out = []

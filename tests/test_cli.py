@@ -273,6 +273,25 @@ def test_jobs_must_be_positive(paths):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["residuals", "--kind", "voronoi", "--params", "{params}"], "--n-grid", "0"),
+    (["residuals", "--kind", "voronoi", "--params", "{params}"], "--n-grid", "-3"),
+    (["errordiag", "--forecast", "{forecast}", "--window", "10"], "--n-grid", "0"),
+    (["kfn", "--forecast", "{forecast}", "--window", "10", "--envelope"], "--n-sim", "0"),
+    (["kfn", "--forecast", "{forecast}", "--window", "10", "--envelope"], "--n-sim", "-2"),
+    (["fit", "--family", "homogeneous"], "--max-iter", "0"),
+    (["fit", "--family", "homogeneous"], "--restarts", "-1"),
+])
+def test_count_option_below_its_least_is_usage_error(paths, capsys, argv, flag, value):
+    out = paths["dir"] / "x"
+    rc = main([a.format(**paths) for a in argv] + [
+        "--catalog", paths["catalog"], "--region", paths["region"],
+        flag, value, "--out", str(out)])
+    assert rc == 2
+    assert f"{flag} must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_catalog_is_data_error(paths):
     bad = paths["dir"] / "bad.csv"
     bad.write_text("time,lon,lat,mag\nnoon,0.5,0.5,4.0\n")

@@ -1,6 +1,8 @@
-"""scripts/compare_outputs.py's per-column drift of two CSV texts."""
+"""scripts/compare_outputs.py's drift reports: per CSV column, per GeoJSON
+coordinate and property."""
 
 import importlib.util
+import json
 import math
 import pathlib
 
@@ -29,3 +31,31 @@ def test_csv_drift_per_numeric_column():
 def test_csv_drift_skips_columns_of_another_length():
     drift = compare_outputs.csv_drift("x,y\n1,2\n", "x\n1\n3\n")
     assert drift == {}
+
+
+def _collection(rings, props):
+    return json.dumps({"features": [
+        {"geometry": {"coordinates": [ring], "type": "Polygon"}, "properties": p,
+         "type": "Feature"} for ring, p in zip(rings, props)], "type": "FeatureCollection"})
+
+
+def test_geojson_drift_of_coordinates_and_numeric_properties():
+    base = _collection([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], []],
+                       [{"area": 0.5, "id": 0, "flag": True, "kind": "a", "value": None},
+                        {"area": 0.0, "id": 1, "flag": False, "kind": "b", "value": 2.0}])
+    head = _collection([[[0.0, 3e-13], [1.0, 0.0], [0.0, 1.0], [0.0, 3e-13]], []],
+                       [{"area": 0.5000000001, "id": 0, "flag": True, "kind": "a", "value": None},
+                        {"area": 0.0, "id": 1, "flag": False, "kind": "b", "value": 2.0}])
+    drift = compare_outputs.geojson_drift(base, head)
+    # booleans and text are left out; null against null is no difference
+    assert set(drift) == {"coordinates", "area", "id", "value"}
+    assert drift["coordinates"] == 3e-13
+    assert math.isclose(drift["area"], 2e-10, rel_tol=1e-6)
+    assert drift["id"] == 0.0 and drift["value"] == 0.0
+
+
+def test_geojson_drift_is_none_for_other_shapes():
+    base = _collection([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]], [{"a": 1.0}])
+    fewer = _collection([[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]], [{"a": 1.0}])
+    assert compare_outputs.geojson_drift(base, fewer) is None
+    assert compare_outputs.geojson_drift(base, _collection([], [])) is None

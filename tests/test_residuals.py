@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from eqassess import (BinGrid, Catalog, GriddedForecast, GridIntensity,
                       thin_residuals, voronoi_residuals,
                       voronoi_tessellation)
 from eqassess import residuals
+from eqassess.catalog import _stack_rings
 
 
 @pytest.fixture
@@ -321,6 +323,16 @@ class TestVoronoi:
         assert tess.n_cells == 3
         assert tess.partition_defect < 1e-6
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_nudged_copy_lands_apart(self, unit_region, order):
+        # the copy of (0.5, 0.5) would be nudged onto the generator at
+        # 0.5 + 1e-9; it steps on to a free spot instead
+        lons = np.array([0.5, 0.5, 0.5 + 1e-9, 0.2])[::order]
+        lats = np.array([0.5, 0.5, 0.5 + 1e-9, 0.8])[::order]
+        tess = voronoi_tessellation(lons, lats, unit_region)
+        assert len(set(zip(tess.gen_lons.tolist(), tess.gen_lats.tolist()))) == 4
+        assert tess.partition_defect < 1e-12
+
     def test_nonconvex_region(self):
         region = Region([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
         gen = RngStream(501).generator()
@@ -438,6 +450,13 @@ def _same_ring(a, b, tol):
 _COORD = st.floats(-200.0, 200.0, allow_nan=False)
 
 
+def _clip_one(poly, normal, offset, keep_le):
+    """residuals._clip_rings on the one ring poly."""
+    out, sizes = residuals._clip_rings(poly[None], np.array([len(poly)]), normal[None],
+                                       np.array([offset]), np.array([keep_le]))
+    return out[0, :sizes[0]]
+
+
 class TestClipAndAreas:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(_COORD, _COORD), min_size=0, max_size=12),
@@ -448,16 +467,41 @@ class TestClipAndAreas:
         poly = np.array(verts, dtype=float).reshape(-1, 2)
         normal = np.array(normal) * scale
         # offsets through a vertex put it exactly on the line
-        offset = float(normal @ poly[through]) if 0 <= through < len(verts) else 3.0
-        got = residuals._clip_halfplane(poly, normal, offset, keep_le)
+        offset = float(poly[through, 0] * normal[0] + poly[through, 1] * normal[1]) \
+            if 0 <= through < len(verts) else 3.0
+        got = _clip_one(poly, normal, offset, keep_le)
         want = clip_oracle(poly, normal, offset, keep_le)
         assert got.shape == want.shape and np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.tuples(_COORD, _COORD), max_size=12),
+                              st.tuples(_COORD, _COORD), st.floats(-1e-6, 1e6),
+                              st.booleans(), st.integers(-1, 11)), max_size=10),
+           st.floats(-1e3, 1e3) | st.just(np.nan))
+    def test_batch_equals_each_ring_alone(self, cuts, pad):
+        # mixed sizes, empty rings among them, padded with junk that must
+        # not reach any result
+        rings = [np.array(v, dtype=float).reshape(-1, 2) for v, *_ in cuts]
+        counts = np.array([len(r) for r in rings], dtype=np.intp)
+        xy = np.full((len(rings), counts.max(initial=0), 2), pad)
+        for k, r in enumerate(rings):
+            xy[k, :len(r)] = r
+        normal = np.array([n for _, n, *_ in cuts], dtype=float).reshape(-1, 2) \
+            * np.array([c[2] for c in cuts]).reshape(-1, 1)
+        offset = np.array([r[t, 0] * n[0] + r[t, 1] * n[1] if 0 <= t < len(r) else 3.0
+                           for r, n, (*_, t) in zip(rings, normal, cuts)])
+        keep_le = np.array([c[3] for c in cuts], dtype=bool)
+        out, sizes = residuals._clip_rings(xy, counts, normal, offset, keep_le)
+        assert out.shape == (len(rings), sizes.max(initial=0), 2)
+        for k, r in enumerate(rings):
+            alone = _clip_one(r, normal[k], offset[k], keep_le[k])
+            assert np.array_equal(out[k, :sizes[k]], alone)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.tuples(_COORD, _COORD), max_size=9), max_size=8))
     def test_areas_in_one_pass(self, shoelace_oracle, rings):
         polys = [np.array(r, dtype=float).reshape(-1, 2) for r in rings]
-        got = residuals._poly_areas(polys)
+        got = residuals._poly_areas(*_stack_rings(polys))
         for area, p in zip(got, polys):
             # the summation order changed: allow rounding of the summed terms
             terms = p[:, 0] * np.roll(p[:, 1], -1) - np.roll(p[:, 0], -1) * p[:, 1]
@@ -474,7 +518,9 @@ class TestVoronoiAgainstReference:
     def test_matches_reference(self, voronoi_oracle, problem):
         region, lons, lats = problem
         tess = voronoi_tessellation(lons, lats, region)
-        polys, areas = voronoi_oracle(lons, lats, region)
+        # the oracle cuts the tessellation's own generators: its nudge can
+        # land a copy on another generator (test_nudged_copy_lands_apart)
+        polys, areas = voronoi_oracle(tess.gen_lons, tess.gen_lats, region)
         assert tess.n_cells == len(polys)
         ref_defect = abs(float(areas.sum()) - region.area_km2) / region.area_km2
         assert tess.partition_defect <= ref_defect + 1e-12
@@ -556,6 +602,28 @@ class TestVoronoiAgainstReference:
         polys, areas = voronoi_oracle(lons, lats, _L_SHAPE)
         assert np.allclose(tess.areas_km2, areas, rtol=1e-9, atol=1e-9)
         assert all(_same_ring(a, b, 1e-9) for a, b in zip(tess.polys_km, polys))
+
+    def test_clustered_scale_without_pair_sized_arrays(self, voronoi_oracle):
+        # 3,000 generators in 30 tight clusters, with 50 exact and 50
+        # 1e-9-degree copies: the big empty-space cells reach far, and the
+        # copies cut their twins' cells
+        region = Region.rectangle(10.0, 11.0, 40.0, 41.0)
+        gen = np.random.default_rng(3000)
+        centres = gen.uniform(0.1, 0.9, (30, 2))
+        uv = np.clip(centres[gen.integers(0, 30, 2900)] + gen.normal(0, 0.02, (2900, 2)), 0, 1)
+        uv = np.vstack([uv, uv[:50], uv[50:100] + 1e-9])
+        lons, lats = 10.0 + uv[:, 0], 40.0 + uv[:, 1]
+        tracemalloc.start()
+        try:
+            tess = voronoi_tessellation(lons, lats, region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3000 ** 2 * 8 / 4  # a quarter of one pair-sized float array
+        _, areas = voronoi_oracle(tess.gen_lons, tess.gen_lats, region)
+        atol, _ = _tolerances(tess)
+        assert np.all(np.isclose(tess.areas_km2, areas, rtol=1e-9, atol=atol))
+        assert tess.partition_defect < 1e-12
 
     def test_generator_outside_region_gets_empty_cell(self, unit_region):
         tess = voronoi_tessellation([0.2, 0.8, 3.0], [0.5, 0.5, 0.5], unit_region)
