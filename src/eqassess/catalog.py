@@ -20,19 +20,31 @@ import numpy as np
 KM_PER_DEG = 111.32
 
 
-def km_distance2(lon1, lat1, lon2, lat2):
+def km_distance2(lon1, lat1, lon2, lat2, out=None, scratch=None):
     """Squared planar km distance, equirectangular at the pair's mean latitude.
 
     cos of the mean latitude is cos(a/2) cos(b/2) - sin(a/2) sin(b/2), each
     factor taken on its own argument's shape: an outer call (m x 1 against
-    1 x n) takes m + n cosines and m + n sines, not m * n cosines."""
-    half1 = np.radians(0.5 * np.asarray(lat1, dtype=float))
-    half2 = np.radians(0.5 * np.asarray(lat2, dtype=float))
-    dx = (KM_PER_DEG * np.cos(half1)) * np.cos(half2)
-    dx -= (KM_PER_DEG * np.sin(half1)) * np.sin(half2)
-    dx = dx * (np.asarray(lon2, dtype=float) - np.asarray(lon1, dtype=float))
-    dy = KM_PER_DEG * (np.asarray(lat2, dtype=float) - np.asarray(lat1, dtype=float))
-    return dx * dx + dy * dy
+    1 x n) takes m + n cosines and m + n sines, not m * n cosines.
+
+    out and scratch, if given, are float64 arrays of the broadcast shape:
+    the result is written into out and scratch is overwritten, so a caller
+    that builds many blocks allocates nothing per block. The values are the
+    same either way."""
+    lon1, lat1, lon2, lat2 = (np.asarray(v, dtype=float) for v in (lon1, lat1, lon2, lat2))
+    if out is None:
+        shape = np.broadcast_shapes(lon1.shape, lat1.shape, lon2.shape, lat2.shape)
+        out, scratch = np.empty(shape), np.empty(shape)
+    half1 = np.radians(0.5 * lat1)
+    half2 = np.radians(0.5 * lat2)
+    # dx = cos(mean lat) * dlon and dy = dlat, in km; out = dx*dx + dy*dy
+    np.multiply(KM_PER_DEG * np.cos(half1), np.cos(half2), out=out)
+    out -= np.multiply(KM_PER_DEG * np.sin(half1), np.sin(half2), out=scratch)
+    out *= np.subtract(lon2, lon1, out=scratch)
+    out *= out
+    dy = np.multiply(KM_PER_DEG, np.subtract(lat2, lat1, out=scratch), out=scratch)
+    out += np.multiply(dy, dy, out=dy)
+    return out if out.ndim else out[()]
 
 
 def km_distance(lon1, lat1, lon2, lat2):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import os
 import sys
@@ -507,7 +508,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it
+    unchanged, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="eqassess",
         description="Point-process forecast evaluation toolkit")

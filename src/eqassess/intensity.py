@@ -223,6 +223,16 @@ def radial_trigger_cdf(r, d: float, q: float):
     return 1.0 - (d / (r * r + d)) ** (q - 1.0)
 
 
+def _causal_log_lag(log_lag, dt, first: int):
+    """log_lag(dt), with -inf wherever dt <= 0; only the columns from first
+    on may hold such lags."""
+    late = dt[..., first:] <= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = log_lag(dt)
+    np.copyto(logs[..., first:], -np.inf, where=late)
+    return logs
+
+
 class HawkesIntensity:
     """Conditional intensity mu(s) + sum over strictly earlier events of
     k * (dt+c)^-p * exp(a*(M-m0)) * (r^2+d)^-q."""
@@ -236,58 +246,79 @@ class HawkesIntensity:
         p = self.params
         return p.k * np.exp(p.a * (self.history.mags - p.m0))
 
-    def _parts(self, lons, lats, times, lag_kernel):
+    def _parts(self, lons, lats, times, log_lag):
         """(background rate, triggered sum) at each point; the sum runs over
         the history events strictly earlier than the point, of productivity
-        x lag_kernel(t - t_i) x (r^2+d)^-q, and lag_kernel is 0 at lags <= 0.
+        x lag(t - t_i) x (r^2+d)^-q, each term built in the log domain as
+        exp(log lag - q log(r^2+d)). log_lag(dt) gives the log of the lag
+        factor at lags dt > 0 and may overwrite dt; lags <= 0 get -inf, a
+        factor of exactly 0.
 
         The points are taken in time order (a stable sort), in _row_spans
         blocks. A block builds the kernel only over the first n history
         events: n is the block's longest strictly-earlier prefix, rounded up
         to a multiple of _ROW_ALIGN (at most history.n), so a point's sum
-        does not depend on the block it falls in. Each block's kernel is
-        built in place in the one buffer km_distance2 returns; lag_kernel
-        may overwrite the lags it is given.
+        does not depend on the block it falls in. Every block is built in
+        the same two buffers, allocated once per call.
+
+        A scalar time is folded into the weights: the lag factor then
+        depends on the history event alone, so it is taken once, and the
+        blocks build only the spatial kernel.
         """
         p = self.params
         h = self.history
         lons = np.atleast_1d(np.asarray(lons, dtype=float))
         lats = np.atleast_1d(np.asarray(lats, dtype=float))
+        shared = np.ndim(times) == 0
         times = np.broadcast_to(np.asarray(times, dtype=float), lons.shape)
         if self.background is None:
             bg = np.full(lons.shape, p.mu, dtype=float)
         else:
             bg = self.background.rate_at(lons, lats).astype(float)
         out = np.zeros(lons.shape)
-        if h.n == 0 or p.k == 0:
+        if h.n == 0 or p.k == 0 or lons.size == 0:
             return bg, out
-        prod = self._productivity()
         order = np.argsort(times, kind="stable")
         prefix = np.searchsorted(h.times, times[order], side="left")
-        for lo, hi in _row_spans(lons.size, h.n):
+        spans = [(lo, hi, min(-(-int(prefix[hi - 1]) // _ROW_ALIGN) * _ROW_ALIGN, h.n))
+                 for lo, hi in _row_spans(lons.size, h.n)]
+        size = max((hi - lo) * n for lo, hi, n in spans)
+        kernel_buf, work_buf = np.empty(size), np.empty(size)
+        weights = self._productivity()
+        if shared:
+            weights *= np.exp(_causal_log_lag(log_lag, times[0] - h.times, prefix[0]))
+        for lo, hi, n in spans:
             rows = order[lo:hi]
-            n = min(-(-int(prefix[hi - 1]) // _ROW_ALIGN) * _ROW_ALIGN, h.n)
-            kernel = km_distance2(lons[rows, None], lats[rows, None], h.lons[:n], h.lats[:n])
-            np.power(np.add(kernel, p.d, out=kernel), -p.q, out=kernel)
-            kernel *= lag_kernel(times[rows, None] - h.times[:n])
-            out[rows] = kernel @ prod[:n]
+            kernel = kernel_buf[:(hi - lo) * n].reshape(hi - lo, n)
+            work = work_buf[:kernel.size].reshape(kernel.shape)
+            km_distance2(lons[rows, None], lats[rows, None], h.lons[:n], h.lats[:n],
+                         out=kernel, scratch=work)
+            np.log(np.add(kernel, p.d, out=kernel), out=kernel)
+            kernel *= -p.q
+            if not shared:
+                # rows are time-sorted: every column before the first
+                # row's prefix is strictly earlier for the whole block
+                dt = np.subtract(times[rows, None], h.times[:n], out=work)
+                kernel += _causal_log_lag(log_lag, dt, prefix[lo])
+            np.exp(kernel, out=kernel)
+            out[rows] = kernel @ weights[:n]
         return bg, out
 
     def rate_at(self, lons, lats, times):
         p = self.params
 
-        def lag(dt):
-            np.copyto(dt, np.inf, where=dt <= 0)  # (inf + c)^-p is exactly 0
-            return np.power(np.add(dt, p.c, out=dt), -p.p, out=dt)
+        def log_lag(dt):
+            np.log(np.add(dt, p.c, out=dt), out=dt)
+            return np.multiply(dt, -p.p, out=dt)
 
-        bg, trig = self._parts(lons, lats, times, lag)
+        bg, trig = self._parts(lons, lats, times, log_lag)
         return bg + trig
 
     def integrate(self, lons, lats, t):
         """Exact integral of the rate over [0, t] at each point."""
         p = self.params
-        bg, trig = self._parts(lons, lats, t, lambda dt: temporal_mass(
-            np.maximum(dt, 0.0), p.c, p.p))
+        bg, trig = self._parts(lons, lats, t, lambda dt: np.log(
+            temporal_mass(dt, p.c, p.p)))
         return bg * t + trig
 
     def bounds(self, region: Region, t_max: float | None = None):

@@ -459,11 +459,15 @@ def voronoi_tessellation(lons, lats, region: Region) -> VoronoiTessellation:
     so every other generator whose bisector still cuts the cell is then
     applied, nearest first, until the rest are out of the cell's reach. A
     point Qhull set aside, and every point when Qhull cannot triangulate
-    (fewer than 3 or all collinear generators, or a simplex naming a point
-    outside the input), has no neighbours and is cut by that second pass
-    alone. Each pass cuts all cells at once, one neighbour rank a round.
-    Exactly coincident generators are separated by deterministic
-    1e-9-degree nudges, a copy stepping on until no generator is there.
+    (fewer than 3 generators, nearly collinear ones that are not strips, or
+    a simplex naming a point outside the input), has no neighbours and is
+    cut by that second pass alone. Each pass cuts all cells at once, one
+    neighbour rank a round.
+    Three or more generators on one line (_strip_neighbours) are cut by
+    their neighbours along it alone: the strips between those bisectors
+    are the exact diagram. Exactly coincident generators are separated by
+    deterministic 1e-9-degree nudges, a copy stepping on until no generator
+    is there. A vertex equal to the one before it in its ring is dropped.
     """
     from scipy.spatial import Delaunay, QhullError, cKDTree  # here: `test` never pays its 0.15 s
     lons = np.atleast_1d(np.asarray(lons, dtype=float)).copy()
@@ -484,6 +488,11 @@ def voronoi_tessellation(lons, lats, region: Region) -> VoronoiTessellation:
 
     pts = np.column_stack(region.to_km(lons, lats))
     n = pts.shape[0]
+    rings, counts = np.tile(region.ring_km, (n, 1, 1)), np.full(n, region.ring_km.shape[0])
+    strips = _strip_neighbours(pts, region.ring_km) if n >= 3 else None
+    if strips is not None:
+        rings = _cut_cells(rings, counts, pts, *strips, stop=False)
+        return _tessellation(lons, lats, rings, counts, region)
     try:
         tri = Delaunay(pts)
         if tri.simplices.max() >= n:
@@ -493,7 +502,6 @@ def voronoi_tessellation(lons, lats, region: Region) -> VoronoiTessellation:
         indptr, neighbours = tri.vertex_neighbor_vertices
     except QhullError:
         indptr, neighbours = np.zeros(n + 1, dtype=int), np.zeros(0, dtype=int)
-    rings, counts = np.tile(region.ring_km, (n, 1, 1)), np.full(n, region.ring_km.shape[0])
     cell = np.repeat(np.arange(n), np.diff(indptr))
     rings = _cut_cells(rings, counts, pts, cell, neighbours, stop=False)
     # the generators in reach, other than self and the Delaunay neighbours,
@@ -513,7 +521,48 @@ def voronoi_tessellation(lons, lats, region: Region) -> VoronoiTessellation:
         side = rings[i, s, 0] * normal[:, 0] + rings[i, s, 1] * normal[:, 1] - offset
         cuts |= (s < counts[i]) & (np.where(keep_le, side, -side) > 0)
     rings = _cut_cells(rings, counts, pts, i[cuts], j[cuts], stop=True)
-    xy = rings[np.arange(rings.shape[1]) < counts[:, None]]
+    return _tessellation(lons, lats, rings, counts, region)
+
+
+def _strip_neighbours(pts, ring):
+    """(cell, other) for each generator and its neighbours in order along
+    the line through the two generators farthest apart on the longer
+    coordinate axis, when all generators lie on that line so nearly that no
+    two consecutive bisectors meet inside the region; None otherwise.
+
+    With offsets |e| <= delta from the line, consecutive spacings along it
+    of at least s, and the region within R of the line, consecutive
+    bisectors stay at least s - 4 delta (delta + R) / s apart across the
+    region. Where that is positive (here with a factor 2 to spare for
+    rounding), each cell is the strip between its two bisectors, and no
+    other generator cuts it."""
+    axis = int(np.argmax(np.ptp(pts, axis=0)))
+    a, b = int(np.argmin(pts[:, axis])), int(np.argmax(pts[:, axis]))
+    u = pts[b] - pts[a]
+    length = math.hypot(u[0], u[1])
+    if length == 0.0:
+        return None
+    rel, reach = (pts - pts[a]) / length, (ring - pts[a]) / length
+    along = rel[:, 0] * u[0] + rel[:, 1] * u[1]
+    delta = np.abs(rel[:, 0] * u[1] - rel[:, 1] * u[0]).max()
+    r = np.abs(reach[:, 0] * u[1] - reach[:, 1] * u[0]).max()
+    order = np.argsort(along, kind="stable")
+    if np.diff(along[order]).min() ** 2 <= 8.0 * delta * (delta + r):
+        return None
+    return np.concatenate([order[:-1], order[1:]]), np.concatenate([order[1:], order[:-1]])
+
+
+def _tessellation(lons, lats, rings, counts, region: Region) -> VoronoiTessellation:
+    """The tessellation of the cut rings, each without the vertices equal to
+    the one before it (a cut through a vertex can emit that vertex twice),
+    the last one kept compared with the first."""
+    slot = np.arange(rings.shape[1])
+    keep = slot < counts[:, None]
+    keep[:, 1:] &= np.any(rings[:, 1:] != rings[:, :-1], axis=2)
+    last = np.where(keep, slot, 0).max(axis=1, initial=0)
+    wraps = (last > 0) & np.all(rings[np.arange(counts.size), last] == rings[:, 0], axis=1)
+    keep[wraps, last[wraps]] = False
+    xy, counts = rings[keep], keep.sum(axis=1)
     return VoronoiTessellation(lons, lats, np.split(xy, np.cumsum(counts)[:-1]),
                                _poly_areas(xy, counts), region)
 

@@ -79,6 +79,11 @@ class TestKmDistance:
             want = km_oracle(*args)
             np.testing.assert_allclose(km_distance2(*args), want * want, rtol=1e-13, atol=0.0)
             np.testing.assert_allclose(km_distance(*args), want, rtol=1e-13, atol=0.0)
+            # written into given buffers, the same bits
+            if np.ndim(want):
+                out, scratch = np.full(np.shape(want), np.nan), np.full(np.shape(want), np.nan)
+                got = km_distance2(*args, out=out, scratch=scratch)
+                assert got is out and np.array_equal(got, km_distance2(*args))
         # a point against itself is exactly 0, in every pairing
         assert np.all(km_distance2(lon, lat, lon, lat) == 0.0)
         assert np.all(np.diagonal(km_distance2(lon[:, None], lat[:, None],

@@ -516,6 +516,27 @@ def test_fit_takes_no_n_grid(paths):
     assert rc == 2
 
 
+def test_parser_shared_across_calls_answers_as_fresh_processes(paths, capsys):
+    """main builds its argparse tree once per process; a usage error and
+    then a valid call in one process give the exit codes and the stderr of
+    two separate processes."""
+    bad = ["tessellate", "--catalog", paths["catalog"], "--bogus", "1"]
+    good = ["tessellate", "--catalog", paths["catalog"], "--region", paths["region"]]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys; from eqassess.cli import main; sys.exit(main(sys.argv[1:]))"
+    codes = []
+    for argv, out in [(bad, "bad"), (good, "good")]:
+        rc = main(argv + ["--out", str(paths["dir"] / out)])
+        err = capsys.readouterr().err
+        proc = subprocess.run([sys.executable, "-c", code, *argv,
+                               "--out", str(paths["dir"] / (out + "_process"))],
+                              env=env, capture_output=True, text=True)
+        assert (rc, err) == (proc.returncode, proc.stderr)
+        codes.append(rc)
+    assert codes == [2, 0]
+
+
 def test_import_leaves_scipy_stats_optimize_and_spatial_unloaded():
     """scipy.stats costs every process about 0.5 s at start-up,
     scipy.optimize about 0.1 s and scipy.spatial about 0.15 s; only a fit

@@ -1,5 +1,6 @@
-"""Forecast and region CSV input: the exact error messages, and the one-pass
-reader against the row-by-row reader it stands in for."""
+"""Forecast, region and catalog CSV input: the exact error messages, and, for
+forecasts and regions, the one-pass reader against the row-by-row reader it
+stands in for."""
 
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eqassess import catalog
-from eqassess.catalog import parse_region
+from eqassess.catalog import parse_catalog, parse_region
 from eqassess.forecast import (FORECAST_HEADER, _forecast_record, _valid_forecast_rows,
                                parse_forecast)
 
@@ -61,6 +62,33 @@ REGION_ERRORS = [
     ("lon,lat\n# only a comment\n", "region: no data rows"),
     ("", "region: empty file"),
 ]
+
+
+CATALOG_HEADER = "time,lon,lat,mag\n"
+
+CATALOG_ERRORS = [
+    ("t,x,y,m\n0.5,0.5,0.5,4.0\n", "catalog: expected header 'time,lon,lat,mag', got 't,x,y,m'"),
+    ("", "catalog: empty file"),
+    ("# window_days = 3\n\n", "catalog: empty file"),
+    (CATALOG_HEADER + "0.5,0.5,0.5,4.0\n0.7,0.5,0.5\n",
+     "catalog: row 2: expected 4 fields, got 3"),
+    (CATALOG_HEADER + "0.5,0.5,0.5,4.0,\n", "catalog: row 1: expected 4 fields, got 5"),
+    (CATALOG_HEADER + "0.5,0.5,0.5,4.0\n0.7x,0.5,0.5,4.0\n", "catalog: row 2: malformed time '0.7x'"),
+    (CATALOG_HEADER + "0.5,0.5,0.5,4.0\n0.7,bad,0.5,4.0\n", "catalog: row 2: malformed lon 'bad'"),
+    (CATALOG_HEADER + "0.5,0.5, 1.x ,4.0\n", "catalog: row 1: malformed lat '1.x'"),
+    (CATALOG_HEADER + "0.5,0.5,0.5,4.0 # big\n", "catalog: row 1: malformed mag '4.0 # big'"),
+    (CATALOG_HEADER + "2011-03-13T00:00:00Z,0.5,0.5,5.0\n0.7,0.5,0.5,4.0\n",
+     "catalog: row 2: malformed ISO-8601 time '0.7'"),
+    ("# window_days = 1\n" + CATALOG_HEADER + "0.5,0.5,0.5,4.0\n2.5,0.5,0.5,4.0\n",
+     "event time outside the declared window"),
+    ("# window_days = soon\n" + CATALOG_HEADER + "0.5,0.5,0.5,4.0\n",
+     "could not convert string to float: 'soon'"),
+]
+
+
+@pytest.mark.parametrize("text,message", CATALOG_ERRORS)
+def test_catalog_error_message(text, message):
+    assert error_text(parse_catalog, text) == message
 
 
 @pytest.mark.parametrize("text,message", FORECAST_ERRORS)

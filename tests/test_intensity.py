@@ -304,39 +304,48 @@ class TestHawkesProtocol:
                 assert np.array_equal(a, b)
 
 
+    # (c, p, d, q, box degrees, window days): small test values, and the
+    # scale of the hawkes-eval workload, whose log-domain terms reach
+    # exp(-44) with r up to 470 km and lags up to 840 days
+    @pytest.mark.parametrize("c, p, d, q, box, window",
+                             [(0.1, 1.5, 0.5, 1.8, 1.0, 5.0),
+                              (math.exp(-1.0), 2.0, math.exp(-2.0 / 3.0), 2.5, 3.0, 700.0)])
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_history=st.sampled_from([1, 2, 30, 150]),
-           n_points=st.sampled_from([1, 7, 64, 129, 257, 300]),
+           n_points=st.sampled_from([0, 1, 7, 64, 129, 257, 300]),
            span_rows=st.sampled_from([1, 2, None]), ties=st.booleans(),
            k_zero=st.booleans(), kernel_bg=st.booleans())
-    def test_rate_and_integral_match_dense_sums(self, dense_hawkes, seed, n_history,
-                                                n_points, span_rows, ties, k_zero,
-                                                kernel_bg):
+    def test_rate_and_integral_match_dense_sums(self, dense_hawkes, c, p, d, q, box,
+                                                window, seed, n_history, n_points,
+                                                span_rows, ties, k_zero, kernel_bg):
         gen = np.random.default_rng(seed)
-        times = np.sort(gen.uniform(0.0, 5.0, n_history))
+        times = np.sort(gen.uniform(0.0, window, n_history))
         if ties:
-            times = np.floor(times * 2.0) / 2.0
-        history = Catalog(times, gen.uniform(0.0, 1.0, n_history),
-                          gen.uniform(0.0, 1.0, n_history),
-                          gen.uniform(4.0, 6.0, n_history), 5.0, 4.0)
-        params = HawkesParams(mu=3e-4, k=0.0 if k_zero else 0.004, c=0.1, p=1.5,
-                              a=1.0, d=0.5, q=1.8, m0=4.0)
+            step = window / 10.0
+            times = np.floor(times / step) * step
+        history = Catalog(times, gen.uniform(0.0, box, n_history),
+                          gen.uniform(0.0, box, n_history),
+                          gen.uniform(4.0, 6.0, n_history), window, 4.0)
+        params = HawkesParams(mu=3e-4, k=0.0 if k_zero else 0.004, c=c, p=p,
+                              a=1.0, d=d, q=q, m0=4.0)
         bg = KernelIntensity(history.lons[:3], history.lats[:3], d=5.0, scale=0.3) \
             if kernel_bg else None
         m = HawkesIntensity(params, history, background=bg)
-        lons, lats = gen.uniform(0.0, 1.0, n_points), gen.uniform(0.0, 1.0, n_points)
+        lons, lats = gen.uniform(0.0, box, n_points), gen.uniform(0.0, box, n_points)
         # unsorted, some at history times (excluded: strictly earlier only),
         # some before the first event and after the last
-        qt = gen.uniform(-1.0, 6.0, n_points)
+        qt = gen.uniform(-0.2 * window, 1.2 * window, n_points)
         at_event = gen.random(n_points) < 0.3
         qt[at_event] = gen.choice(history.times, int(at_event.sum()))
-        t_end = float(gen.choice([gen.uniform(-1.0, 6.0), gen.choice(history.times)]))
+        t_end = float(gen.choice([gen.uniform(-0.2 * window, 1.2 * window),
+                                  gen.choice(history.times)]))
         with pytest.MonkeyPatch.context() as mp:
             if span_rows is not None:
                 # spans of one or two _ROW_ALIGN rows: more than 3 blocks
                 mp.setattr(intensity, "_CHUNK_BYTES",
                            8 * span_rows * intensity._ROW_ALIGN * history.n)
             dense = dense_hawkes(m)
+            # a scalar t_end is folded into the weights; qt is per point
             for got, want in [(m.rate_at(lons, lats, qt), dense.rate_at(lons, lats, qt)),
                               (m.integrate(lons, lats, t_end),
                                dense.integrate(lons, lats, t_end)),
@@ -353,8 +362,8 @@ class TestHawkesProtocol:
         built = []
         km2 = intensity.km_distance2
 
-        def counting(*args):
-            r2 = km2(*args)
+        def counting(*args, **kwargs):
+            r2 = km2(*args, **kwargs)
             built.append(r2.size)
             return r2
 

@@ -538,11 +538,50 @@ class TestVoronoiAgainstReference:
         assert np.allclose(tess.areas_km2, areas, rtol=1e-12, atol=0.0)
         assert tess.partition_defect < 1e-12
 
-    def test_collinear_generators(self, voronoi_oracle, unit_region):
-        lons = np.linspace(0.1, 0.9, 9)
+    @pytest.mark.parametrize("n", [9, 60])
+    def test_collinear_generators(self, voronoi_oracle, unit_region, n):
+        lons = np.linspace(0.1, 0.9, n)
         tess = voronoi_tessellation(lons, 0.2 + 0.5 * lons, unit_region)
         _, areas = voronoi_oracle(lons, 0.2 + 0.5 * lons, unit_region)
         assert np.allclose(tess.areas_km2, areas, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.37])
+    def test_many_collinear_generators_as_strips(self, unit_region, slope):
+        # Qhull cannot triangulate them; each cell is the strip between its
+        # neighbours' bisectors, with no (cell, generator) pair search
+        lons = np.linspace(0.0005, 0.9995, 1000)
+        tracemalloc.start()
+        try:
+            tess = voronoi_tessellation(lons, 0.3 + slope * lons, unit_region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert tess.partition_defect < 1e-12
+        assert np.all(tess.areas_km2 > 0.0)
+
+    @pytest.mark.parametrize("m", [5, 10, 20])
+    def test_lattice_rings_repeat_no_vertex(self, unit_region, monkeypatch, m):
+        # four lattice cells meet at each inner vertex, and a cut through a
+        # vertex can emit it twice; a zero-length edge adds exactly 0 to the
+        # shoelace sum, so dropping it moves no area
+        cut = []
+        tessellation = residuals._tessellation
+
+        def capture(lons, lats, rings, counts, region):
+            cut.append((rings[np.arange(rings.shape[1]) < counts[:, None]], counts.copy()))
+            return tessellation(lons, lats, rings, counts, region)
+
+        monkeypatch.setattr(residuals, "_tessellation", capture)
+        u = (np.arange(m) + 0.5) / m
+        lons, lats = np.meshgrid(u, u)
+        tess = voronoi_tessellation(lons.ravel(), lats.ravel(), unit_region)
+        for ring in tess.polys_km:
+            assert not np.any(np.all(ring == np.roll(ring, 1, axis=0), axis=1))
+        xy, counts = cut[0]
+        assert np.array_equal(tess.areas_km2, residuals._poly_areas(xy, counts))
+        # the 10 x 10 and 20 x 20 lattices do cut through vertices
+        assert (counts.sum() > sum(map(len, tess.polys_km))) == (m > 5)
 
     def test_nudged_copies_set_aside(self, voronoi_oracle, unit_region):
         # Qhull leaves the 1e-9-degree copies out of its triangulation; they
