@@ -188,8 +188,8 @@ class Catalog:
             same = (np.diff(t) == 0) & (np.diff(x) == 0) & (np.diff(y) == 0) & (np.diff(m) == 0)
             if same.any():
                 i = int(np.flatnonzero(same)[0])
-                raise ValueError(
-                    f"duplicate event (time={t[i]!r}, lon={x[i]!r}, lat={y[i]!r}, mag={m[i]!r})")
+                raise ValueError(f"duplicate event (time={float(t[i])!r}, lon={float(x[i])!r}, "
+                                 f"lat={float(y[i])!r}, mag={float(m[i])!r})")
         for name, col in (("times", t), ("lons", x), ("lats", y), ("mags", m)):
             col.setflags(write=False)
             object.__setattr__(self, name, col)
@@ -350,21 +350,36 @@ def _fill_rings(template, texts, sizes, closed: bool = False, columns=()) -> lis
 
 
 def _csv_records(text: str, header: tuple, what: str):
-    """Yield (row number, fields) for each data row, in the row loop's checks."""
+    """Yield (row number, fields) for each data row, in the row loop's checks.
+
+    Lines are stripped, and blank lines and lines starting with '#' are
+    skipped. A line that csv cannot split (a carriage return inside it)
+    raises ValueError with its line number in the file."""
     import csv
 
-    lines = []
-    for raw in io.StringIO(text):
+    numbers, lines = [], []
+    for number, raw in enumerate(io.StringIO(text), start=1):
         s = raw.strip()
         if s and not s.startswith("#"):
+            numbers.append(number)
             lines.append(s)
     if not lines:
         raise ValueError(f"{what}: empty file")
     reader = csv.reader(lines)
-    got = tuple(h.strip() for h in next(reader))
+
+    def fields():
+        """The next record, or None at the end."""
+        try:
+            return next(reader, None)
+        except csv.Error as e:
+            # csv's message ends in advice on opening files, which does not apply
+            problem = str(e).partition(" - ")[0]
+            raise ValueError(f"{what}: line {numbers[reader.line_num - 1]}: {problem}") from None
+
+    got = tuple(h.strip() for h in fields() or ())
     if got != header:
         raise ValueError(f"{what}: expected header {','.join(header)!r}, got {','.join(got)!r}")
-    for i, rec in enumerate(reader, start=1):
+    for i, rec in enumerate(iter(fields, None), start=1):
         if len(rec) != len(header):
             raise ValueError(f"{what}: row {i}: expected {len(header)} fields, got {len(rec)}")
         yield i, rec
@@ -403,37 +418,15 @@ def parse_catalog(text: str) -> Catalog:
     catalog metadata; without them the window ends at the last event and
     m0 is the smallest magnitude.
     """
-    import csv
-
     meta = {}
-    data_lines = []
-    header_seen = False
     for raw in io.StringIO(text):
-        s = raw.strip()
-        if not s:
-            continue
-        if s.startswith("#"):
-            body = s[1:].strip()
-            if "=" in body:
-                k, _, val = body.partition("=")
-                meta[k.strip()] = val.strip()
-            continue
-        if not header_seen:
-            got = tuple(h.strip() for h in next(csv.reader([s])))
-            if got != ("time", "lon", "lat", "mag"):
-                raise ValueError(f"catalog: expected header 'time,lon,lat,mag', got {','.join(got)!r}")
-            header_seen = True
-            continue
-        data_lines.append(s)
-    if not header_seen:
-        raise ValueError("catalog: empty file")
-
-    reader = csv.reader(data_lines)
+        body = raw.strip()
+        if body.startswith("#") and "=" in body:
+            k, _, val = body[1:].partition("=")
+            meta[k.strip()] = val.strip()
     times, lons, lats, mags = [], [], [], []
     iso_mode = None
-    for i, rec in enumerate(reader, start=1):
-        if len(rec) != 4:
-            raise ValueError(f"catalog: row {i}: expected 4 fields, got {len(rec)}")
+    for i, rec in _csv_records(text, ("time", "lon", "lat", "mag"), "catalog"):
         t_raw = rec[0].strip()
         if iso_mode is None:
             iso_mode = not _is_float(t_raw)

@@ -33,6 +33,11 @@ _CHUNK_BYTES = 1 << 18
 # that are whole multiples of this many rows keep every row in the same
 # kind of block, so results do not depend on the span size
 _ROW_ALIGN = 64
+# pairs per slice of hawkes_score's sum w g g^T. One 5 x 101,025 by
+# 101,025 x 5 product took 1.8-2.2 ms in single-threaded x86-64 OpenBLAS,
+# a third of an evaluation; summed over 8192-pair slices, whose two
+# 330 KB operands stay in cache, it took 0.6-0.7 ms
+_GRAM_PAIRS = 8192
 
 
 def _row_spans(n_rows: int, n_cols: int):
@@ -452,6 +457,19 @@ class _ClippedMass:
         d_q = 0.5 * (np.log(s) * tail - math.log(d) * head) - seg
         return self._per_event(d_d), self._per_event(d_q)
 
+    def mass_hessian(self, d: float, q: float) -> np.ndarray:
+        """Rows dd, dq and qq of the second partials of masses(d, q) in
+        (ln d, ln(q-1)), per event."""
+        s = self.radii ** 2 + d
+        tail = s ** (1.0 - q)
+        head = d ** (1.0 - q)
+        log_s, log_d = np.log(s), math.log(d)
+        seg_q = 0.5 * (log_s * tail - log_d * head) - (head - tail) / (2.0 * (q - 1.0))
+        dd = -0.5 * ((1.0 - q) * head - d * tail / s + q * d * d * tail / (s * s))
+        dq = 0.5 * (q - 1.0) * (log_d * head - d * log_s * tail / s)
+        qq = 0.5 * (q - 1.0) * (log_d ** 2 * head - log_s ** 2 * tail) - seg_q
+        return np.array([self._per_event(dd), self._per_event(dq), self._per_event(qq)])
+
 
 def _hawkes_integral(params: HawkesParams, c: Catalog, region: Region,
                      mode: str, n_grid: int, clipped: "_ClippedMass | None",
@@ -512,6 +530,26 @@ class FitResult(NamedTuple):
     converged: bool
     family: str
     message: str
+    # the Hessian of the negative log-likelihood in the packed parameters
+    # at the fit (hawkes_pack; the log rate for the homogeneous family)
+    information: np.ndarray | None = None
+
+
+def fit_uncertainty(information: np.ndarray) -> tuple:
+    """(standard errors, correlation matrix) of the packed parameters from
+    the inverse of the observed information. Raises ValueError when the
+    information is not finite or not positive definite."""
+    information = np.asarray(information, dtype=float)
+    if not np.isfinite(information).all():
+        raise ValueError("observed information is not finite")
+    try:
+        low = np.linalg.cholesky(information)
+    except np.linalg.LinAlgError:
+        raise ValueError("observed information is not positive definite") from None
+    root = np.linalg.solve(low, np.eye(low.shape[0]))
+    cov = root.T @ root
+    se = np.sqrt(np.diag(cov))
+    return se, cov / np.outer(se, se)
 
 
 def central_gradient(f: Callable, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
@@ -546,6 +584,16 @@ def hawkes_unpack(theta: np.ndarray, m0: float) -> HawkesParams:
     )
 
 
+def _not_finite(size: int):
+    """The score of a point where the objective is not finite."""
+    return math.inf, np.full(size, np.nan), np.full((size, size), np.nan)
+
+
+def _sym2(v) -> np.ndarray:
+    """The symmetric 2 x 2 matrix of (xx, xy, yy)."""
+    return np.array([[v[0], v[1]], [v[1], v[2]]])
+
+
 def _earlier_pairs(times: np.ndarray):
     """(i, j) for every event i strictly earlier than event j of a
     time-sorted catalog; events at the same time do not trigger each other."""
@@ -556,15 +604,24 @@ def _earlier_pairs(times: np.ndarray):
 
 
 def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") -> Callable:
-    """(negative log-likelihood, its gradient) over the packed parameters
-    of hawkes_pack, as one closure (the ETAS score of Ogata 1998).
+    """(negative log-likelihood, its gradient, its Hessian) over the packed
+    parameters of hawkes_pack, as one closure (the ETAS score of Ogata 1998).
 
     The strictly-earlier event pairs, with their lags and squared
     distances, and the region-clipping geometry are precomputed once, and
     every pair-sized temporary is written into buffers allocated once, so
     an evaluation allocates no pair-sized memory. A parameter vector that
     does not unpack, overflows a float power or gives a non-finite value
-    scores inf with a nan gradient.
+    scores inf with a nan gradient and Hessian.
+
+    The Hessian is exact. Over (c, p, a, d, q), a pair's log-term gradient
+    g is scale * rows, the factor rows being 1/(dt+c), log(dt+c), the
+    earlier event's dmag, 1/(r^2+d) and log(r^2+d); over k it is 1. Every
+    second derivative of the log term is a combination of g and its
+    squares. With w a pair's share of its later event's rate, the pair
+    part sum w g g^T is a product of w * rows and rows, and the event
+    part is sum_j u_j u_j^T, with u_j = (mu/lam_j, sum_i w_ij g_ij) reduced
+    over each later event's pairs, which _earlier_pairs keeps together.
     """
     if mode not in ("approx", "quadrature"):
         raise ValueError(f"unknown integral mode {mode!r}")
@@ -575,23 +632,40 @@ def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") ->
     left = c.window_days - c.times
     at = region.area_km2 * c.window_days
     clipped = _ClippedMass(c, region) if mode == "quadrature" else None
-    # the pair-sized buffers of every evaluation; take(..., mode="clip")
-    # writes straight into its out (a "raise" take buffers), and every index
-    # here is in range
-    log_lag, log_dist, term, w, tmp = np.empty((5, earlier.size))
+    # the first pair of each later event that has any, and that event
+    starts = np.flatnonzero(np.diff(later, prepend=-1))
+    owners = later[starts]
+    # the pair-sized buffers of every evaluation. rows holds the factor
+    # rows in the order c, d, p, q, a (the reciprocal rows hold dt+c and
+    # r^2+d until the Hessian). weighted holds w, then w times each row;
+    # its first two rows hold the terms and scratch until w is known.
+    # take(..., mode="clip") writes straight into its out (a "raise" take
+    # buffers), and every index here is in range.
+    rows = np.empty((5, earlier.size))
+    np.take(dmag, earlier, out=rows[4], mode="clip")
+    weighted = np.empty((6, earlier.size))
+    term, tmp = weighted[:2]
+    # (c, p, a, d, q) from the rows' order
+    to_packed = [0, 2, 4, 1, 3]
 
     def evaluate(prm: HawkesParams):
         mu, k, cc, p, a, d, q = prm.mu, prm.k, prm.c, prm.p, prm.a, prm.d, prm.q
         with np.errstate(all="ignore"):
-            np.log(np.add(dt, cc, out=log_lag), out=log_lag)
-            np.log(np.add(r2, d, out=log_dist), out=log_dist)
+            np.add(dt, cc, out=rows[0])
+            np.add(r2, d, out=rows[1])
+            np.log(rows[:2], out=rows[2:4])
             prod = k * np.exp(a * dmag)
             # term = prod[earlier] * exp(-p * log_lag - q * log_dist)
-            np.multiply(log_lag, -p, out=term)
-            np.subtract(term, np.multiply(log_dist, q, out=tmp), out=term)
+            np.multiply(rows[2], -p, out=term)
+            np.subtract(term, np.multiply(rows[3], q, out=tmp), out=term)
             np.exp(term, out=term)
             np.multiply(term, np.take(prod, earlier, out=tmp, mode="clip"), out=term)
             lam = mu + np.bincount(later, weights=term, minlength=c.n)
+            # each pair's share of its later event's rate, times each row
+            w, w_rows = weighted[0], weighted[1:]
+            np.divide(term, np.take(lam, later, out=tmp, mode="clip"), out=w)
+            np.divide(w, rows[:2], out=w_rows[:2])
+            np.multiply(rows[2:], w, out=w_rows[2:])
             point = float(np.sum(np.log(lam)))
             # the window's temporal mass per event, and its partials in c and p
             ti = temporal_mass(left, cc, p)
@@ -610,30 +684,85 @@ def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") ->
             trig = float(np.sum(trig_i))
             value = -(point - (mu * at + trig))
             if not math.isfinite(value):
-                return math.inf, np.full(7, np.nan)
-            # each pair's share of its later event's rate
-            np.divide(term, np.take(lam, later, out=w, mode="clip"), out=w)
-            w_lag = np.sum(np.divide(w, np.add(dt, cc, out=tmp), out=tmp))
-            w_log_lag = np.sum(np.multiply(w, log_lag, out=tmp))
-            w_mag = np.sum(np.multiply(w, np.take(dmag, earlier, out=tmp, mode="clip"), out=tmp))
-            w_dist = np.sum(np.divide(w, np.add(r2, d, out=tmp), out=tmp))
-            w_log_dist = np.sum(np.multiply(w, log_dist, out=tmp))
+                return _not_finite(7)
+            w_sum, w_lag, w_dist, w_log_lag, w_log_dist, w_mag = (np.sum(v) for v in weighted)
             grad = np.array([
                 mu * (at - np.sum(1.0 / lam)),
-                trig - np.sum(w),
+                trig - w_sum,
                 cc * p * w_lag + np.sum(prod * ti_c * mass),
                 (p - 1.0) * w_log_lag + np.sum(prod * ti_p * mass),
                 a * (np.sum(trig_i * dmag) - w_mag),
                 d * q * w_dist + np.sum(prod * ti * mass_d),
                 (q - 1.0) * w_log_dist + np.sum(prod * ti * mass_q),
             ])
-        return value, grad
+
+            np.reciprocal(rows[:2], out=rows[:2])
+            gram = np.zeros((5, 5))
+            for lo in range(0, earlier.size, _GRAM_PAIRS):
+                gram += w_rows[:, lo:lo + _GRAM_PAIRS] @ rows[:, lo:lo + _GRAM_PAIRS].T
+            sums_j = np.zeros((5, c.n))
+            sums_j[:, owners] = np.add.reduceat(w_rows, starts, axis=1)
+
+            # the log terms' part over (k, c, p, a, d, q): sum w g g^T, and
+            # sum w times the log term's second derivatives, which are (c, c)
+            # = g_c + g_c^2/p, (c, p) = (p-1)/p g_c, (p, p) = g_p, (a, a) =
+            # g_a, the same for (d, q), and none in k or across the groups
+            scale = np.array([-p * cc, 1.0 - p, a, -q * d, 1.0 - q])
+            w_g = scale * [w_lag, w_log_lag, w_mag, w_dist, w_log_dist]
+            pair = np.empty((6, 6))
+            pair[0, 0] = w_sum
+            pair[0, 1:] = pair[1:, 0] = w_g
+            # gram has sum (w x) y above and sum (w y) x below the diagonal
+            gram = 0.5 * (gram + gram.T)
+            pair[1:, 1:] = gram[np.ix_(to_packed, to_packed)] * np.outer(scale, scale)
+            curv = np.diag(np.r_[0.0, w_g])
+            curv[1, 1] += pair[1, 1] / p
+            curv[1, 2] = curv[2, 1] = (p - 1.0) / p * w_g[0]
+            curv[4, 4] += pair[4, 4] / q
+            curv[4, 5] = curv[5, 4] = (q - 1.0) / q * w_g[3]
+            # u_j over (mu, k, c, p, a, d, q); sum_i w_ij = 1 - mu/lam_j
+            u = np.empty((7, c.n))
+            np.divide(mu, lam, out=u[0])
+            np.subtract(1.0, u[0], out=u[1])
+            np.multiply(sums_j[to_packed], scale[:, None], out=u[2:])
+
+            # the compensator's part: trig_i is prod (in k and a) times ti
+            # (in c and p) times mass (in d and q); the partials of prod are
+            # prod, am * prod and (am + am^2) * prod
+            lc = left + cc
+            ti_2 = np.array([
+                ti_c + p * cc * cc * (cc ** (-p - 1.0) - lc ** (-p - 1.0)),
+                (p - 1.0) * cc * (math.log(cc) * cc ** -p - np.log(lc) * lc ** -p),
+                (p - 1.0) * (math.log(cc) ** 2 * cc ** (1.0 - p) - np.log(lc) ** 2 * tail) - ti_p,
+            ])
+            if mode == "approx":
+                ln_d = math.log(d)
+                mass_2 = np.outer([(q - 1.0) ** 2, (q - 1.0) ** 2 * ln_d,
+                                   ((q - 1.0) * ln_d + 1.0) ** 2 - (q - 1.0) * ln_d], mass)
+            else:
+                mass_2 = clipped.mass_hessian(d, q)
+            am = a * dmag
+            first = np.array([trig_i, prod * ti_c * mass, prod * ti_p * mass, am * trig_i,
+                              prod * ti * mass_d, prod * ti * mass_q])
+            comp = np.zeros((6, 6))
+            comp[1:3, 1:3] = _sym2(ti_2 @ (prod * mass))
+            comp[4:, 4:] = _sym2(mass_2 @ (prod * ti))
+            comp[1:3, 4:] = (prod * np.array([ti_c, ti_p])) @ np.array([mass_d, mass_q]).T
+            comp[4:, 1:3] = comp[1:3, 4:].T
+            comp[3] = comp[:, 3] = first @ am
+            comp[3, 3] += np.sum(first[3])
+            comp[0] = comp[:, 0] = np.sum(first, axis=1)
+
+            hess = u @ u.T
+            hess[0, 0] += mu * at - np.sum(u[0])
+            hess[1:, 1:] += comp - pair - curv
+        return value, grad, hess
 
     def score(theta: np.ndarray):
         try:
             return evaluate(hawkes_unpack(theta, m0))
         except (OverflowError, ValueError):
-            return math.inf, np.full(7, np.nan)
+            return _not_finite(7)
 
     return score
 
@@ -651,32 +780,124 @@ def _homog_score(c: Catalog, region: Region) -> Callable:
     at = region.area_km2 * c.window_days
 
     def score(theta: np.ndarray):
-        mu = math.exp(float(theta[0]))
-        value = -(n * math.log(mu) - mu * at) if n else mu * at
-        return value, np.array([mu * at - n])
+        try:
+            mu = math.exp(float(theta[0]))
+            value = -(n * math.log(mu) - mu * at) if n else mu * at
+        except (OverflowError, ValueError):  # exp overflows, or log of an underflow
+            return _not_finite(1)
+        return value, np.array([mu * at - n]), np.array([[mu * at]])
 
     return score
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first fit: the import costs
-    every process about 0.1 s, and only fit_mle needs it."""
-    from scipy.optimize import minimize as scipy_minimize
+class Minimum(NamedTuple):
+    """Where minimize stopped: the point, the score there, the Newton
+    iterations taken and why it stopped."""
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    hess: np.ndarray
+    nit: int
+    message: str
 
-    return scipy_minimize(*args, **kwargs)
+
+# eigenvalues of a Hessian that is not positive definite are taken by
+# absolute value and floored at this fraction of the largest
+_EIG_FLOOR = 1e-8
+# the Armijo condition's fraction of the predicted decrease
+_ARMIJO = 1e-4
+# the longest Newton step, in the 2-norm of the packed log-parameters. A
+# likelihood without an interior maximum (a Hawkes fit to a catalog without
+# clustering) has nearly flat directions, along which uncapped steps land
+# in float overflow and are halved back one evaluation at a time
+_MAX_STEP = 2.0
+# the relative change of the objective that the line search still tells
+# from rounding: the Hawkes objective sums thousands of rounded logs
+_RESOLUTION = 1e-12
+
+
+def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """-hess^-1 grad by a Cholesky solve, shortened to _MAX_STEP; a Hessian
+    that is not positive definite is replaced by its eigendecomposition
+    with each eigenvalue's absolute value floored at _EIG_FLOOR times the
+    largest, which keeps the step a descent direction."""
+    try:
+        low = np.linalg.cholesky(hess)
+        step = -np.linalg.solve(low.T, np.linalg.solve(low, grad))
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(hess)
+        size = np.abs(vals)
+        size = np.maximum(size, _EIG_FLOOR * size.max())
+        step = -(vecs @ ((vecs.T @ grad) / size))
+    length = np.linalg.norm(step)
+    return step * (_MAX_STEP / length) if length > _MAX_STEP else step
+
+
+def _finite(fun, jac, hess) -> bool:
+    return math.isfinite(fun) and bool(np.isfinite(jac).all() and np.isfinite(hess).all())
+
+
+def _backtrack(score: Callable, x: np.ndarray, fun: float, jac: np.ndarray, step: np.ndarray):
+    """(point, its score) of the first of step, step/2, step/4, ... from x
+    that meets the Armijo condition with a finite score. A full step whose
+    predicted decrease is below the objective's resolution (_RESOLUTION of
+    its size) cannot be judged by value and is taken when its score is
+    finite. None once a halved step predicts a decrease below that
+    resolution, or no longer moves x."""
+    slope = float(jac @ step)
+    floor = _RESOLUTION * max(1.0, abs(fun))
+    t = 1.0
+    while True:
+        trial = x + t * step
+        if np.array_equal(trial, x):
+            return None
+        got = score(trial)
+        if _finite(*got) and (got[0] <= fun + _ARMIJO * t * slope or -slope <= floor):
+            return trial, got
+        t *= 0.5
+        if -t * slope <= floor:
+            return None
+
+
+def minimize(score: Callable, theta0, gtol: float, max_iter: int) -> Minimum:
+    """Minimize score(theta) -> (value, gradient, Hessian) by damped Newton
+    steps (Nocedal & Wright 2006, ch. 3): each Newton step, no longer than
+    _MAX_STEP, is halved until it meets the Armijo condition, and a trial
+    whose value, gradient or Hessian is not finite counts as rejected.
+    Stops when the gradient's max-norm falls below gtol, after max_iter
+    Newton iterations, or when the step underflows: no halving decreases
+    the objective by more than its resolution. Every point is scored once."""
+    x = np.array(theta0, dtype=float)
+    fun, jac, hess = score(x)
+    if not _finite(fun, jac, hess):
+        return Minimum(x, fun, jac, hess, 0, "the objective is not finite at the start")
+    nit = 0
+    while True:
+        if np.max(np.abs(jac)) < gtol:
+            return Minimum(x, fun, jac, hess, nit, "gradient max-norm below gtol")
+        if nit >= max_iter:
+            return Minimum(x, fun, jac, hess, nit, "iteration limit reached")
+        step = _newton_step(jac, hess)
+        found = _backtrack(score, x, fun, jac, step) if np.isfinite(step).all() else None
+        if found is None:
+            return Minimum(x, fun, jac, hess, nit, "step underflow: no decrease along the Newton step")
+        x, (fun, jac, hess) = found
+        nit += 1
 
 
 def fit_mle(family: str, c: Catalog, region: Region, init,
             mode: str = "approx", gtol: float = 1e-6,
             max_iter: int = 500, restarts: int = 0,
             rng: RngStream | None = None) -> FitResult:
-    """Maximize the log-likelihood by quasi-Newton ascent in transformed space.
+    """Maximize the log-likelihood by damped Newton steps on the exact
+    Hessian (minimize) in transformed space.
 
     family is "homogeneous" (init: rate) or "hawkes" (init: HawkesParams;
     the magnitude floor is taken from init and held fixed). Convergence is
     declared when the analytic gradient's max-norm drops below gtol,
-    up to max_iter iterations. restarts > 0 adds that many jittered starts
-    (multiplicative log-normal, sigma 0.1) and keeps the best optimum.
+    up to max_iter Newton iterations. restarts > 0 adds that many jittered
+    starts (multiplicative log-normal, sigma 0.1) and keeps the best
+    optimum, whose Hessian is the fit's observed information.
     """
     if family == "homogeneous":
         rate0 = init.rate if isinstance(init, HomogeneousIntensity) else float(init)
@@ -706,8 +927,7 @@ def fit_mle(family: str, c: Catalog, region: Region, init,
 
     best = None
     for theta_s in starts:
-        res = minimize(score, theta_s, method="BFGS", jac=True,
-                       options={"gtol": gtol, "maxiter": max_iter})
+        res = minimize(score, theta_s, gtol, max_iter)
         if best is None or res.fun < best.fun:
             best = res
     grad_norm = float(np.max(np.abs(best.jac)))
@@ -719,6 +939,7 @@ def fit_mle(family: str, c: Catalog, region: Region, init,
         converged=bool(grad_norm < gtol),
         family=family,
         message=str(best.message),
+        information=best.hess,
     )
 
 
@@ -771,6 +992,27 @@ def background_from_catalog(training: Catalog, d: float, region: Region,
 _HAWKES_NAMES = ("mu", "k", "c", "p", "a", "d", "q", "m0")
 
 
+# the coordinates of hawkes_pack, of which the homogeneous fit has the first
+_PACKED_NAMES = ("ln mu", "ln k", "ln c", "ln(p-1)", "ln a", "ln d", "ln(q-1)")
+
+
+def _uncertainty_lines(information: np.ndarray) -> list:
+    """`# se(...)` comments: each packed parameter's standard error and its
+    strongest correlation with another, or one `# se = unavailable`."""
+    try:
+        se, corr = fit_uncertainty(information)
+    except ValueError as e:
+        return [f"# se = unavailable ({e})"]
+    lines = []
+    for i, name in enumerate(_PACKED_NAMES[:se.size]):
+        line = f"# se({name}) = {se[i]:.6g}"
+        if se.size > 1:
+            j = max((j for j in range(se.size) if j != i), key=lambda j: abs(corr[i, j]))
+            line += f", strongest correlation {corr[i, j]:+.4f} with {_PACKED_NAMES[j]}"
+        lines.append(line)
+    return lines
+
+
 def _params_text(values: dict, fit: FitResult | None) -> str:
     lines = []
     if fit is not None:
@@ -778,6 +1020,8 @@ def _params_text(values: dict, fit: FitResult | None) -> str:
         lines.append(f"# iterations = {fit.iterations}")
         lines.append(f"# grad_norm = {fit.grad_norm!r}")
         lines.append(f"# converged = {str(fit.converged).lower()}")
+        if fit.information is not None:
+            lines += _uncertainty_lines(fit.information)
     lines += [f"{name} = {v!r}" for name, v in values.items()]
     return "\n".join(lines) + "\n"
 

@@ -5,8 +5,8 @@ import pytest
 
 from eqassess import BinGrid, Catalog, Region
 from eqassess.catalog import KM_PER_DEG, km_distance2
-from eqassess.intensity import (_ClippedMass, _earlier_pairs, _row_spans, hawkes_unpack,
-                                spatial_mass, temporal_mass)
+from eqassess.intensity import (_ClippedMass, _earlier_pairs, _row_spans, hawkes_pack,
+                                hawkes_unpack, spatial_mass, temporal_mass)
 
 
 def km_distance_reference(lon1, lat1, lon2, lat2):
@@ -296,6 +296,29 @@ def allocating_hawkes_score(c, region, m0, mode="approx"):
 @pytest.fixture(scope="session")
 def score_oracle():
     return allocating_hawkes_score
+
+
+def bfgs_hawkes_fit(c, region, init, mode="approx", gtol=1e-6, max_iter=500,
+                    restarts=0, rng=None):
+    """Reference for intensity.fit_mle's Hawkes fit: scipy's BFGS on the
+    score's value and gradient from the same starts, the optimizer the
+    Newton loop replaced. Returns (log-likelihood, packed parameters) of
+    the best start."""
+    from scipy.optimize import minimize
+
+    score = allocating_hawkes_score(c, region, init.m0, mode)
+    theta0 = hawkes_pack(init)
+    starts = [theta0] + [theta0 + rng.substream(k).generator().normal(0.0, 0.1, size=7)
+                         for k in range(restarts)]
+    best = min((minimize(score, s, method="BFGS", jac=True,
+                         options={"gtol": gtol, "maxiter": max_iter}) for s in starts),
+               key=lambda res: res.fun)
+    return -float(best.fun), best.x
+
+
+@pytest.fixture(scope="session")
+def bfgs_fit():
+    return bfgs_hawkes_fit
 
 
 # --- output writers -------------------------------------------------------

@@ -539,7 +539,7 @@ def test_parser_shared_across_calls_answers_as_fresh_processes(paths, capsys):
 
 def test_import_leaves_scipy_stats_optimize_and_spatial_unloaded():
     """scipy.stats costs every process about 0.5 s at start-up,
-    scipy.optimize about 0.1 s and scipy.spatial about 0.15 s; only a fit
+    scipy.optimize about 0.1 s and scipy.spatial about 0.15 s; nothing
     loads the optimizer, and only tessellations and K pair counts the
     spatial trees."""
     code = ("import sys, eqassess.cli; "
@@ -550,3 +550,26 @@ def test_import_leaves_scipy_stats_optimize_and_spatial_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "hawkes"])
+def test_fit_leaves_scipy_optimize_unloaded(paths, family):
+    """The Newton fit needs numpy alone."""
+    code = ("import sys; from eqassess.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, 'scipy.optimize' in sys.modules)")
+    argv = ["fit", "--family", family, "--catalog", paths["catalog"], "--region",
+            paths["region"], "--out", str(paths["dir"] / "fit")]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split()[-2:] == ["0", "False"]
+
+
+def test_fit_writes_the_standard_error(paths):
+    # the homogeneous information at the optimum is the count, 12
+    out = str(paths["dir"] / "fit")
+    assert main(["fit", "--family", "homogeneous", "--catalog", paths["catalog"],
+                 "--region", paths["region"], "--out", out]) == 0
+    lines = _read_bytes(out, "params.txt").decode().splitlines()
+    assert [ln for ln in lines if ln.startswith("# se")] == [f"# se(ln mu) = {12 ** -0.5:.6g}"]

@@ -44,6 +44,8 @@ FORECAST_ERRORS = [
     (HEADER, "forecast: no unmasked cells"),
     ("", "forecast: empty file"),
     ("# a\n\n  # b\n", "forecast: empty file"),
+    (HEADER + "0,1,0,1,4,5,3.0\r,1\n",
+     "forecast: line 2: new-line character seen in unquoted field"),
 ] + [
     (HEADER + OK_ROW + ",".join(" 1.x " if k == col else v for k, v in
                                 enumerate(["1", "2", "0", "1", "4", "5", "3.0", "1"])) + "\n",
@@ -61,6 +63,7 @@ REGION_ERRORS = [
     ("lon,lat\n", "region: no data rows"),
     ("lon,lat\n# only a comment\n", "region: no data rows"),
     ("", "region: empty file"),
+    ("lon,lat\n0,0\n1,\r0\n0,1\n", "region: line 3: new-line character seen in unquoted field"),
 ]
 
 
@@ -83,6 +86,14 @@ CATALOG_ERRORS = [
      "event time outside the declared window"),
     ("# window_days = soon\n" + CATALOG_HEADER + "0.5,0.5,0.5,4.0\n",
      "could not convert string to float: 'soon'"),
+    (CATALOG_HEADER + "0.5,0.5,0.5,4.0\n0.5,0.5,0.5,4.0\n",
+     "duplicate event (time=0.5, lon=0.5, lat=0.5, mag=4.0)"),
+    # a carriage return inside a line, in a row and in the header; the line
+    # numbers count comment and blank lines
+    ("time,lon,lat,mag\n1,1,\r1\n", "catalog: line 2: new-line character seen in unquoted field"),
+    ("time\r,lon,lat,mag\n", "catalog: line 1: new-line character seen in unquoted field"),
+    ("# m0 = 4\n\n" + CATALOG_HEADER + "0.5,0.5,0.5,4.0\n0.7,0.5\r,0.5,4.0\n",
+     "catalog: line 5: new-line character seen in unquoted field"),
 ]
 
 
@@ -120,6 +131,18 @@ def test_forecasts_the_row_loop_accepts(text, rate):
 def test_regions_the_row_loop_accepts():
     r = parse_region('# ring\nlon, lat\r\n"0",0\n\n1_0,0\n  # x\n0,1\n')
     assert r.vertices.tolist() == [[0.0, 0.0], [10.0, 0.0], [0.0, 1.0]]
+
+
+def test_a_quoted_field_may_span_lines():
+    # the quote opened on the last field closes on the next line, which
+    # joins the two into one record, mag "4\n"; a record that follows is
+    # still read
+    cat = parse_catalog(CATALOG_HEADER + '0.5,0.5,0.5,"4\n"\n')
+    assert cat.mags.tolist() == [4.0]
+    cat = parse_catalog(CATALOG_HEADER + '0.5,0.5,0.5,"4\n"\n0.7,0.5,0.5,4.5\n')
+    assert cat.mags.tolist() == [4.0, 4.5]
+    r = parse_region('lon,lat\n0,0\n1,"0\n"\n0,1\n')
+    assert r.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

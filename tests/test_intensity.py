@@ -13,7 +13,7 @@ from eqassess import (Catalog, HawkesIntensity, HawkesParams,
                       kernel_disk_mass, log_likelihood, mean_branching_ratio,
                       parse_hawkes_params, radial_trigger_cdf,
                       select_bandwidth, serialize_hawkes_params,
-                      simulate_homogeneous, temporal_trigger_cdf)
+                      simulate_hawkes, simulate_homogeneous, temporal_trigger_cdf)
 from eqassess import intensity
 from eqassess.intensity import (hawkes_objective, hawkes_pack, hawkes_score,
                                 hawkes_unpack, spatial_mass, temporal_mass)
@@ -127,6 +127,31 @@ class TestHawkesParams:
         # no family comment means hawkes
         assert intensity.parse_model_params(serialize_hawkes_params(p),
                                             small_catalog).params == p
+
+    def test_fit_file_standard_error_comments(self, small_catalog):
+        p = HawkesParams(mu=0.1, k=0.05, c=0.01, p=1.2, a=1.0, d=1.0, q=1.5, m0=4.0)
+        # covariance diag(1/4, 1/16, ...) but for a 0.5 correlation of ln k and ln d
+        cov = np.diag(1.0 / np.array([4.0, 16.0, 9.0, 25.0, 1.0, 16.0, 4.0]))
+        cov[1, 5] = cov[5, 1] = 0.5 * math.sqrt(cov[1, 1] * cov[5, 5])
+        fit = intensity.FitResult(p, -12.5, 3, 1e-9, True, "hawkes", "",
+                                  information=np.linalg.inv(cov))
+        text = intensity.serialize_fit(fit)
+        se_lines = [ln for ln in text.splitlines() if ln.startswith("# se")]
+        assert se_lines[1] == "# se(ln k) = 0.25, strongest correlation +0.5000 with ln d"
+        assert se_lines[3].startswith("# se(ln(p-1)) = 0.2, strongest correlation ")
+        assert len(se_lines) == 7
+        model = intensity.parse_model_params(text, small_catalog)
+        assert model.params == p and intensity.parse_hawkes_params(text) == p
+        # an information that is not positive definite gives one line
+        text = intensity.serialize_fit(fit._replace(information=np.diag([1.0, -1.0, 1, 1, 1, 1, 1])))
+        assert [ln for ln in text.splitlines() if ln.startswith("# se")] == [
+            "# se = unavailable (observed information is not positive definite)"]
+        assert intensity.parse_model_params(text, small_catalog).params == p
+        homog = fit._replace(params=HomogeneousIntensity(2.5e-4), family="homogeneous",
+                             information=np.array([[16.0]]))
+        text = intensity.serialize_fit(homog)
+        assert "# se(ln mu) = 0.25\n" in text
+        assert intensity.parse_model_params(text, small_catalog).rate == 2.5e-4
 
     @pytest.mark.parametrize("text,message", [
         ("# family = homogeneous\n", "params: homogeneous file needs a mu line"),
@@ -541,16 +566,17 @@ class TestFitMle:
         # a Hawkes fit to a Poisson catalog drives k down and leaves c, p, d,
         # q flat, so the line search probes parameters that overflow
         make = intensity.hawkes_score
-        infinite = []
+        calls, infinite = [], []
 
         def counting(*args, **kwargs):
             score = make(*args, **kwargs)
 
             def counted(theta):
-                value, grad = score(theta)
+                value, grad, hess = score(theta)
+                calls.append(theta)
                 if value == math.inf:
                     infinite.append(theta)
-                return value, grad
+                return value, grad, hess
 
             return counted
 
@@ -563,13 +589,21 @@ class TestFitMle:
         assert all(math.isfinite(getattr(fit.params, nm))
                    for nm in ("mu", "k", "c", "p", "a", "d", "q"))
         assert math.isfinite(fit.log_lik) and math.isfinite(fit.grad_norm)
+        # the likelihood has no interior maximum: it keeps rising as k and a
+        # grow together and p falls to 1. The capped steps walk out to where
+        # the objective overflows, and the line search stops once a decrease
+        # is below the objective's resolution: 275 evaluations, where
+        # uncapped steps halved down to a no-move step took 631 and scipy's
+        # BFGS 154
+        assert fit.message.startswith("step underflow")
+        assert len(calls) <= 350
 
     def test_score_of_unpackable_parameters_is_infinite(self, unit_region,
                                                         small_catalog):
         score = hawkes_score(small_catalog, unit_region, 4.0)
         for theta in (np.full(7, 800.0), np.r_[-800.0, np.zeros(6)]):
-            value, grad = score(theta)
-            assert value == math.inf and np.all(np.isnan(grad))
+            value, grad, hess = score(theta)
+            assert value == math.inf and np.all(np.isnan(grad)) and np.all(np.isnan(hess))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([0, 1, 2, 7, 25]),
@@ -586,7 +620,7 @@ class TestFitMle:
         theta = hawkes_pack(HawkesParams(mu=1e-4, k=0.004, c=0.04, p=1.4, a=0.9,
                                          d=0.6, q=1.7, m0=4.0)) \
             + gen.normal(0.0, 0.3, size=7)
-        value, grad = hawkes_score(cat, region, 4.0, mode)(theta)
+        value, grad, _ = hawkes_score(cat, region, 4.0, mode)(theta)
         model = HawkesIntensity(hawkes_unpack(theta, 4.0), cat)
         assert value == pytest.approx(-log_likelihood(model, cat, region, mode=mode),
                                       rel=1e-12)
@@ -595,7 +629,7 @@ class TestFitMle:
         assert np.max(np.abs(grad - oracle) / scale) < 1e-4
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([0, 1, 2, 7, 40]),
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([0, 1, 2, 7, 40, 129, 182]),
            ties=st.booleans(), mode=st.sampled_from(["approx", "quadrature"]),
            spread=st.sampled_from([0.3, 3.0]))
     def test_score_reuses_buffers_exactly(self, score_oracle, seed, n, ties, mode,
@@ -618,16 +652,16 @@ class TestFitMle:
             except OverflowError:
                 # a Python float power overflowed; the closure scores inf
                 want_value, want_grad = math.inf, np.full(7, np.nan)
-            value, grad = score(theta)
+            value, grad, _ = score(theta)
             assert value == want_value
             assert np.array_equal(grad, want_grad, equal_nan=True)
 
     def test_score_is_inf_where_a_float_power_overflows(self, small_catalog, unit_region):
         # c = 0.01 and p = 201 give c ** (1 - p) = 1e400 in temporal_mass
         theta = np.array([-5.0, -3.0, math.log(0.01), math.log(200.0), 0.0, 0.0, 0.0])
-        value, grad = hawkes_score(small_catalog, unit_region, 4.0)(theta)
+        value, grad, hess = hawkes_score(small_catalog, unit_region, 4.0)(theta)
         assert value == math.inf
-        assert np.isnan(grad).all()
+        assert np.isnan(grad).all() and np.isnan(hess).all()
 
     def test_pack_unpack_round_trip(self):
         p = HawkesParams(mu=0.1, k=0.05, c=0.01, p=1.2, a=1.0, d=1.0, q=1.5,
@@ -636,6 +670,172 @@ class TestFitMle:
         assert back.mu == pytest.approx(p.mu, rel=1e-14)
         assert back.p == pytest.approx(p.p, rel=1e-14)
         assert back.q == pytest.approx(p.q, rel=1e-14)
+
+
+def _central_hessian(score, theta):
+    """Central differences of the analytic gradient, column by column."""
+    cols = []
+    for i in range(theta.size):
+        h = 1e-5 * max(1.0, abs(theta[i]))
+        step = np.zeros_like(theta)
+        step[i] = h
+        cols.append((score(theta + step)[1] - score(theta - step)[1]) / (2.0 * h))
+    return np.array(cols).T
+
+
+def _first_events(cat, n):
+    """The first n events of a catalog, the window closing midway to the next."""
+    return Catalog(cat.times[:n], cat.lons[:n], cat.lats[:n], cat.mags[:n],
+                   0.5 * (cat.times[n - 1] + cat.times[n]), cat.m0)
+
+
+class TestNewtonFit:
+    """The damped Newton fit on the exact Hessian: the Hessian against
+    central differences, and the fit against the BFGS fit it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([0, 1, 2, 7, 25, 129, 182]),
+           ties=st.booleans(), mode=st.sampled_from(["approx", "quadrature"]))
+    def test_hessian_matches_central_differences(self, seed, n, ties, mode):
+        region = Region.rectangle(0.0, 1.0, 0.0, 1.0)
+        gen = np.random.default_rng(seed)
+        times = gen.uniform(0.0, 10.0, n)
+        if ties:
+            times = np.floor(times)
+        cat = Catalog(times, gen.uniform(0.0, 1.0, n), gen.uniform(0.0, 1.0, n),
+                      gen.uniform(4.0, 6.0, n), 10.0, 4.0)
+        theta = hawkes_pack(HawkesParams(mu=1e-4, k=0.004, c=0.04, p=1.4, a=0.9,
+                                         d=0.6, q=1.7, m0=4.0)) \
+            + gen.normal(0.0, 0.3, size=7)
+        score = hawkes_score(cat, region, 4.0, mode)
+        hess = score(theta)[2]
+        assert np.array_equal(hess, hess.T)
+        oracle = _central_hessian(score, theta)
+        scale = np.maximum(np.abs(hess), 1e-5 * np.max(np.abs(hess)))
+        assert np.max(np.abs(hess - oracle) / scale) < 1e-4
+
+    def test_homogeneous_hessian_is_the_expected_count(self, unit_region, small_catalog):
+        score = intensity._homog_score(small_catalog, unit_region)
+        theta = np.array([math.log(3e-4)])
+        value, grad, hess = score(theta)
+        assert hess[0, 0] == pytest.approx(_central_hessian(score, theta)[0, 0], rel=1e-8)
+        fit = fit_mle("homogeneous", small_catalog, unit_region, init=1e-5)
+        # at the optimum mu * area * T equals the count
+        assert fit.information[0, 0] == pytest.approx(small_catalog.n, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002])
+    def test_fit_at_least_bfgs_on_round_trip_catalogs(self, bfgs_fit, seed):
+        from test_acceptance import _roundtrip_truth
+
+        truth, region, t_max = _roundtrip_truth()
+        cat = simulate_hawkes(truth, region, t_max, RngStream(seed), gr_b=1.0, mag_span=4.0)
+        init = HawkesParams(mu=0.5 * cat.n / (region.area_km2 * t_max), k=truth.k * 1.7,
+                            c=truth.c * 0.6, p=truth.p + 0.2, a=max(0.5, truth.a - 0.4),
+                            d=truth.d * 1.8, q=truth.q - 0.3, m0=truth.m0)
+        fit = fit_mle("hawkes", cat, region, init)
+        assert fit.converged and fit.message == "gradient max-norm below gtol"
+        assert fit.log_lik >= bfgs_fit(cat, region, init)[0] - 1e-9
+        # the observed information is the score's Hessian at the fit
+        hess = hawkes_score(cat, region, truth.m0)(hawkes_pack(fit.params))[2]
+        np.testing.assert_allclose(fit.information, hess, rtol=1e-9, atol=1e-9 * np.abs(hess).max())
+
+    def test_capped_fit_at_least_capped_bfgs(self, bfgs_fit):
+        # the benchmark's fit: 450 events of the round-trip model, two
+        # restarts, six iterations each
+        from test_acceptance import _roundtrip_truth
+
+        truth, region, _ = _roundtrip_truth()
+        cat = _first_events(simulate_hawkes(truth, region, 700.0, RngStream(1003),
+                                            gr_b=1.0, mag_span=4.0), 450)
+        fit = fit_mle("hawkes", cat, region, truth, restarts=2, max_iter=6, rng=RngStream(7))
+        want, _ = bfgs_fit(cat, region, truth, max_iter=6, restarts=2, rng=RngStream(7))
+        assert fit.iterations <= 6
+        assert fit.log_lik >= want - 1e-9
+
+    def test_score_memory_in_pair_sized_arrays(self):
+        """A score keeps fifteen pair-sized arrays (the pair indices, dt and
+        r^2, the five factor rows, w and its five products), building it
+        peaks at no more, and an evaluation adds less than one."""
+        import tracemalloc
+
+        from test_acceptance import _roundtrip_truth
+
+        truth, region, _ = _roundtrip_truth()
+        cat = simulate_hawkes(truth, region, 700.0, RngStream(1000), gr_b=1.0, mag_span=4.0)
+        array = 8 * intensity._earlier_pairs(cat.times)[0].size
+        assert array > 1_000_000
+        tracemalloc.start()
+        try:
+            score = hawkes_score(cat, region, truth.m0)
+            built, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert math.isfinite(score(hawkes_pack(truth))[0])
+            evaluated_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= 16 * array
+        assert built <= 16 * array
+        assert evaluated_peak - built <= array
+
+
+class TestMinimize:
+    @staticmethod
+    def convex(x):
+        # sum exp(x) - 2x, least at x = ln 2
+        return float(np.sum(np.exp(x) - 2.0 * x)), np.exp(x) - 2.0, np.diag(np.exp(x))
+
+    def test_converges_on_a_convex_function(self):
+        res = intensity.minimize(self.convex, np.full(3, 3.0), 1e-10, 50)
+        assert res.message == "gradient max-norm below gtol"
+        np.testing.assert_allclose(res.x, math.log(2.0), rtol=1e-12)
+        assert res.fun == self.convex(res.x)[0]
+
+    def test_scores_every_point_once(self):
+        seen = []
+
+        def score(x):
+            seen.append(tuple(x))
+            return self.convex(x)
+
+        res = intensity.minimize(score, np.array([4.0, -3.0]), 1e-10, 50)
+        assert len(seen) == len(set(seen)) and res.nit < len(seen)
+
+    def test_stops_at_the_iteration_limit(self):
+        res = intensity.minimize(self.convex, np.full(2, 3.0), 1e-10, 1)
+        assert (res.nit, res.message) == (1, "iteration limit reached")
+
+    def test_steps_downhill_where_the_hessian_is_indefinite(self):
+        # x^4/4 - x^2/2 has negative curvature at 0.1 and its minima at +-1
+        def score(x):
+            return float(x[0] ** 4 / 4 - x[0] ** 2 / 2), x ** 3 - x, np.array([[3 * x[0] ** 2 - 1]])
+
+        res = intensity.minimize(score, np.array([0.1]), 1e-10, 50)
+        assert res.message == "gradient max-norm below gtol"
+        assert abs(res.x[0]) == pytest.approx(1.0, rel=1e-9)
+
+    def test_rejects_non_finite_trials(self):
+        # the objective is infinite beyond 1, where the full Newton step from
+        # 0.9 toward the least point 10 lands
+        def score(x):
+            if x[0] > 1.0:
+                return math.inf, np.full(1, np.nan), np.full((1, 1), np.nan)
+            return float((x[0] - 10.0) ** 2), 2.0 * (x - 10.0), np.array([[2.0]])
+
+        res = intensity.minimize(score, np.array([0.9]), 1e-10, 50)
+        assert 0.9 < res.x[0] <= 1.0 and math.isfinite(res.fun)
+
+    def test_reports_a_step_that_cannot_decrease(self):
+        # a gradient of the wrong sign: no fraction of the step decreases
+        def score(x):
+            return float(x[0] ** 2), -2.0 * x, np.array([[2.0]])
+
+        res = intensity.minimize(score, np.array([1.0]), 1e-10, 50)
+        assert res.message.startswith("step underflow") and res.x[0] == 1.0
+
+    def test_reports_a_non_finite_start(self):
+        res = intensity.minimize(lambda x: (math.inf, np.full(1, np.nan), np.full((1, 1), np.nan)),
+                                 np.zeros(1), 1e-6, 10)
+        assert (res.nit, res.message) == (0, "the objective is not finite at the start")
 
 
 class TestBandwidth:
