@@ -19,8 +19,6 @@ import hashlib
 import os
 import sys
 
-import numpy as np
-
 from .catalog import Catalog, Region, csv_text, parse_catalog, parse_region, serialize_catalog
 from .consistency import (l_test, m_test, n_test, r_test, results_to_csv,
                           s_test, sims_to_csv, t_test_pairwise, w_test_pairwise)
@@ -31,8 +29,8 @@ from .render import (render_error_diagram, render_histogram, render_k_curve,
                      render_map, render_point_map)
 from .residuals import (cell_residuals_to_csv, cell_residuals_to_geojson,
                         cell_value_texts, deviance_residuals, pixel_residuals,
-                        point_report, points_to_csv, points_to_geojson, super_thin,
-                        superpose_residuals, tessellation_to_csv,
+                        point_report, points_to_csv, points_to_geojson, rescale_times,
+                        super_thin, superpose_residuals, tessellation_to_csv,
                         tessellation_to_geojson, thin_residuals, voronoi_residuals,
                         voronoi_tessellation)
 from .rng import RngStream
@@ -57,7 +55,6 @@ class RunConfig:
     command: str
     out_dir: str
     seed: int
-    jobs: int
     options: dict
 
     def get(self, key, default=None):
@@ -149,7 +146,9 @@ def _resolve(command: str, args: argparse.Namespace, allowed: set) -> RunConfig:
             raise ConfigError(f"--{key.replace('_', '-')} must be at least {least}")
     out_dir = str(options.pop("out", "out"))
     seed = int(options.pop("seed", 0))
-    return RunConfig(command, out_dir, seed, options.pop("jobs", 1), options)
+    # --jobs is checked, then dropped: no output, the manifest included, reads it
+    options.pop("jobs", None)
+    return RunConfig(command, out_dir, seed, options)
 
 
 def _replace_file(path: str, data: bytes) -> None:
@@ -177,8 +176,6 @@ class Workspace:
         return path
 
     def finish(self, cfg: RunConfig) -> str:
-        # jobs is deliberately not echoed: outputs must not depend on the
-        # parallelism setting, and that includes the manifest itself
         lines = [f"# command = {cfg.command}", f"# seed = {cfg.seed}"]
         lines += [f"# {key} = {cfg.options[key]}" for key in sorted(cfg.options)]
         lines += [f"{name}\t{digest}" for name, digest in self.entries]
@@ -322,7 +319,7 @@ def _cmd_test(cfg: RunConfig) -> int:
                 results.append(n_test(fa, c, level))
             elif name == "l":
                 results.append(l_test(fa, c, rng.substream(_SIM_SUBSTREAM["l"]),
-                                      n_sim, level, jobs=cfg.jobs))
+                                      n_sim, level))
             elif name == "m":
                 results.append(m_test(fa, c, rng.substream(_SIM_SUBSTREAM["m"]),
                                       n_sim, level))
@@ -331,9 +328,9 @@ def _cmd_test(cfg: RunConfig) -> int:
                                       n_sim, level))
             elif name == "r":
                 ab = r_test(fa, fb, c, rng.substream(_SIM_SUBSTREAM["r_ab"]),
-                            n_sim, level, jobs=cfg.jobs)
+                            n_sim, level)
                 ba = r_test(fb, fa, c, rng.substream(_SIM_SUBSTREAM["r_ba"]),
-                            n_sim, level, jobs=cfg.jobs)
+                            n_sim, level)
                 results.append(dataclasses.replace(ab, name="r_ab"))
                 results.append(dataclasses.replace(ba, name="r_ba"))
             elif name == "t":
@@ -394,8 +391,8 @@ def _cmd_residuals(cfg: RunConfig) -> int:
             ws.write("report.txt", point_report(ps, region))
         elif kind == "rescale":
             model = _load_model(cfg, c)
-            lam = model.compensator(region, np.append(c.times, c.window_days))
-            ws.write("taus.csv", csv_text({"tau": lam[:-1]}, {"total_mass": lam[-1]}))
+            rt = rescale_times(c, lambda t: model.compensator(region, t))
+            ws.write("taus.csv", csv_text({"tau": rt.taus}, {"total_mass": rt.total_mass}))
         elif kind == "pixel":
             fa = _load_forecast(cfg, "forecast_a", cfg.get("window", c.window_days))
             raw, pearson = pixel_residuals(fa, c, fa.grid)

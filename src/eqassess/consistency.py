@@ -91,7 +91,7 @@ def _null_cells(cum_rates: np.ndarray, rng: RngStream):
 
 
 def l_test(f: GriddedForecast, c: Catalog, rng: RngStream, n_sim: int = 1000,
-           level: float = 0.05, jobs: int = 1) -> TestResult:
+           level: float = 0.05) -> TestResult:
     """Joint log-likelihood consistency test.
 
     gamma is the fraction of null catalogs (binned counts simulated from the
@@ -105,7 +105,7 @@ def l_test(f: GriddedForecast, c: Catalog, rng: RngStream, n_sim: int = 1000,
     def one(k: int) -> float:
         return sparse_log_likelihood(f, *_null_cells(cum, rng.substream(k)))
 
-    sims = np.asarray(pmap(one, n_sim, jobs))
+    sims = np.asarray(pmap(one, n_sim))
     gamma = float(np.mean(sims <= obs))
     decision = "reject" if gamma < level else "consistent"
     return TestResult("l", obs, gamma, n_sim, decision, level, sim_statistics=sims)
@@ -157,8 +157,7 @@ def s_test(f: GriddedForecast, c: Catalog, rng: RngStream, n_sim: int = 1000,
 
 
 def r_test(fa: GriddedForecast, fb: GriddedForecast, c: Catalog,
-           rng: RngStream, n_sim: int = 1000, level: float = 0.05,
-           jobs: int = 1) -> PairwiseResult:
+           rng: RngStream, n_sim: int = 1000, level: float = 0.05) -> PairwiseResult:
     """One-directional likelihood-ratio test with the first forecast as null.
 
     R = L_A - L_B on the observed counts; the null distribution comes from
@@ -180,7 +179,7 @@ def r_test(fa: GriddedForecast, fb: GriddedForecast, c: Catalog,
         cs = _null_cells(cum, rng.substream(k))
         return sparse_log_likelihood(fa, *cs) - sparse_log_likelihood(fb, *cs)
 
-    sims = np.asarray(pmap(one, n_sim, jobs))
+    sims = np.asarray(pmap(one, n_sim))
     p = float(np.mean(sims <= r_obs))
     direction = "A" if r_obs > 0 else ("B" if r_obs < 0 else "tie")
     decision = "reject" if p < level else "consistent"

@@ -7,7 +7,9 @@ protocol on vectorized, equal-length arrays:
   (time-independent models ignore times);
 - integrate(lons, lats, t): the exact integral of the rate over [0, t] at
   each point;
-- bounds(region, t_max): (inf, sup) of the rate over region x [0, t_max].
+- bounds(region, t_max): (inf, sup) of the rate over region x [0, t_max];
+- compensator(region, times): the expected count in region x [0, t] for
+  each t, in the shape of times.
 """
 
 from __future__ import annotations
@@ -73,14 +75,24 @@ def kernel_disk_mass(radius: float, d: float) -> float:
 class _Stationary:
     """The protocol for a rate that does not change in time."""
 
+    def _lattice(self, region: Region):
+        """(rates, cell areas) at the 200 x 200 lattice points inside the region."""
+        lat = region_lattice(region, 200)
+        return self.rate_at(lat.lons[lat.inside], lat.lats[lat.inside]), lat.cell_km2[lat.inside]
+
     def integrate(self, lons, lats, t):
         return self.rate_at(lons, lats) * t
 
     def bounds(self, region: Region, t_max: float | None = None):
         """(inf, sup) of the rate over a 200 x 200 lattice inside the region."""
-        lat = region_lattice(region, 200)
-        vals = self.rate_at(lat.lons[lat.inside], lat.lats[lat.inside])
+        vals, _ = self._lattice(region)
         return float(vals.min()), float(vals.max())
+
+    def compensator(self, region: Region, times):
+        """Expected count in region x [0, t] for each t: the midpoint sum of
+        the rate over the 200 x 200 lattice, times t."""
+        vals, cell_km2 = self._lattice(region)
+        return float(np.sum(vals * cell_km2)) * np.asarray(times, dtype=float)
 
 
 class HomogeneousIntensity(_Stationary):
@@ -94,8 +106,12 @@ class HomogeneousIntensity(_Stationary):
     def rate_at(self, lons, lats, times=None):
         return np.full(np.shape(np.asarray(lons)), self.rate, dtype=float)
 
+    def bounds(self, region: Region, t_max: float | None = None):
+        """(rate, rate), exactly."""
+        return self.rate, self.rate
+
     def compensator(self, region: Region, times):
-        """Expected count in region x [0, t] for each t."""
+        """Expected count in region x [0, t] for each t, exactly."""
         return self.rate * region.area_km2 * np.asarray(times, dtype=float)
 
     def __repr__(self):
@@ -245,7 +261,7 @@ class HawkesIntensity:
     def __init__(self, params: HawkesParams, history: Catalog, background=None):
         self.params = params
         self.history = history
-        self.background = background  # None -> constant params.mu
+        self.background = background or HomogeneousIntensity(params.mu)
 
     def _productivity(self) -> np.ndarray:
         p = self.params
@@ -276,10 +292,7 @@ class HawkesIntensity:
         lats = np.atleast_1d(np.asarray(lats, dtype=float))
         shared = np.ndim(times) == 0
         times = np.broadcast_to(np.asarray(times, dtype=float), lons.shape)
-        if self.background is None:
-            bg = np.full(lons.shape, p.mu, dtype=float)
-        else:
-            bg = self.background.rate_at(lons, lats).astype(float)
+        bg = self.background.rate_at(lons, lats).astype(float)
         out = np.zeros(lons.shape)
         if h.n == 0 or p.k == 0 or lons.size == 0:
             return bg, out
@@ -337,10 +350,7 @@ class HawkesIntensity:
         if t_max is None:
             raise ValueError("Hawkes bounds need t_max")
         p = self.params
-        if self.background is None:
-            lo, hi = p.mu, p.mu
-        else:
-            lo, hi = self.background.bounds(region, t_max)
+        lo, hi = self.background.bounds(region, t_max)
         before = self.history.times < t_max
         t = self.history.times[before]
         kappa = self._productivity()[before]
@@ -351,31 +361,28 @@ class HawkesIntensity:
             peak = max(peak, float(np.max(lag @ kappa)))
         return lo, hi + p.d ** -p.q * peak
 
-    def compensator(self, region: Region, times):
-        """Expected count in region x [0, t] for each t, with each event's
-        triggering mass taken over the whole plane (Ogata 1988)."""
+    def compensator(self, region: Region, times, mode: str = "approx"):
+        """Expected count in region x [0, t] for each t: the background's
+        compensator plus each earlier event's triggering mass (Ogata 1988),
+        its spatial part over the whole plane (mode "approx") or clipped to
+        the region by _ClippedMass (mode "quadrature")."""
         p = self.params
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if self.background is None:
-            bg = p.mu * region.area_km2
+        if mode == "approx":
+            mass = spatial_mass(p.d, p.q)
+        elif mode == "quadrature":
+            mass = _ClippedMass(self.history, region).masses(p.d, p.q)
         else:
-            bg = _spatial_quadrature_rate(self.background, region, 200)
-        kappa = self._productivity() * spatial_mass(p.d, p.q)
-        out = bg * times
-        for lo, hi in _row_spans(times.size, self.history.n):
-            dt = times[lo:hi, None] - self.history.times[None, :]
+            raise ValueError(f"unknown integral mode {mode!r}")
+        kappa = self._productivity() * mass
+        flat = np.asarray(times, dtype=float).reshape(-1)
+        out = self.background.compensator(region, flat)
+        for lo, hi in _row_spans(flat.size, self.history.n):
+            dt = flat[lo:hi, None] - self.history.times[None, :]
             out[lo:hi] += temporal_mass(np.maximum(dt, 0.0), p.c, p.p) @ kappa
-        return out
+        return out.reshape(np.shape(times))
 
 
 # --- likelihood ---------------------------------------------------------
-
-
-def _spatial_quadrature_rate(model, region: Region, n_grid: int) -> float:
-    """Integral of a time-independent model over the region, per day."""
-    lat = region_lattice(region, n_grid)
-    vals = model.rate_at(lat.lons[lat.inside], lat.lats[lat.inside])
-    return float(np.sum(vals * lat.cell_km2[lat.inside]))
 
 
 def _ray_segments(origin_xy, ring_km, n_angles: int):
@@ -471,52 +478,18 @@ class _ClippedMass:
         return np.array([self._per_event(dd), self._per_event(dq), self._per_event(qq)])
 
 
-def _hawkes_integral(params: HawkesParams, c: Catalog, region: Region,
-                     mode: str, n_grid: int, clipped: "_ClippedMass | None",
-                     background=None) -> float:
-    p = params
-    T = c.window_days
-    if background is None:
-        bg = p.mu * region.area_km2 * T
-    else:
-        bg = _spatial_quadrature_rate(background, region, n_grid) * T
-    if c.n == 0 or p.k == 0:
-        return bg
-    prod = p.k * np.exp(p.a * (c.mags - p.m0))
-    ti = temporal_mass(T - c.times, p.c, p.p)
-    if mode == "approx":
-        trig = float(np.sum(prod * ti) * spatial_mass(p.d, p.q))
-    elif mode == "quadrature":
-        if clipped is None:
-            clipped = _ClippedMass(c, region)
-        trig = float(np.sum(prod * ti * clipped.masses(p.d, p.q)))
-    else:
-        raise ValueError(f"unknown integral mode {mode!r}")
-    return bg + trig
-
-
-def log_likelihood(model, c: Catalog, region: Region, mode: str = "approx",
-                   n_grid: int = 100) -> float:
+def log_likelihood(model, c: Catalog, region: Region, mode: str = "approx") -> float:
     """Point-process log-likelihood: sum of log rates at the events minus
-    the integrated rate over region x window.
+    the model's compensator over region x window.
 
-    mode selects how the Hawkes triggering integral is computed: "approx"
-    uses each event's total triggering mass truncated to the window;
-    "quadrature" clips the spatial part to the region exactly in radius with
-    angular quadrature. Time-independent models integrate by midpoint
-    quadrature on an n_grid x n_grid lattice (homogeneous models exactly).
+    A mode other than "approx" goes to the compensator, which only a
+    Hawkes model takes (HawkesIntensity.compensator).
     """
     lam = model.rate_at(c.lons, c.lats, c.times)
     with np.errstate(divide="ignore"):
         point = float(np.sum(np.log(lam)))
-    if isinstance(model, HawkesIntensity):
-        integral = _hawkes_integral(model.params, c, region, mode, n_grid, None,
-                                    model.background)
-    elif isinstance(model, HomogeneousIntensity):
-        integral = model.rate * region.area_km2 * c.window_days
-    else:
-        integral = _spatial_quadrature_rate(model, region, n_grid) * c.window_days
-    return point - integral
+    options = {} if mode == "approx" else {"mode": mode}
+    return point - float(model.compensator(region, c.window_days, **options))
 
 
 # --- fitting ------------------------------------------------------------
@@ -974,13 +947,13 @@ def select_bandwidth(c: Catalog, candidates) -> BandwidthSelection:
 
 
 def background_from_catalog(training: Catalog, d: float, region: Region,
-                            events_per_day: float, n_grid: int = 200) -> KernelIntensity:
-    """Kernel field over training epicenters scaled so its region integral
-    equals events_per_day."""
+                            events_per_day: float) -> KernelIntensity:
+    """Kernel field over training epicenters scaled so that its compensator
+    over the region and one day equals events_per_day."""
     if events_per_day <= 0:
         raise ValueError("target background rate must be positive")
     base = KernelIntensity(training.lons, training.lats, d)
-    integral = _spatial_quadrature_rate(base, region, n_grid)
+    integral = float(base.compensator(region, 1.0))
     if integral <= 0:
         raise ValueError("kernel field integrates to zero over the region")
     return KernelIntensity(training.lons, training.lats, d, scale=events_per_day / integral)

@@ -226,9 +226,12 @@ def render_histogram(sim_statistics, observed: float, title: str = "",
     lo, hi = float(sims.min()), float(sims.max())
     if math.isfinite(observed):
         lo, hi = min(lo, observed), max(hi, observed)
-    if hi <= lo:
-        lo, hi = lo - 0.5, hi + 0.5
     pad = 0.05 * (hi - lo)
+    edges = np.linspace(lo - pad, hi + pad, n_bins + 1)
+    # an empty range, or one too narrow for n_bins distinct finite bins
+    if not np.all(edges[1:] > edges[:-1]):
+        lo, hi = lo - 0.5, hi + 0.5
+        pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
     counts, edges = np.histogram(sims, bins=n_bins, range=(lo, hi))
     c_max = int(counts.max()) or 1

@@ -30,8 +30,8 @@ from .summaries import _weighted_k_values
 
 def lattice_extrema(model, region: Region, t_max: float | None = None):
     """(inf, sup) of the model rate over region x [0, t_max], as given by
-    model.bounds: a 200 x 200 lattice scan for time-independent models, a
-    certified bound for Hawkes models."""
+    model.bounds: exact for a homogeneous model, a 200 x 200 lattice scan
+    for a grid or kernel model, certified for a Hawkes model."""
     return model.bounds(region, t_max)
 
 
@@ -150,26 +150,20 @@ class RescaledTimes(NamedTuple):
     total_mass: float
 
 
-def rescale_times(c: Catalog, rate_fn, n_grid: int = 20001) -> RescaledTimes:
-    """Map each event time through the cumulative temporal rate.
-
-    rate_fn is a vectorized rate-per-day callable (or a constant); under a
-    correct model the transformed times are a unit-rate Poisson process on
-    [0, total_mass]. Integration is trapezoidal on an n_grid time lattice.
-    """
-    if not callable(rate_fn):
-        level = float(rate_fn)
-        rate_fn = lambda t: np.full(np.shape(t), level)
-    ts = np.linspace(0.0, c.window_days, n_grid)
-    vals = np.asarray(rate_fn(ts), dtype=float)
-    if vals.shape != ts.shape:
-        raise ValueError("rate_fn must return one rate per time")
-    if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-        raise ValueError("temporal rate must be finite and non-negative")
-    dt = ts[1] - ts[0]
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * dt)])
-    taus = np.interp(c.times, ts, cum)
-    return RescaledTimes(taus, float(cum[-1]))
+def rescale_times(c: Catalog, compensator) -> RescaledTimes:
+    """Map each event time through the compensator Lambda(t), the expected
+    count in [0, t]: a vectorized callable, such as
+    lambda t: model.compensator(region, t), or a constant rate per day.
+    Under a correct model the taus are a unit-rate Poisson process on
+    [0, total_mass], total_mass = Lambda(window_days)."""
+    ts = np.append(c.times, c.window_days)
+    cum = np.asarray(compensator(ts) if callable(compensator) else float(compensator) * ts,
+                     dtype=float)
+    if cum.shape != ts.shape:
+        raise ValueError("the compensator must return one value per time")
+    if np.any(cum < 0) or not np.all(np.isfinite(cum)):
+        raise ValueError("the compensator must be finite and non-negative")
+    return RescaledTimes(cum[:-1], float(cum[-1]))
 
 
 # --- cell residuals -------------------------------------------------------

@@ -29,11 +29,10 @@ class RngStream:
         return RngStream(self.master_seed, k, (*self.path, self.stream_index))
 
 
-def pmap(fn, n: int, jobs: int = 1) -> list:
+def pmap(fn, n: int) -> list:
     """Map fn over range(n), gathered by index.
 
-    Runs serially whatever jobs is: a replicate takes well under a
-    millisecond, so worker threads cost more than they save. jobs is kept
-    so callers need not change.
+    Runs serially: a replicate takes well under a millisecond, so worker
+    threads would cost more than they save.
     """
     return [fn(i) for i in range(n)]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .catalog import KM_PER_DEG, Catalog, Region
 from .forecast import GriddedForecast
-from .intensity import (HawkesParams, _spatial_quadrature_rate, branching_ratio,
+from .intensity import (HawkesParams, HomogeneousIntensity, branching_ratio,
                         mean_branching_ratio, spatial_mass, temporal_mass,
                         temporal_trigger_cdf)
 from .rng import RngStream
@@ -140,10 +140,7 @@ def simulate_hawkes(params: HawkesParams, region: Region, t_max: float,
         raise ValueError("supercritical triggering: branching ratio at the "
                          "mean magnitude is >= 1")
     nbar = mean_branching_ratio(params, gr_b, mag_span)
-    if background is None:
-        bg_mean = params.mu * region.area_km2 * t_max
-    else:
-        bg_mean = _spatial_quadrature_rate(background, region, 200) * t_max
+    bg_mean = float((background or HomogeneousIntensity(params.mu)).compensator(region, t_max))
     if nbar >= 1.0 or bg_mean / (1.0 - nbar) > max_events:
         raise ValueError("expected cascade size exceeds the event cap")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eqassess import BinGrid, Catalog, Region
-from eqassess.catalog import KM_PER_DEG, km_distance2
+from eqassess.catalog import KM_PER_DEG, km_distance2, region_lattice
 from eqassess.intensity import (_ClippedMass, _earlier_pairs, _row_spans, hawkes_pack,
                                 hawkes_unpack, spatial_mass, temporal_mass)
 
@@ -200,10 +200,7 @@ class DenseHawkes:
         lons = np.atleast_1d(np.asarray(lons, dtype=float))
         lats = np.atleast_1d(np.asarray(lats, dtype=float))
         times = np.broadcast_to(np.asarray(times, dtype=float), lons.shape)
-        if m.background is None:
-            bg = np.full(lons.shape, p.mu, dtype=float)
-        else:
-            bg = m.background.rate_at(lons, lats).astype(float)
+        bg = m.background.rate_at(lons, lats).astype(float)
         out = np.zeros(lons.shape)
         if h.n == 0 or p.k == 0:
             return bg, out
@@ -319,6 +316,45 @@ def bfgs_hawkes_fit(c, region, init, mode="approx", gtol=1e-6, max_iter=500,
 @pytest.fixture(scope="session")
 def bfgs_fit():
     return bfgs_hawkes_fit
+
+
+# --- window integrals -----------------------------------------------------
+# The integrals that every model's compensator replaced.
+
+
+def _spatial_quadrature_rate(model, region, n_grid=200):
+    """Integral of a time-independent model over the region, per day: the
+    midpoint sum over an n_grid x n_grid lattice."""
+    lat = region_lattice(region, n_grid)
+    vals = model.rate_at(lat.lons[lat.inside], lat.lats[lat.inside])
+    return float(np.sum(vals * lat.cell_km2[lat.inside]))
+
+
+def _hawkes_integral(params, c, region, mode, background=None):
+    """The integral of a Hawkes rate over region x [0, c.window_days], with
+    the triggering of c's own events: what log_likelihood subtracted."""
+    p = params
+    T = c.window_days
+    if background is None:
+        bg = p.mu * region.area_km2 * T
+    else:
+        bg = _spatial_quadrature_rate(background, region) * T
+    if c.n == 0 or p.k == 0:
+        return bg
+    prod = p.k * np.exp(p.a * (c.mags - p.m0))
+    ti = temporal_mass(T - c.times, p.c, p.p)
+    if mode == "approx":
+        trig = float(np.sum(prod * ti) * spatial_mass(p.d, p.q))
+    else:
+        trig = float(np.sum(prod * ti * _ClippedMass(c, region).masses(p.d, p.q)))
+    return bg + trig
+
+
+@pytest.fixture(scope="session")
+def integral_oracles():
+    import types
+    return types.SimpleNamespace(spatial_quadrature_rate=_spatial_quadrature_rate,
+                                 hawkes_integral=_hawkes_integral)
 
 
 # --- output writers -------------------------------------------------------
@@ -656,9 +692,12 @@ def reference_render_histogram(sim_statistics, observed, title="", n_bins=30):
     lo, hi = float(sims.min()), float(sims.max())
     if math.isfinite(observed):
         lo, hi = min(lo, observed), max(hi, observed)
-    if hi <= lo:
-        lo, hi = lo - 0.5, hi + 0.5
     pad = 0.05 * (hi - lo)
+    edges = np.linspace(lo - pad, hi + pad, n_bins + 1)
+    # an empty range, or one too narrow for n_bins distinct finite bins
+    if not np.all(edges[1:] > edges[:-1]):
+        lo, hi = lo - 0.5, hi + 0.5
+        pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
     counts, edges = np.histogram(sims, bins=n_bins, range=(lo, hi))
     c_max = int(counts.max()) or 1

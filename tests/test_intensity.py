@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from eqassess import (Catalog, HawkesIntensity, HawkesParams,
+from eqassess import (Catalog, GriddedForecast, GridIntensity, HawkesIntensity, HawkesParams,
                       HomogeneousIntensity, KernelIntensity, Region,
                       RngStream, background_from_catalog, branching_ratio,
                       central_gradient, fit_mle, kernel_density,
@@ -503,6 +503,61 @@ class TestLogLikelihood:
         exact = log_likelihood(m, cat, unit_region, mode="quadrature")
         assert approx == pytest.approx(exact, rel=0.005)
 
+    @pytest.mark.parametrize("mode", ["approx", "quadrature"])
+    def test_integral_comes_from_the_history(self, unit_region, mode):
+        # the history holds an M6 before the 12 scored events; its
+        # triggering belongs to the rate and so to the integral too
+        gen = np.random.default_rng(8)
+        cat = Catalog(np.sort(gen.uniform(1.0, 10.0, 12)), gen.uniform(0.1, 0.9, 12),
+                      gen.uniform(0.1, 0.9, 12), gen.uniform(4.0, 5.0, 12), 10.0, 4.0)
+        history = Catalog(np.r_[0.5, cat.times], np.r_[0.5, cat.lons],
+                          np.r_[0.5, cat.lats], np.r_[6.0, cat.mags], 10.0, 4.0)
+        p = HawkesParams(mu=1e-4, k=0.005, c=0.05, p=1.5, a=0.8, d=0.5, q=1.8, m0=4.0)
+        m = HawkesIntensity(p, history)
+        want = np.sum(np.log(m.rate_at(cat.lons, cat.lats, cat.times))) \
+            - m.compensator(unit_region, 10.0, mode=mode)
+        assert log_likelihood(m, cat, unit_region, mode) == pytest.approx(want, rel=1e-12)
+
+
+class TestCompensator:
+    @pytest.fixture
+    def models(self, small_catalog, two_by_two_grid):
+        params = HawkesParams(mu=1e-4, k=0.01, c=0.01, p=1.3, a=1.0, d=1.0, q=1.5, m0=4.0)
+        kernel = KernelIntensity(small_catalog.lons, small_catalog.lats, d=20.0)
+        rates = np.array([2.0, 0.2, 1.0, 0.1, 3.0, 0.3, 0.5, 0.05])
+        return {"homogeneous": HomogeneousIntensity(2e-4), "kernel": kernel,
+                "grid": GridIntensity(GriddedForecast(two_by_two_grid, rates, 5.0)),
+                "hawkes": HawkesIntensity(params, small_catalog),
+                "hawkes on a kernel": HawkesIntensity(params, small_catalog, kernel)}
+
+    @pytest.mark.parametrize("times", [2.5, [0.0, 1.0, 5.0], [[0.5, 1.5], [2.0, 4.0]]])
+    def test_shape_of_times(self, unit_region, models, times):
+        for m in models.values():
+            assert np.shape(m.compensator(unit_region, times)) == np.shape(times)
+
+    @pytest.mark.parametrize("name", ["kernel", "grid"])
+    def test_lattice_sum(self, unit_region, models, integral_oracles, name):
+        m = models[name]
+        per_day = integral_oracles.spatial_quadrature_rate(m, unit_region)
+        assert m.compensator(unit_region, 1.0) == per_day
+        np.testing.assert_allclose(m.compensator(unit_region, [0.5, 3.0]),
+                                   [0.5 * per_day, 3.0 * per_day], rtol=1e-15)
+
+    @pytest.mark.parametrize("mode", ["approx", "quadrature"])
+    @pytest.mark.parametrize("name", ["hawkes", "hawkes on a kernel"])
+    def test_hawkes_window_integral(self, unit_region, small_catalog, models,
+                                    integral_oracles, mode, name):
+        m = models[name]
+        background = None if name == "hawkes" else m.background
+        want = integral_oracles.hawkes_integral(m.params, small_catalog, unit_region,
+                                                mode, background)
+        got = m.compensator(unit_region, small_catalog.window_days, mode=mode)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_unknown_mode(self, unit_region, models):
+        with pytest.raises(ValueError, match="unknown integral mode"):
+            models["hawkes"].compensator(unit_region, 1.0, mode="exact")
+
 
 class TestFitMle:
     def test_homogeneous_recovers_count_density(self, unit_region):
@@ -862,14 +917,12 @@ class TestBackgroundFromCatalog:
     def test_region_integral_hits_target(self, unit_region, small_catalog):
         bg = background_from_catalog(small_catalog, d=20.0, region=unit_region,
                                      events_per_day=10.0)
-        from eqassess.intensity import _spatial_quadrature_rate
-        total = _spatial_quadrature_rate(bg, unit_region, 200)
+        total = bg.compensator(unit_region, 1.0)
         assert total == pytest.approx(10.0, rel=1e-6)
 
     def test_wider_kernel_same_integral(self, unit_region, small_catalog):
-        from eqassess.intensity import _spatial_quadrature_rate
         a = background_from_catalog(small_catalog, 10.0, unit_region, 5.0)
         b = background_from_catalog(small_catalog, 20.0, unit_region, 5.0)
-        ia = _spatial_quadrature_rate(a, unit_region, 200)
-        ib = _spatial_quadrature_rate(b, unit_region, 200)
+        ia = a.compensator(unit_region, 1.0)
+        ib = b.compensator(unit_region, 1.0)
         assert ia == pytest.approx(ib, rel=1e-6)

@@ -193,20 +193,22 @@ class TestRescaledTimes:
         assert out.total_mass == pytest.approx(2.0 * small_catalog.window_days)
 
     def test_linear_rate_closed_form(self, small_catalog):
-        # rate alpha*t integrates to alpha t^2/2; trapezoid is exact on it
+        # rate alpha*t has the compensator alpha t^2/2
         alpha = 0.8
-        out = rescale_times(small_catalog, lambda t: alpha * np.asarray(t))
+        out = rescale_times(small_catalog, lambda t: alpha * np.asarray(t) ** 2 / 2)
         np.testing.assert_allclose(out.taus, alpha * small_catalog.times ** 2 / 2,
                                    rtol=1e-9)
+        assert out.total_mass == alpha * small_catalog.window_days ** 2 / 2
 
     def test_monotone(self, unit_region):
+        # rate 1 + sin^2 t has the compensator 1.5 t - sin(2t)/4
         c = simulate_homogeneous(4e-4, unit_region, 10.0, RngStream(19), mag=4.0)
-        out = rescale_times(c, lambda t: 1.0 + np.sin(np.asarray(t)) ** 2)
+        out = rescale_times(c, lambda t: 1.5 * np.asarray(t) - np.sin(2 * np.asarray(t)) / 4)
         assert np.all(np.diff(out.taus) >= 0)
 
-    def test_negative_rate_rejected(self, small_catalog):
+    def test_negative_compensator_rejected(self, small_catalog):
         with pytest.raises(ValueError):
-            rescale_times(small_catalog, lambda t: -np.ones(np.shape(t)))
+            rescale_times(small_catalog, lambda t: -np.asarray(t))
 
 
 class TestPixelResiduals:

@@ -54,9 +54,7 @@ class TestDeterminism:
             c = simulate_hawkes(p, unit_region, 30.0, RngStream(100).substream(i))
             return (tuple(c.times), tuple(c.lons), tuple(c.mags))
 
-        serial = pmap(job, 6, jobs=1)
-        threaded = pmap(job, 6, jobs=3)
-        assert serial == threaded
+        assert pmap(job, 6) == [job(i) for i in range(6)]
 
     def test_different_streams_differ(self, unit_region):
         a = simulate_homogeneous(3e-4, unit_region, 10.0, RngStream(7))

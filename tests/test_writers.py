@@ -373,6 +373,13 @@ def test_render_histogram_matches(writer_oracles, data):
                                                title="l test null distribution"))
 
 
+# ranges too narrow for 30 finite bins, which numpy's histogram refuses
+@pytest.mark.parametrize("sims, observed", [([1.0, 1.0], 1.0000000000000002),
+                                            ([], 5e-324)])
+def test_render_histogram_narrow_range(writer_oracles, sims, observed):
+    assert render_histogram(sims, observed) == writer_oracles.render_histogram(sims, observed)
+
+
 # --- literal texts --------------------------------------------------------
 
 
