@@ -177,7 +177,8 @@ class Catalog:
         m = np.asarray(self.mags, dtype=float)
         if not (t.shape == x.shape == y.shape == m.shape) or t.ndim != 1:
             raise ValueError("catalog columns must be 1-d arrays of equal length")
-        for name, col in (("time", t), ("lon", x), ("lat", y), ("mag", m)):
+        for name, col in (("time", t), ("lon", x), ("lat", y), ("mag", m),
+                          ("window_days", self.window_days), ("m0", self.m0)):
             if not np.all(np.isfinite(col)):
                 raise ValueError(f"non-finite {name} value in catalog")
         if t.size and (t.min() < 0 or t.max() > self.window_days):
@@ -449,6 +450,9 @@ def parse_catalog(text: str) -> Catalog:
     times = np.asarray(times, dtype=float)
     if iso_mode and times.size:
         times = times - times.min()
+    for key in ("window_days", "m0"):
+        if key in meta and not _is_float(meta[key]):
+            raise ValueError(f"catalog: malformed {key} {meta[key]!r}")
     if "window_days" in meta:
         window = float(meta["window_days"])
     else:
@@ -747,7 +751,8 @@ class BinGrid:
         return (KM_PER_DEG * np.cos(lat_mid) * (b[:, 1] - b[:, 0])) * (KM_PER_DEG * (b[:, 3] - b[:, 2]))
 
     def __eq__(self, other):
-        return isinstance(other, BinGrid) and np.array_equal(self.boxes, other.boxes)
+        return self is other or (isinstance(other, BinGrid)
+                                 and np.array_equal(self.boxes, other.boxes))
 
 
 def bin_counts(c: Catalog, g: BinGrid) -> BinCounts:

@@ -19,25 +19,11 @@ import hashlib
 import os
 import sys
 
+# each command imports the other modules it calls, so a process loads
+# only what its command runs
 from .catalog import Catalog, Region, csv_text, parse_catalog, parse_region, serialize_catalog
-from .consistency import (l_test, m_test, n_test, r_test, results_to_csv,
-                          s_test, sims_to_csv, t_test_pairwise, w_test_pairwise)
 from .forecast import GriddedForecast, parse_forecast
-from .intensity import (GridIntensity, HawkesParams, fit_mle, parse_hawkes_params,
-                        parse_model_params, serialize_fit)
-from .render import (render_error_diagram, render_histogram, render_k_curve,
-                     render_map, render_point_map)
-from .residuals import (cell_residuals_to_csv, cell_residuals_to_geojson,
-                        cell_value_texts, deviance_residuals, pixel_residuals,
-                        point_report, points_to_csv, points_to_geojson, rescale_times,
-                        super_thin, superpose_residuals, tessellation_to_csv,
-                        tessellation_to_geojson, thin_residuals, voronoi_residuals,
-                        voronoi_tessellation)
 from .rng import RngStream
-from .simulate import (simulate_hawkes, simulate_homogeneous,
-                       simulate_poisson_grid)
-from .summaries import (error_diagram, error_diagram_to_csv, k_curve_to_csv,
-                        weighted_k)
 
 
 class ConfigError(Exception):
@@ -207,14 +193,16 @@ def _load_region(cfg: RunConfig) -> Region:
     return _parse_data(parse_region, _read_text(cfg.require("region"), "region"))
 
 
-def _load_forecast(cfg: RunConfig, key: str, window: float) -> GriddedForecast:
+def _load_forecast(cfg: RunConfig, key: str, window: float, grid=None) -> GriddedForecast:
     text = _read_text(cfg.require(key), "forecast")
-    return _parse_data(lambda t: parse_forecast(t, window), text)
+    return _parse_data(lambda t: parse_forecast(t, window, grid), text)
 
 
 def _load_model(cfg: RunConfig, history: Catalog):
     """The intensity model of the --params file; a Hawkes model conditions
     on the supplied catalog as its event history."""
+    from .intensity import parse_model_params
+
     text = _read_text(cfg.require("params"), "params")
     return _parse_data(lambda t: parse_model_params(t, history), text)
 
@@ -223,6 +211,8 @@ def _load_model(cfg: RunConfig, history: Catalog):
 
 
 def _cmd_fit(cfg: RunConfig) -> int:
+    from .intensity import HawkesParams, fit_mle, parse_hawkes_params, serialize_fit
+
     c = _load_catalog(cfg)
     region = _load_region(cfg)
     family = cfg.get("family", "hawkes")
@@ -257,6 +247,9 @@ def _cmd_fit(cfg: RunConfig) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
+    from .intensity import parse_hawkes_params
+    from .simulate import simulate_hawkes, simulate_homogeneous, simulate_poisson_grid
+
     kind = cfg.require("kind")
     rng = RngStream(cfg.seed)
     if kind == "homogeneous":
@@ -295,12 +288,15 @@ _SIM_SUBSTREAM = {"l": 1, "m": 2, "s": 3, "r_ab": 4, "r_ba": 5}
 
 
 def _cmd_test(cfg: RunConfig) -> int:
+    from .consistency import (l_test, m_test, n_test, r_test, results_to_csv,
+                              s_test, sims_to_csv, t_test_pairwise, w_test_pairwise)
+
     c = _load_catalog(cfg)
     window = cfg.get("window", c.window_days)
     fa = _load_forecast(cfg, "forecast_a", window)
     fb = None
     if cfg.get("forecast_b") is not None:
-        fb = _load_forecast(cfg, "forecast_b", window)
+        fb = _load_forecast(cfg, "forecast_b", window, fa.grid)
     default = "n,l,m,s" + (",r,t,w" if fb is not None else "")
     names = [s.strip() for s in str(cfg.get("tests", default)).split(",") if s.strip()]
     known = {"n", "l", "m", "s", "r", "t", "w"}
@@ -344,6 +340,8 @@ def _cmd_test(cfg: RunConfig) -> int:
     if cfg.get("sims_out", False):
         ws.write("sims.csv", sims_to_csv(results))
     if cfg.get("plots", False):
+        from .render import render_histogram
+
         for r in results:
             if r.sim_statistics is not None:
                 ws.write(f"hist_{r.name}.svg",
@@ -359,6 +357,9 @@ def _cmd_test(cfg: RunConfig) -> int:
 
 
 def _write_cells(ws: Workspace, stem: str, rs, title: str):
+    from .render import render_map
+    from .residuals import cell_residuals_to_csv, cell_residuals_to_geojson, cell_value_texts
+
     texts = cell_value_texts(rs)
     ws.write(f"{stem}.csv", cell_residuals_to_csv(rs, texts))
     ws.write(f"{stem}.geojson", cell_residuals_to_geojson(rs, texts))
@@ -366,6 +367,11 @@ def _write_cells(ws: Workspace, stem: str, rs, title: str):
 
 
 def _cmd_residuals(cfg: RunConfig) -> int:
+    from .render import render_point_map
+    from .residuals import (deviance_residuals, pixel_residuals, point_report,
+                            points_to_csv, points_to_geojson, rescale_times, super_thin,
+                            superpose_residuals, thin_residuals, voronoi_residuals)
+
     kind = cfg.require("kind")
     c = _load_catalog(cfg)
     region = _load_region(cfg)
@@ -401,7 +407,7 @@ def _cmd_residuals(cfg: RunConfig) -> int:
         elif kind == "deviance":
             window = cfg.get("window", c.window_days)
             fa = _load_forecast(cfg, "forecast_a", window)
-            fb = _load_forecast(cfg, "forecast_b", window)
+            fb = _load_forecast(cfg, "forecast_b", window, fa.grid)
             rs = deviance_residuals(fa, fb, c)
             _write_cells(ws, "deviance", rs, "deviance residuals")
         elif kind == "voronoi":
@@ -418,6 +424,10 @@ def _cmd_residuals(cfg: RunConfig) -> int:
 
 
 def _cmd_kfn(cfg: RunConfig) -> int:
+    from .intensity import GridIntensity
+    from .render import render_k_curve
+    from .summaries import k_curve_to_csv, weighted_k
+
     c = _load_catalog(cfg)
     region = _load_region(cfg)
     if (cfg.get("params") is None) == (cfg.get("forecast") is None):
@@ -442,6 +452,9 @@ def _cmd_kfn(cfg: RunConfig) -> int:
 
 
 def _cmd_errordiag(cfg: RunConfig) -> int:
+    from .render import render_error_diagram
+    from .summaries import error_diagram, error_diagram_to_csv
+
     c = _load_catalog(cfg)
     region = _load_region(cfg)
     if (cfg.get("params") is None) == (cfg.get("forecast") is None):
@@ -463,6 +476,8 @@ def _cmd_errordiag(cfg: RunConfig) -> int:
 
 
 def _cmd_tessellate(cfg: RunConfig) -> int:
+    from .residuals import tessellation_to_csv, tessellation_to_geojson, voronoi_tessellation
+
     c = _load_catalog(cfg)
     region = _load_region(cfg)
     if c.n == 0:

@@ -29,8 +29,8 @@ class GriddedForecast:
             raise ValueError("forecast rates must be finite")
         if np.any(r < 0):
             raise ValueError("forecast rates must be non-negative")
-        if self.window_days <= 0:
-            raise ValueError("forecast window must be positive")
+        if not 0 < self.window_days < np.inf:
+            raise ValueError("forecast window must be positive and finite")
         r.setflags(write=False)
         object.__setattr__(self, "rates", r)
         object.__setattr__(self, "window_days", float(self.window_days))
@@ -42,8 +42,13 @@ class GriddedForecast:
                 and self.window_days == other.window_days)
 
 
-def parse_forecast(text: str, window_days: float = 1.0) -> GriddedForecast:
+def parse_forecast(text: str, window_days: float = 1.0,
+                   grid: BinGrid | None = None) -> GriddedForecast:
     """Parse a forecast CSV; masked-out rows (mask=0) are dropped entirely.
+
+    When the unmasked boxes equal grid.boxes, the forecast takes that grid
+    and its validation and lookup tables are not built again; otherwise it
+    gets a grid of its own.
 
     A plain file (ASCII, unquoted, decimal numbers, eight fields a row, '#'
     only at the start of a line) is converted in one np.loadtxt pass, and
@@ -58,7 +63,10 @@ def parse_forecast(text: str, window_days: float = 1.0) -> GriddedForecast:
     rows = rows[rows[:, 7] == 1.0]
     if not len(rows):
         raise ValueError("forecast: no unmasked cells")
-    return GriddedForecast(BinGrid(rows[:, :6]), rows[:, 6], window_days)
+    boxes = rows[:, :6]
+    if grid is None or not np.array_equal(boxes, grid.boxes):
+        grid = BinGrid(boxes)
+    return GriddedForecast(grid, rows[:, 6], window_days)
 
 
 def _forecast_record(i: int, rec: list) -> list:
@@ -100,34 +108,28 @@ def scale_to_count(f: GriddedForecast, n: int) -> GriddedForecast:
 
 
 def marginal_magnitude(f: GriddedForecast) -> GriddedForecast:
-    """Collapse space: one cell per magnitude band spanning the spatial hull."""
+    """Collapse space: one cell per magnitude band spanning the spatial hull.
+    The collapsed grid is built once per parent grid."""
     bands = f.grid.mag_bands
-    band_of = f.grid.band_index()
     rates = np.zeros(bands.shape[0])
-    np.add.at(rates, band_of, f.rates)
+    np.add.at(rates, f.grid.band_index(), f.rates)
     b = f.grid.boxes
-    hull = (b[:, 0].min(), b[:, 1].max(), b[:, 2].min(), b[:, 3].max())
-    boxes = np.column_stack([
-        np.full(bands.shape[0], hull[0]), np.full(bands.shape[0], hull[1]),
-        np.full(bands.shape[0], hull[2]), np.full(bands.shape[0], hull[3]),
-        bands[:, 0], bands[:, 1],
-    ])
-    return GriddedForecast(BinGrid(boxes), rates, f.window_days)
+    hull = [b[:, 0].min(), b[:, 1].max(), b[:, 2].min(), b[:, 3].max()]
+    grid = f.grid._cached("_magnitude_marginal", lambda: BinGrid(
+        np.column_stack([np.tile(hull, (bands.shape[0], 1)), bands])))
+    return GriddedForecast(grid, rates, f.window_days)
 
 
 def marginal_space(f: GriddedForecast) -> GriddedForecast:
-    """Collapse magnitude: one cell per spatial box spanning all bands."""
+    """Collapse magnitude: one cell per spatial box spanning all bands.
+    The collapsed grid is built once per parent grid."""
     space = f.grid.space_boxes
-    space_of = f.grid.space_index()
     rates = np.zeros(space.shape[0])
-    np.add.at(rates, space_of, f.rates)
-    mlo = f.grid.boxes[:, 4].min()
-    mhi = f.grid.boxes[:, 5].max()
-    boxes = np.column_stack([
-        space,
-        np.full(space.shape[0], mlo), np.full(space.shape[0], mhi),
-    ])
-    return GriddedForecast(BinGrid(boxes), rates, f.window_days)
+    np.add.at(rates, f.grid.space_index(), f.rates)
+    mags = [f.grid.boxes[:, 4].min(), f.grid.boxes[:, 5].max()]
+    grid = f.grid._cached("_space_marginal", lambda: BinGrid(
+        np.column_stack([space, np.tile(mags, (space.shape[0], 1))])))
+    return GriddedForecast(grid, rates, f.window_days)
 
 
 def poisson_log_pmf(counts, rates) -> np.ndarray:

@@ -7,11 +7,14 @@ are byte-reproducible; no external plotting stack is involved.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .catalog import _FIELD, _fill_rings, _format_distinct, _stack_rings
-from .summaries import ErrorDiagram, KFunctionCurve
+
+if TYPE_CHECKING:  # annotations only: rendering needs no summaries code
+    from .summaries import ErrorDiagram, KFunctionCurve
 
 _W, _H = 640, 480
 _PAD = 52

@@ -552,6 +552,150 @@ def test_import_leaves_scipy_stats_optimize_and_spatial_unloaded():
     assert out.strip() == "[]"
 
 
+# the eqassess submodules that `import eqassess.cli` loads, and those each
+# command loads besides; a top-level import added to cli.py, or a command
+# that no longer needs a module of its row, fails the budget test
+CLI_MODULES = {"catalog", "cli", "forecast", "rng"}
+COMMAND_MODULES = {
+    "fit": {"intensity"},
+    "simulate": {"intensity", "simulate"},
+    "test": {"consistency"},
+    "test --plots": {"consistency", "render"},
+    "residuals": {"intensity", "render", "residuals", "simulate", "summaries"},
+    "kfn": {"intensity", "render", "simulate", "summaries"},
+    "errordiag": {"intensity", "render", "simulate", "summaries"},
+    "tessellate": {"intensity", "residuals", "simulate", "summaries"},
+}
+
+
+def _command_argv(paths, command):
+    p = paths
+    return {
+        "fit": ["fit", "--family", "homogeneous", "--catalog", p["catalog"],
+                "--region", p["region"]],
+        "simulate": ["simulate", "--kind", "homogeneous", "--region", p["region"],
+                     "--rate", "0.002", "--window", "5"],
+        "test": ["test", "--catalog", p["catalog"], "--forecast-a", p["forecast"],
+                 "--forecast-b", p["forecast"], "--window", "10", "--n-sim", "20"],
+        "test --plots": ["test", "--catalog", p["catalog"], "--forecast-a", p["forecast"],
+                         "--window", "10", "--n-sim", "20", "--plots"],
+        "residuals": ["residuals", "--kind", "thin", "--catalog", p["catalog"],
+                      "--region", p["region"], "--params", p["params"]],
+        "kfn": ["kfn", "--catalog", p["catalog"], "--region", p["region"],
+                "--params", p["params"]],
+        "errordiag": ["errordiag", "--catalog", p["catalog"], "--region", p["region"],
+                      "--forecast", p["forecast"], "--window", "10", "--n-grid", "20"],
+        "tessellate": ["tessellate", "--catalog", p["catalog"], "--region", p["region"]],
+    }[command]
+
+
+def _loaded_submodules(code, argv=()):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code += ("; print(*sorted(m.partition('.')[2] for m in sys.modules "
+             "if m.startswith('eqassess.')))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return out.splitlines()[-1].split()
+
+
+def test_cli_import_loads_only_the_shared_modules():
+    assert _loaded_submodules("import sys, eqassess.cli") == sorted(CLI_MODULES)
+
+
+def test_table_names_every_command():
+    from eqassess.cli import _COMMANDS
+    assert {key.split()[0] for key in COMMAND_MODULES} == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_its_modules(paths, command):
+    argv = _command_argv(paths, command) + ["--out", str(paths["dir"] / "out")]
+    code = "import sys; from eqassess.cli import main; assert main(sys.argv[1:]) == 0"
+    assert _loaded_submodules(code, argv) == sorted(CLI_MODULES | COMMAND_MODULES[command])
+
+
+# every public name of the package, as its eagerly importing __init__.py
+# exported them before the submodules loaded on first use
+PUBLIC_NAMES = """
+BandwidthSelection BinCounts BinGrid Catalog CellResidualSet ErrorDiagram Event
+FORECAST_HEADER FitResult GridIntensity GriddedForecast HawkesIntensity HawkesParams
+HomogeneityResult HomogeneousIntensity KFunctionCurve KernelIntensity PairwiseResult
+Region RegionLattice RescaledTimes ResidualPointSet RngStream TestResult
+VoronoiTessellation background_from_catalog bin_counts branching_ratio
+catalog_log_likelihood cell_residuals_to_csv cell_residuals_to_geojson central_gradient
+deviance_residuals empty_catalog error_diagram error_diagram_to_csv expected_total
+filter_catalog fit_mle forecast_from_intensity gutenberg_richter_magnitudes
+homogeneity_test joint_log_likelihood k_curve_to_csv kernel_density kernel_disk_mass
+km_distance l_test lattice_extrema log_likelihood m_test marginal_magnitude
+marginal_space mean_branching_ratio mean_gr_magnitude n_test paradox_fixture
+parse_catalog parse_forecast parse_hawkes_params parse_region pixel_residuals pmap
+poisson_log_pmf r_test radial_trigger_cdf region_lattice render_error_diagram
+render_histogram render_k_curve render_map render_point_map rescale_times
+results_to_csv s_test scale_to_count select_bandwidth serialize_catalog
+serialize_forecast serialize_hawkes_params serialize_region simulate_hawkes
+simulate_homogeneous simulate_inhomogeneous simulate_poisson_grid sparse_log_likelihood
+student_t_statistic super_thin superpose_residuals t_test_pairwise temporal_trigger_cdf
+thin_residuals voronoi_residuals voronoi_tessellation w_test_pairwise weighted_k
+wilcoxon_signed_rank
+""".split()
+
+
+def test_every_public_name_resolves_to_its_submodule():
+    import importlib
+
+    import eqassess
+    assert sorted(eqassess.__all__) == sorted(PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(dir(eqassess))
+    for name in PUBLIC_NAMES:
+        module = importlib.import_module(f"eqassess.{eqassess._MODULE_OF[name]}")
+        assert getattr(eqassess, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        eqassess.no_such_name
+
+
+def test_two_forecast_test_builds_three_grids(paths, monkeypatch):
+    """Forecast B takes A's grid, and the S and M marginals of A and B
+    share one grid each: the grids of A, its space and its magnitude
+    marginals, where each forecast used to build its own."""
+    from eqassess.catalog import BinGrid
+    built = []
+    init = BinGrid.__post_init__
+
+    def counting(self):
+        built.append(len(self.boxes))
+        init(self)
+
+    monkeypatch.setattr(BinGrid, "__post_init__", counting)
+    fb = paths["dir"] / "fb.csv"
+    fb.write_text(FORECAST_TEXT.replace("6.0", "5.0"))
+    rc = main(["test", "--catalog", paths["catalog"], "--forecast-a", paths["forecast"],
+               "--forecast-b", str(fb), "--tests", "n,l,m,s,r,t,w", "--window", "10",
+               "--n-sim", "20", "--out", str(paths["dir"] / "three")])
+    assert rc == 0
+    assert built == [2, 1, 2]
+
+
+@pytest.mark.parametrize("window", ["nan", "inf", "-inf", "0", "-1"])
+def test_window_that_is_not_positive_and_finite_is_data_error(paths, capsys, window):
+    rc = main(["test", "--catalog", paths["catalog"], "--forecast-a", paths["forecast"],
+               f"--window={window}", "--out", str(paths["dir"] / "x")])
+    assert rc == 3
+    assert "forecast window must be positive and finite" in capsys.readouterr().err
+
+
+def test_catalog_with_a_nan_window_is_data_error(paths, capsys):
+    bad = paths["dir"] / "nan_window.csv"
+    text = _read_bytes(paths["dir"], "catalog.csv").decode()
+    bad.write_text("\n".join("# window_days = nan" if ln.startswith("# window_days")
+                             else ln for ln in text.splitlines()) + "\n")
+    rc = main(["residuals", "--kind", "superthin", "--catalog", str(bad),
+               "--region", paths["region"], "--params", paths["params"],
+               "--out", str(paths["dir"] / "x")])
+    assert rc == 3
+    assert "non-finite window_days value in catalog" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("family", ["homogeneous", "hawkes"])
 def test_fit_leaves_scipy_optimize_unloaded(paths, family):
     """The Newton fit needs numpy alone."""

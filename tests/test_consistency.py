@@ -188,6 +188,19 @@ class TestRTest:
         with pytest.raises(ValueError, match="grid"):
             r_test(fa, fb, c, RngStream(51), n_sim=10)
 
+    @pytest.mark.parametrize("test", ["r", "t", "w"])
+    def test_grids_one_ulp_apart_raise_and_equal_copies_do_not(self, two_by_two_grid, test):
+        run = {"r": lambda a, b, c: r_test(a, b, c, RngStream(51), n_sim=10),
+               "t": t_test_pairwise, "w": w_test_pairwise}[test]
+        boxes = two_by_two_grid.boxes.copy()
+        fa = GriddedForecast(two_by_two_grid, np.ones(8), 1.0)
+        c = Catalog(np.array([0.5]), np.array([0.25]), np.array([0.25]),
+                    np.array([4.5]), 1.0, 4.0)
+        run(fa, GriddedForecast(BinGrid(boxes), np.full(8, 2.0), 1.0), c)
+        boxes[-1, 1] = np.nextafter(boxes[-1, 1], np.inf)
+        with pytest.raises(ValueError, match="same grid"):
+            run(fa, GriddedForecast(BinGrid(boxes), np.full(8, 2.0), 1.0), c)
+
     def test_detects_better_forecast(self, two_by_two_grid):
         # truth concentrated in one cell; fb is truth, fa is flat
         rates_true = np.array([0.02, 0.002, 0.02, 0.002, 0.02, 0.002, 16.0, 0.4])

@@ -85,7 +85,13 @@ CATALOG_ERRORS = [
     ("# window_days = 1\n" + CATALOG_HEADER + "0.5,0.5,0.5,4.0\n2.5,0.5,0.5,4.0\n",
      "event time outside the declared window"),
     ("# window_days = soon\n" + CATALOG_HEADER + "0.5,0.5,0.5,4.0\n",
-     "could not convert string to float: 'soon'"),
+     "catalog: malformed window_days 'soon'"),
+    ("# m0 = 4.0.1\n" + CATALOG_HEADER + "0.5,0.5,0.5,4.0\n", "catalog: malformed m0 '4.0.1'"),
+    ("# window_days = nan\n" + CATALOG_HEADER + "0.5,0.5,0.5,4.0\n",
+     "non-finite window_days value in catalog"),
+    ("# window_days = inf\n" + CATALOG_HEADER + "0.5,0.5,0.5,4.0\n",
+     "non-finite window_days value in catalog"),
+    ("# m0 = nan\n" + CATALOG_HEADER + "0.5,0.5,0.5,4.0\n", "non-finite m0 value in catalog"),
     (CATALOG_HEADER + "0.5,0.5,0.5,4.0\n0.5,0.5,0.5,4.0\n",
      "duplicate event (time=0.5, lon=0.5, lat=0.5, mag=4.0)"),
     # a carriage return inside a line, in a row and in the header; the line

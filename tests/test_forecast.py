@@ -52,6 +52,11 @@ class TestParseSerialize:
         with pytest.raises(ValueError, match="negative"):
             parse_forecast(text)
 
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
+    def test_window_must_be_positive_and_finite(self, window):
+        with pytest.raises(ValueError, match="window must be positive and finite"):
+            parse_forecast(FORECAST_TEXT, window_days=window)
+
     def test_fractional_mask_rejected(self):
         text = ("lon_min,lon_max,lat_min,lat_max,mag_min,mag_max,rate,mask\n"
                 "0,1,0,1,4,5,3.0,0.5\n")
@@ -111,6 +116,57 @@ class TestMarginals:
         assert s.grid.n_cells == 4
         assert expected_total(s) == pytest.approx(expected_total(forecast))
         assert s.rates.max() == pytest.approx(2.2)
+
+
+class TestGridReuse:
+    """parse_forecast(..., grid=) takes the given grid when the boxes are
+    equal, and the marginals build their grid once per parent grid."""
+
+    TEXT_B = FORECAST_TEXT.replace(",0.5,1\n", ",0.75,1\n")
+
+    def test_equal_boxes_share_the_grid(self, forecast):
+        fb = parse_forecast(self.TEXT_B, 5.0, grid=forecast.grid)
+        assert fb.grid is forecast.grid
+        assert fb.rates[0] == 0.75
+        assert fb == parse_forecast(self.TEXT_B, 5.0)
+
+    def test_a_masked_cell_gets_a_new_grid(self, forecast):
+        lines = self.TEXT_B.splitlines()
+        lines[3] = lines[3][:-1] + "0"
+        fb = parse_forecast("\n".join(lines) + "\n", 5.0, grid=forecast.grid)
+        assert fb.grid is not forecast.grid
+        assert fb.grid.n_cells == 7
+        assert fb.grid != forecast.grid
+
+    def test_one_ulp_off_gets_a_new_grid(self, forecast):
+        # the east edge of the third cell, which no other cell touches
+        edge = float(np.nextafter(1.0, 2.0))
+        text = self.TEXT_B.replace("\n0.5,1,0,0.5,4,5,", f"\n0.5,{edge!r},0,0.5,4,5,", 1)
+        fb = parse_forecast(text, 5.0, grid=forecast.grid)
+        assert fb.grid is not forecast.grid
+        assert fb.grid.boxes[2, 1] == edge
+        assert fb.grid != forecast.grid
+
+    def test_shared_grids_share_their_marginal_grids(self, forecast):
+        fb = parse_forecast(self.TEXT_B, 5.0, grid=forecast.grid)
+        assert marginal_space(forecast).grid is marginal_space(fb).grid
+        assert marginal_magnitude(forecast).grid is marginal_magnitude(fb).grid
+        assert marginal_space(fb).rates[0] == 0.75 + 0.05
+
+    def test_marginal_grids_match_fresh_builds(self, forecast):
+        b = forecast.grid.boxes
+        space = np.array([[0, 0.5, 0, 0.5], [0.5, 1, 0, 0.5], [0, 0.5, 0.5, 1], [0.5, 1, 0.5, 1]])
+        assert marginal_space(forecast).grid.boxes.tolist() == \
+            np.column_stack([space, np.full(4, 4.0), np.full(4, 6.0)]).tolist()
+        hull = [b[:, 0].min(), b[:, 1].max(), b[:, 2].min(), b[:, 3].max()]
+        assert marginal_magnitude(forecast).grid.boxes.tolist() == \
+            [hull + [4.0, 5.0], hull + [5.0, 6.0]]
+
+    def test_grid_equality_of_one_object_skips_the_comparison(self, forecast, monkeypatch):
+        g = forecast.grid
+        monkeypatch.setattr(np, "array_equal", lambda *a: pytest.fail("compared boxes"))
+        assert g == g
+        assert not g != g
 
 
 class TestPoissonLogPmf:
