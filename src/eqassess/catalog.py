@@ -20,31 +20,54 @@ import numpy as np
 KM_PER_DEG = 111.32
 
 
-def km_distance2(lon1, lat1, lon2, lat2, out=None, scratch=None):
+def km_distance2(lon1, lat1, lon2, lat2):
     """Squared planar km distance, equirectangular at the pair's mean latitude.
 
     cos of the mean latitude is cos(a/2) cos(b/2) - sin(a/2) sin(b/2), each
     factor taken on its own argument's shape: an outer call (m x 1 against
-    1 x n) takes m + n cosines and m + n sines, not m * n cosines.
-
-    out and scratch, if given, are float64 arrays of the broadcast shape:
-    the result is written into out and scratch is overwritten, so a caller
-    that builds many blocks allocates nothing per block. The values are the
-    same either way."""
+    1 x n) takes m + n cosines and m + n sines, not m * n cosines."""
     lon1, lat1, lon2, lat2 = (np.asarray(v, dtype=float) for v in (lon1, lat1, lon2, lat2))
-    if out is None:
-        shape = np.broadcast_shapes(lon1.shape, lat1.shape, lon2.shape, lat2.shape)
-        out, scratch = np.empty(shape), np.empty(shape)
-    half1 = np.radians(0.5 * lat1)
-    half2 = np.radians(0.5 * lat2)
-    # dx = cos(mean lat) * dlon and dy = dlat, in km; out = dx*dx + dy*dy
-    np.multiply(KM_PER_DEG * np.cos(half1), np.cos(half2), out=out)
-    out -= np.multiply(KM_PER_DEG * np.sin(half1), np.sin(half2), out=scratch)
-    out *= np.subtract(lon2, lon1, out=scratch)
+    half1, half2 = np.radians(0.5 * lat1), np.radians(0.5 * lat2)
+    # dx = cos(mean lat) * dlon and dy = dlat, in km
+    dx = (KM_PER_DEG * np.cos(half1) * np.cos(half2)
+          - KM_PER_DEG * np.sin(half1) * np.sin(half2)) * (lon2 - lon1)
+    dy = KM_PER_DEG * (lat2 - lat1)
+    return dx * dx + dy * dy
+
+
+def km_factors(lons, lats, rows: bool = False):
+    """Per-point factors of km_grid2, shape (4, 2, n), for the points as the
+    grid's rows (rows=True) or as its columns; a caller that builds many
+    blocks takes them once and passes slices [..., lo:hi]."""
+    lons, lats = np.asarray(lons, dtype=float), np.asarray(lats, dtype=float)
+    half = np.radians(0.5 * lats)
+    cos, sin, one, zero = np.cos(half), np.sin(half), np.ones_like(lons), np.zeros_like(lons)
+    if rows:
+        return np.stack([KM_PER_DEG * cos, zero, KM_PER_DEG * sin, zero,
+                         one, -lons, one, -lats]).reshape(4, 2, -1)
+    return np.stack([cos, zero, sin, zero, lons, one, lats, one]).reshape(4, 2, -1)
+
+
+def km_grid2(rows, cols, out, scratch):
+    """km_distance2 of every row point against every column point, from
+    km_factors, written into out (scratch is overwritten), with the bits of
+    the broadcast outer call.
+
+    Each of km_distance2's rank-2 grids (the cosine and sine products, the
+    lon and lat differences) is a K = 2 matrix product, several times
+    faster than a broadcast ufunc. One of its two terms is exact (a product
+    with 0 or 1), so each entry is rounded once, as by the ufunc, with or
+    without FMA. Hence the cosine and sine products are padded with a zero
+    term: merged into one [c, -s] @ [c; s] product, FMA moves an ulp, and a
+    K = 1 product takes numpy's slow path."""
+    np.matmul(rows[0].T, cols[0], out=out)
+    out -= np.matmul(rows[1].T, cols[1], out=scratch)
+    out *= np.matmul(rows[2].T, cols[2], out=scratch)
     out *= out
-    dy = np.multiply(KM_PER_DEG, np.subtract(lat2, lat1, out=scratch), out=scratch)
+    dy = np.matmul(rows[3].T, cols[3], out=scratch)
+    dy *= KM_PER_DEG
     out += np.multiply(dy, dy, out=dy)
-    return out if out.ndim else out[()]
+    return out
 
 
 def km_distance(lon1, lat1, lon2, lat2):
@@ -181,6 +204,8 @@ class Catalog:
                           ("window_days", self.window_days), ("m0", self.m0)):
             if not np.all(np.isfinite(col)):
                 raise ValueError(f"non-finite {name} value in catalog")
+        if self.window_days < 0:
+            raise ValueError(f"negative catalog window: window_days = {float(self.window_days)!r}")
         if t.size and (t.min() < 0 or t.max() > self.window_days):
             raise ValueError("event time outside the declared window")
         order = np.lexsort((m, y, x, t))

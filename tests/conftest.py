@@ -7,6 +7,8 @@ from eqassess import BinGrid, Catalog, Region
 from eqassess.catalog import KM_PER_DEG, km_distance2, region_lattice
 from eqassess.intensity import (_ClippedMass, _earlier_pairs, _row_spans, hawkes_pack,
                                 hawkes_unpack, spatial_mass, temporal_mass)
+from eqassess.simulate import simulate_homogeneous
+from eqassess.summaries import _weighted_k_values
 
 
 def km_distance_reference(lon1, lat1, lon2, lat2):
@@ -22,6 +24,22 @@ def km_distance_reference(lon1, lat1, lon2, lat2):
 @pytest.fixture(scope="session")
 def km_oracle():
     return km_distance_reference
+
+
+def km_distance2_broadcast(lon1, lat1, lon2, lat2):
+    """Reference for catalog.km_grid2: km_distance2's broadcast form, each
+    rank-2 grid one ufunc over broadcast operands."""
+    lon1, lat1, lon2, lat2 = (np.asarray(v, dtype=float) for v in (lon1, lat1, lon2, lat2))
+    half1, half2 = np.radians(0.5 * lat1), np.radians(0.5 * lat2)
+    dx = KM_PER_DEG * np.cos(half1) * np.cos(half2) - KM_PER_DEG * np.sin(half1) * np.sin(half2)
+    dx = dx * (lon2 - lon1)
+    dy = KM_PER_DEG * (lat2 - lat1)
+    return dx * dx + dy * dy
+
+
+@pytest.fixture(scope="session")
+def km_grid_oracle():
+    return km_distance2_broadcast
 
 
 @pytest.fixture
@@ -87,6 +105,25 @@ def dense_pair_sums(x, y, weights, lags):
 @pytest.fixture(scope="session")
 def dense_pairs():
     return dense_pair_sums
+
+
+def per_catalog_k_envelope(model, c, region, lags_km, rng, n_sim):
+    """Reference for weighted_k's envelope: one model call per simulated
+    catalog, the loop the grouped evaluation replaced."""
+    area = region.area_km2
+    rate = c.n / (area * c.window_days)
+    sims = np.empty((n_sim, lags_km.size))
+    for s in range(n_sim):
+        sim = simulate_homogeneous(rate, region, c.window_days, rng.substream(s))
+        sw = 1.0 / (model.rate_at(sim.lons, sim.lats, sim.times) * c.window_days)
+        sx, sy = region.to_km(sim.lons, sim.lats)
+        sims[s] = _weighted_k_values(sx, sy, sw, lags_km) / area
+    return np.quantile(sims, 0.025, axis=0), np.quantile(sims, 0.975, axis=0)
+
+
+@pytest.fixture(scope="session")
+def envelope_oracle():
+    return per_catalog_k_envelope
 
 
 def reference_clip_halfplane(poly, normal, offset, keep_le):

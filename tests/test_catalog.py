@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from eqassess import (BinGrid, Catalog, Region, bin_counts, empty_catalog,
                       filter_catalog, km_distance, parse_catalog, parse_region,
                       region_lattice, serialize_catalog, serialize_region)
-from eqassess.catalog import KM_PER_DEG, km_distance2
+from eqassess.catalog import KM_PER_DEG, km_distance2, km_factors, km_grid2
 
 # 80 x 50 disjoint unit boxes east of lon 10, lon-fastest
 _FILLERS = BinGrid.regular(np.arange(10.0, 91.0), np.arange(0.0, 51.0),
@@ -79,15 +79,40 @@ class TestKmDistance:
             want = km_oracle(*args)
             np.testing.assert_allclose(km_distance2(*args), want * want, rtol=1e-13, atol=0.0)
             np.testing.assert_allclose(km_distance(*args), want, rtol=1e-13, atol=0.0)
-            # written into given buffers, the same bits
-            if np.ndim(want):
-                out, scratch = np.full(np.shape(want), np.nan), np.full(np.shape(want), np.nan)
-                got = km_distance2(*args, out=out, scratch=scratch)
-                assert got is out and np.array_equal(got, km_distance2(*args))
         # a point against itself is exactly 0, in every pairing
         assert np.all(km_distance2(lon, lat, lon, lat) == 0.0)
         assert np.all(np.diagonal(km_distance2(lon[:, None], lat[:, None],
                                                lon[None, :], lat[None, :])) == 0.0)
+
+
+class TestKmGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([1, 2, 63, 64, 65, 128]), n=st.integers(1, 450),
+           seed=st.integers(0, 2 ** 32 - 1), span=st.sampled_from([0.01, 3.0, 180.0]),
+           equator=st.booleans(), coincide=st.booleans())
+    def test_matches_broadcast_bit_for_bit(self, km_grid_oracle, m, n, seed, span,
+                                           equator, coincide):
+        gen = np.random.default_rng(seed)
+        # negative longitudes, and a hemisphere-straddling latitude band
+        lon1, lon2 = gen.uniform(-span, span, m), gen.uniform(-span, span, n)
+        lat1, lat2 = gen.uniform(-60.0, 60.0, m), gen.uniform(-60.0, 60.0, n)
+        if equator:  # sin of the half-latitude is exactly 0
+            lat1[::2], lat2[::3] = 0.0, 0.0
+        if coincide:
+            k = min(m, n)
+            lon2[:k], lat2[:k] = lon1[:k], lat1[:k]
+        want = km_grid_oracle(lon1[:, None], lat1[:, None], lon2[None, :], lat2[None, :])
+        out, scratch = np.full((m, n), np.nan), np.full((m, n), np.nan)
+        rows, cols = km_factors(lon1, lat1, rows=True), km_factors(lon2, lat2)
+        assert km_grid2(rows, cols, out, scratch) is out
+        assert np.array_equal(out, want)
+        # slices of larger factor sets, as the Hawkes blocks take them
+        pad = gen.uniform(-span, span, 7), gen.uniform(-60.0, 60.0, 7)
+        rows = km_factors(np.r_[pad[0], lon1], np.r_[pad[1], lat1], rows=True)[..., 7:]
+        cols = km_factors(np.r_[lon2, pad[0]], np.r_[lat2, pad[1]])[..., :n]
+        assert np.array_equal(km_grid2(rows, cols, out, np.empty((m, n))), want)
+        if coincide:
+            assert np.all(np.diagonal(out) == 0.0)
 
 
 class TestRegion:

@@ -696,6 +696,33 @@ def test_catalog_with_a_nan_window_is_data_error(paths, capsys):
     assert "non-finite window_days value in catalog" in capsys.readouterr().err
 
 
+def test_catalog_with_a_negative_window_is_data_error(paths, capsys):
+    bad = paths["dir"] / "negative_window.csv"
+    bad.write_text("# window_days = -3\ntime,lon,lat,mag\n")
+    out = paths["dir"] / "x"
+    rc = main(["fit", "--family", "homogeneous", "--catalog", str(bad),
+               "--region", paths["region"], "--out", str(out)])
+    assert rc == 3
+    assert "negative catalog window: window_days = -3.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kfn_envelope_zero_rate_cell_is_data_error(paths, capsys):
+    # the south half has rate 0; every observed event lies in the north half
+    zero = paths["dir"] / "zero_cell.csv"
+    zero.write_text(FORECAST_TEXT.replace("6.0,1", "0.0,1"))
+    cat = paths["dir"] / "north.csv"
+    c = _demo_catalog()
+    cat.write_text(serialize_catalog(Catalog(c.times, c.lons, 0.55 + 0.4 * c.lats,
+                                             c.mags, c.window_days, c.m0)))
+    base = ["kfn", "--catalog", str(cat), "--region", paths["region"],
+            "--forecast", str(zero), "--window", "10"]
+    assert main(base + ["--out", str(paths["dir"] / "plain")]) == 0
+    rc = main(base + ["--envelope", "--n-sim", "9", "--out", str(paths["dir"] / "x")])
+    assert rc == 3
+    assert "model rate is zero at a simulated envelope point" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("family", ["homogeneous", "hawkes"])
 def test_fit_leaves_scipy_optimize_unloaded(paths, family):
     """The Newton fit needs numpy alone."""

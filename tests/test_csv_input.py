@@ -92,6 +92,7 @@ CATALOG_ERRORS = [
     ("# window_days = inf\n" + CATALOG_HEADER + "0.5,0.5,0.5,4.0\n",
      "non-finite window_days value in catalog"),
     ("# m0 = nan\n" + CATALOG_HEADER + "0.5,0.5,0.5,4.0\n", "non-finite m0 value in catalog"),
+    ("# window_days = -3\n" + CATALOG_HEADER, "negative catalog window: window_days = -3.0"),
     (CATALOG_HEADER + "0.5,0.5,0.5,4.0\n0.5,0.5,0.5,4.0\n",
      "duplicate event (time=0.5, lon=0.5, lat=0.5, mag=4.0)"),
     # a carriage return inside a line, in a row and in the header; the line

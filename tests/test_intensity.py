@@ -385,19 +385,37 @@ class TestHawkesProtocol:
         params = HawkesParams(mu=3e-4, k=0.004, c=0.1, p=1.5, a=1.0, d=0.5, q=1.8,
                               m0=4.0)
         built = []
-        km2 = intensity.km_distance2
+        grid = intensity.km_grid2
 
         def counting(*args, **kwargs):
-            r2 = km2(*args, **kwargs)
+            r2 = grid(*args, **kwargs)
             built.append(r2.size)
             return r2
 
-        monkeypatch.setattr(intensity, "km_distance2", counting)
+        monkeypatch.setattr(intensity, "km_grid2", counting)
         HawkesIntensity(params, history).rate_at(history.lons, history.lats,
                                                  history.times)
         # the strictly-earlier pairs, plus at most _ROW_ALIGN columns a row
         # of rounding; the dense rectangle would build n * n
         assert 0 < sum(built) <= n * (n - 1) // 2 + n * intensity._ROW_ALIGN
+
+
+class TestLagGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([1, 2, 64, 65]), n=st.integers(1, 450),
+           seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-3, 5.0, 3650.0]))
+    def test_matches_subtract_bit_for_bit(self, m, n, seed, scale):
+        gen = np.random.default_rng(seed)
+        history = np.sort(gen.uniform(0.0, scale, n))
+        # before, between and after the history, and at its times
+        times = gen.uniform(-0.2 * scale, 1.2 * scale, m)
+        times[::3] = gen.choice(history, times[::3].size)
+        rows, cols = intensity._lag_factors(times, history)
+        assert np.array_equal(rows @ cols, np.subtract.outer(times, history))
+        # the blocks' slices, written into a given buffer
+        out = np.full((m, n - n // 2), np.nan)
+        np.matmul(rows, cols[:, n // 2:], out=out)
+        assert np.array_equal(out, np.subtract.outer(times, history[n // 2:]))
 
 
 class TestBranchingRatio:

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqassess import (Catalog, GriddedForecast, GridIntensity,
+from eqassess import (Catalog, GriddedForecast, GridIntensity, HawkesIntensity,
                       HomogeneousIntensity, KernelIntensity, RngStream,
                       error_diagram, error_diagram_to_csv, k_curve_to_csv,
                       simulate_homogeneous, simulate_poisson_grid, weighted_k)
+from eqassess import summaries
 from eqassess.summaries import _weighted_k_values
 
 
@@ -134,6 +135,69 @@ class TestWeightedK:
                     np.array([0.25, 0.75]), np.array([4.5, 4.5]), 10.0, 4.0)
         with pytest.raises(ValueError, match="zero"):
             weighted_k(model, c, unit_region)
+
+    def test_zero_rate_at_envelope_point_named(self, unit_region, two_by_two_grid):
+        # one zero-rate cell inside the region, every observed event elsewhere
+        rates = np.array([0.0, 0.0, 1.0, 0.1, 1.0, 0.1, 1.0, 0.1])
+        model = GridIntensity(GriddedForecast(two_by_two_grid, rates, 10.0))
+        c = Catalog(np.array([0.2, 0.6, 0.9]), np.array([0.75, 0.25, 0.75]),
+                    np.array([0.25, 0.75, 0.75]), np.array([4.5, 4.5, 4.5]), 10.0, 4.0)
+        weighted_k(model, c, unit_region)
+        with pytest.raises(ValueError, match="zero at a simulated envelope point"):
+            weighted_k(model, c, unit_region, rng=RngStream(1), n_sim=9)
+
+    def test_envelope_needs_a_simulation(self, unit_region):
+        c = simulate_homogeneous(8e-4, unit_region, 10.0, RngStream(3), mag=4.0)
+        with pytest.raises(ValueError, match="n_sim >= 1"):
+            weighted_k(HomogeneousIntensity(8e-4), c, unit_region, rng=RngStream(4), n_sim=0)
+
+    @pytest.mark.parametrize("cap", [None, 1, 350])
+    @pytest.mark.parametrize("kind", ["homogeneous", "grid", "hawkes"])
+    def test_grouped_envelope_matches_per_catalog_calls(
+            self, unit_region, two_by_two_grid, aligned_history, envelope_oracle,
+            monkeypatch, kind, cap):
+        # a history of several _ROW_ALIGN blocks, so the Hawkes kernel's
+        # blocks differ between the grouped and the per-catalog calls
+        params = aligned_history[0]
+        gen = np.random.default_rng(21)
+        n = 300
+        c = Catalog(np.sort(gen.uniform(0.0, 5.0, n)), gen.uniform(0.0, 1.0, n),
+                    gen.uniform(0.0, 1.0, n), gen.uniform(4.0, 6.0, n), 5.0, 4.0)
+        if kind == "homogeneous":
+            model = HomogeneousIntensity(c.n / (unit_region.area_km2 * c.window_days))
+        elif kind == "grid":
+            rates = np.array([0.5, 0.05, 1.0, 0.1, 2.0, 0.2, 1.0, 0.1])
+            model = GridIntensity(GriddedForecast(two_by_two_grid, rates, c.window_days))
+        else:
+            model = HawkesIntensity(params, c)
+        if cap is not None:
+            # every catalog alone, or a few catalogs a call
+            monkeypatch.setattr(summaries, "_ENVELOPE_POINTS", cap * c.n // 100)
+        lags = np.linspace(0.5, 10.0, 7)
+        curve = weighted_k(model, c, unit_region, lags, rng=RngStream(12), n_sim=19)
+        lo, hi = envelope_oracle(model, c, unit_region, lags, RngStream(12), 19)
+        assert np.array_equal(curve.envelope_lo, lo)
+        assert np.array_equal(curve.envelope_hi, hi)
+
+    def test_envelope_evaluates_the_model_once_per_group(self, unit_region, aligned_history,
+                                                          monkeypatch):
+        params, c = aligned_history
+        model = HawkesIntensity(params, c)
+        assert 39 * 2 * c.n < summaries._ENVELOPE_POINTS
+        calls = {"rate_at": 0, "simulate_homogeneous": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(model, "rate_at", counted("rate_at", model.rate_at))
+        monkeypatch.setattr(summaries, "simulate_homogeneous",
+                            counted("simulate_homogeneous", summaries.simulate_homogeneous))
+        weighted_k(model, c, unit_region, rng=RngStream(2), n_sim=39)
+        # the observed events, then the 39 catalogs in one call
+        assert calls == {"rate_at": 2, "simulate_homogeneous": 39}
 
     def test_envelopes_bracket_reference(self, unit_region):
         rate = 8e-4
