@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .catalog import (Catalog, Region, km_distance, km_distance2, km_factors, km_grid2,
+from .catalog import (KM_PER_DEG, Catalog, Region, km_distance, km_factors, km_grid2,
                       region_lattice)
 from .forecast import GriddedForecast, marginal_space
 from .rng import RngStream
@@ -36,10 +36,11 @@ _CHUNK_BYTES = 1 << 18
 # that are whole multiples of this many rows keep every row in the same
 # kind of block, so results do not depend on the span size
 _ROW_ALIGN = 64
-# pairs per slice of hawkes_score's sum w g g^T. One 5 x 101,025 by
-# 101,025 x 5 product took 1.8-2.2 ms in single-threaded x86-64 OpenBLAS,
-# a third of an evaluation; summed over 8192-pair slices, whose two
-# 330 KB operands stay in cache, it took 0.6-0.7 ms
+# pairs per block of hawkes_score, which holds whole later-event groups.
+# At the 101,025 pairs of a 450-event catalog, one evaluation took
+# 2.07-2.21 ms in blocks of 8192 pairs, whose 700 KB workspace stays in a
+# 2 MB per-core L2 cache, against 2.34-2.52 ms at 4096 and 2.15-2.27 ms at
+# 16384 (interleaved, single-threaded x86-64 OpenBLAS)
 _GRAM_PAIRS = 8192
 
 
@@ -284,11 +285,12 @@ class HawkesIntensity:
         factor of exactly 0.
 
         The points are taken in time order (a stable sort), in _row_spans
-        blocks. A block builds the kernel only over the first n history
-        events: n is the block's longest strictly-earlier prefix, rounded up
-        to a multiple of _ROW_ALIGN (at most history.n), so a point's sum
-        does not depend on the block it falls in. Every block is built in
-        the same two buffers, allocated once per call.
+        blocks. A block builds the kernel only over its longest
+        strictly-earlier prefix of m history events, and its product with
+        the weights takes n columns, the last n - m of them zeros: n is m
+        rounded up to a multiple of _ROW_ALIGN (at most history.n), so a
+        point's sum does not depend on the block it falls in. Every block
+        is built in the same two buffers, allocated once per call.
 
         A scalar time is folded into the weights: the lag factor then
         depends on the history event alone, so it is taken once, and the
@@ -310,9 +312,9 @@ class HawkesIntensity:
             return bg, out
         order = np.argsort(times, kind="stable")
         prefix = np.searchsorted(h.times, times[order], side="left")
-        spans = [(lo, hi, min(-(-int(prefix[hi - 1]) // _ROW_ALIGN) * _ROW_ALIGN, h.n))
-                 for lo, hi in _row_spans(lons.size, h.n)]
-        size = max((hi - lo) * n for lo, hi, n in spans)
+        spans = [(lo, hi, int(prefix[hi - 1])) for lo, hi in _row_spans(lons.size, h.n)]
+        spans = [(lo, hi, m, min(-(-m // _ROW_ALIGN) * _ROW_ALIGN, h.n)) for lo, hi, m in spans]
+        size = max((hi - lo) * n for lo, hi, _, n in spans)
         kernel_buf, work_buf = np.empty(size), np.empty(size)
         weights = self._productivity()
         if shared:
@@ -320,19 +322,24 @@ class HawkesIntensity:
         else:
             time_f, history_t = _lag_factors(times[order], h.times)
         point_f, history_f = km_factors(lons[order], lats[order], True), km_factors(h.lons, h.lats)
-        for lo, hi, n in spans:
-            kernel = kernel_buf[:(hi - lo) * n].reshape(hi - lo, n)
+        for lo, hi, m, n in spans:
+            # the kernel is built in the first m columns, contiguous: the
+            # in-place ufuncs on a column slice of a wider block were 3-7
+            # times slower
+            kernel = kernel_buf[:(hi - lo) * m].reshape(hi - lo, m)
             work = work_buf[:kernel.size].reshape(kernel.shape)
-            km_grid2(point_f[..., lo:hi], history_f[..., :n], out=kernel, scratch=work)
+            km_grid2(point_f[..., lo:hi], history_f[..., :m], out=kernel, scratch=work)
             np.log(np.add(kernel, p.d, out=kernel), out=kernel)
             kernel *= -p.q
             if not shared:
                 # rows are time-sorted: every column before the first
                 # row's prefix is strictly earlier for the whole block
-                dt = np.matmul(time_f[lo:hi], history_t[:, :n], out=work)
+                dt = np.matmul(time_f[lo:hi], history_t[:, :m], out=work)
                 kernel += _causal_log_lag(log_lag, dt, prefix[lo])
-            np.exp(kernel, out=kernel)
-            out[order[lo:hi]] = kernel @ weights[:n]
+            padded = work_buf[:(hi - lo) * n].reshape(hi - lo, n)
+            np.exp(kernel, out=padded[:, :m])
+            padded[:, m:] = 0.0
+            out[order[lo:hi]] = padded @ weights[:n]
         return bg, out
 
     def rate_at(self, lons, lats, times):
@@ -580,78 +587,109 @@ def _sym2(v) -> np.ndarray:
     return np.array([[v[0], v[1]], [v[1], v[2]]])
 
 
-def _earlier_pairs(times: np.ndarray):
-    """(i, j) for every event i strictly earlier than event j of a
-    time-sorted catalog; events at the same time do not trigger each other."""
-    first = np.searchsorted(times, times, side="left")
-    later = np.repeat(np.arange(times.size), first)
-    earlier = np.arange(later.size) - np.repeat(np.cumsum(first) - first, first)
-    return earlier, later
+def _pair_blocks(c: Catalog, dmag: np.ndarray):
+    """The strictly-earlier event pairs of a time-sorted catalog, in blocks.
+
+    Event j is triggered by the events before its time, 0 .. first_j - 1,
+    and its pairs (its group) are stored together, groups in event order;
+    events at the same time do not trigger each other. Returns (blocks, dt,
+    r2, earlier dmag), the last three one value per pair. A block is (lo,
+    hi, owners, group_at, sizes): the pairs lo .. hi - 1, which are the
+    whole groups of the events owners, starting at group_at (from lo) with
+    sizes pairs each. A group goes to the block of _GRAM_PAIRS pairs that its
+    first pair falls in, so no group is split.
+
+    r2 has the bits of km_distance2 on the pair vectors: the cosines and
+    sines of the half latitudes are taken once per event and gathered per
+    pair, in km_distance2's order of operations."""
+    first = np.searchsorted(c.times, c.times, side="left")
+    owners = np.flatnonzero(first)
+    sizes = first[owners]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    cuts = np.flatnonzero(np.diff(starts // _GRAM_PAIRS, prepend=-1))
+    blocks = [(int(starts[g]), int(ends[h - 1]), owners[g:h], starts[g:h] - starts[g], sizes[g:h])
+              for g, h in zip(cuts, np.r_[cuts[1:], owners.size])]
+    n_pairs = int(ends[-1]) if owners.size else 0
+    dt, r2, earlier_dmag = np.empty(n_pairs), np.empty(n_pairs), np.empty(n_pairs)
+    half = np.radians(0.5 * c.lats)
+    cos, sin = np.cos(half), np.sin(half)
+    km_cos, km_sin = KM_PER_DEG * cos, KM_PER_DEG * sin
+    for lo, hi, own, group_at, size in blocks:
+        later = np.repeat(own, size)
+        earlier = np.arange(hi - lo) - np.repeat(group_at, size)
+        dt[lo:hi] = c.times[later] - c.times[earlier]
+        earlier_dmag[lo:hi] = dmag[earlier]
+        dx = (km_cos[earlier] * cos[later] - km_sin[earlier] * sin[later]) \
+            * (c.lons[later] - c.lons[earlier])
+        dy = KM_PER_DEG * (c.lats[later] - c.lats[earlier])
+        r2[lo:hi] = dx * dx + dy * dy
+    return blocks, dt, r2, earlier_dmag
 
 
 def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") -> Callable:
     """(negative log-likelihood, its gradient, its Hessian) over the packed
     parameters of hawkes_pack, as one closure (the ETAS score of Ogata 1998).
 
-    The strictly-earlier event pairs, with their lags and squared
-    distances, and the region-clipping geometry are precomputed once, and
-    every pair-sized temporary is written into buffers allocated once, so
-    an evaluation allocates no pair-sized memory. A parameter vector that
-    does not unpack, overflows a float power or gives a non-finite value
-    scores inf with a nan gradient and Hessian.
+    The strictly-earlier event pairs are precomputed once, in the blocks of
+    _pair_blocks, and the closure keeps three pair-sized arrays: each
+    pair's lag dt, squared distance r^2 and earlier event's magnitude above
+    m0. The region-clipping geometry is precomputed too. An evaluation is
+    one pass over the blocks, in one workspace of a block's size allocated
+    with the closure. A parameter vector that does not unpack, overflows a
+    float power or gives a non-finite value scores inf with a nan gradient
+    and Hessian.
 
-    The Hessian is exact. Over (c, p, a, d, q), a pair's log-term gradient
-    g is scale * rows, the factor rows being 1/(dt+c), log(dt+c), the
-    earlier event's dmag, 1/(r^2+d) and log(r^2+d); over k it is 1. Every
-    second derivative of the log term is a combination of g and its
-    squares. With w a pair's share of its later event's rate, the pair
-    part sum w g g^T is a product of w * rows and rows, and the event
-    part is sum_j u_j u_j^T, with u_j = (mu/lam_j, sum_i w_ij g_ij) reduced
-    over each later event's pairs, which _earlier_pairs keeps together.
+    The Hessian is exact. A block writes each pair's factor rows log(dt+c),
+    log(r^2+d), dmag, 1/(dt+c) and 1/(r^2+d); a pair's term is k exp((-p,
+    -q, a) . the first three). Over (c, p, a, d, q), a pair's log-term
+    gradient g is scale times the rows 1/(dt+c), log(dt+c), dmag, 1/(r^2+d)
+    and log(r^2+d); over k it is 1. Every second derivative of
+    the log term is a combination of g and its squares. A block holds whole
+    later-event groups, so each lam_j is complete in its block, and w, a
+    pair's share of its later event's rate, follows there. One product (w *
+    rows) @ rows^T per block sums the pair part sum w g g^T, and one
+    reduceat of w * rows over the groups gives sum_i w_ij g_ij per event.
+    Those give the gradient's w-sums and the event part sum_j u_j u_j^T,
+    with u_j = (mu/lam_j, 1 - mu/lam_j, sum_i w_ij g_ij).
     """
     if mode not in ("approx", "quadrature"):
         raise ValueError(f"unknown integral mode {mode!r}")
-    earlier, later = _earlier_pairs(c.times)
-    dt = c.times[later] - c.times[earlier]
-    r2 = km_distance2(c.lons[earlier], c.lats[earlier], c.lons[later], c.lats[later])
     dmag = c.mags - m0
+    blocks, dt, r2, earlier_dmag = _pair_blocks(c, dmag)
     left = c.window_days - c.times
     at = region.area_km2 * c.window_days
     clipped = _ClippedMass(c, region) if mode == "quadrature" else None
-    # the first pair of each later event that has any, and that event
-    starts = np.flatnonzero(np.diff(later, prepend=-1))
-    owners = later[starts]
-    # the pair-sized buffers of every evaluation. rows holds the factor
-    # rows in the order c, d, p, q, a (the reciprocal rows hold dt+c and
-    # r^2+d until the Hessian). weighted holds w, then w times each row;
-    # its first two rows hold the terms and scratch until w is known.
-    # take(..., mode="clip") writes straight into its out (a "raise" take
-    # buffers), and every index here is in range.
-    rows = np.empty((5, earlier.size))
-    np.take(dmag, earlier, out=rows[4], mode="clip")
-    weighted = np.empty((6, earlier.size))
-    term, tmp = weighted[:2]
+    # one block's factor rows log(dt+c), log(r^2+d), dmag, 1/(dt+c) and
+    # 1/(r^2+d) (the last two hold dt+c and r^2+d until their logs are
+    # taken), then w, then w times each factor row
+    width = max((hi - lo for lo, hi, *_ in blocks), default=0)
+    work = np.empty((11, width))
+    rows, w, w_rows = work[:5], work[5], work[6:]
     # (c, p, a, d, q) from the rows' order
-    to_packed = [0, 2, 4, 1, 3]
+    to_packed = [3, 0, 2, 4, 1]
 
     def evaluate(prm: HawkesParams):
         mu, k, cc, p, a, d, q = prm.mu, prm.k, prm.c, prm.p, prm.a, prm.d, prm.q
         with np.errstate(all="ignore"):
-            np.add(dt, cc, out=rows[0])
-            np.add(r2, d, out=rows[1])
-            np.log(rows[:2], out=rows[2:4])
-            prod = k * np.exp(a * dmag)
-            # term = prod[earlier] * exp(-p * log_lag - q * log_dist)
-            np.multiply(rows[2], -p, out=term)
-            np.subtract(term, np.multiply(rows[3], q, out=tmp), out=term)
-            np.exp(term, out=term)
-            np.multiply(term, np.take(prod, earlier, out=tmp, mode="clip"), out=term)
-            lam = mu + np.bincount(later, weights=term, minlength=c.n)
-            # each pair's share of its later event's rate, times each row
-            w, w_rows = weighted[0], weighted[1:]
-            np.divide(term, np.take(lam, later, out=tmp, mode="clip"), out=w)
-            np.divide(w, rows[:2], out=w_rows[:2])
-            np.multiply(rows[2:], w, out=w_rows[2:])
+            coef = np.array([-p, -q, a])
+            lam = np.full(c.n, mu)
+            sums = np.zeros((5, c.n))
+            gram = np.zeros((5, 5))
+            for lo, hi, own, group_at, size in blocks:
+                r, w_b, w_r = rows[:, :hi - lo], w[:hi - lo], w_rows[:, :hi - lo]
+                np.add(dt[lo:hi], cc, out=r[3])
+                np.add(r2[lo:hi], d, out=r[4])
+                np.log(r[3:], out=r[:2])
+                np.copyto(r[2], earlier_dmag[lo:hi])
+                # a pair's term over k, exp(-p log(dt+c) - q log(r^2+d) + a dmag)
+                np.exp(np.matmul(coef, r[:3], out=w_b), out=w_b)
+                lam[own] = lam_b = mu + k * np.add.reduceat(w_b, group_at)
+                np.multiply(w_b, np.repeat(k / lam_b, size), out=w_b)
+                np.reciprocal(r[3:], out=r[3:])
+                np.multiply(r, w_b, out=w_r)
+                gram += w_r @ r.T
+                sums[:, own] = np.add.reduceat(w_r, group_at, axis=1)
             point = float(np.sum(np.log(lam)))
             # the window's temporal mass per event, and its partials in c and p
             ti = temporal_mass(left, cc, p)
@@ -666,12 +704,19 @@ def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") ->
             else:
                 mass = clipped.masses(d, q)
                 mass_d, mass_q = clipped.mass_partials(d, q)
+            prod = k * np.exp(a * dmag)
             trig_i = prod * ti * mass
             trig = float(np.sum(trig_i))
             value = -(point - (mu * at + trig))
             if not math.isfinite(value):
                 return _not_finite(7)
-            w_sum, w_lag, w_dist, w_log_lag, w_log_dist, w_mag = (np.sum(v) for v in weighted)
+            # u_j over (mu, k, c, p, a, d, q): sum_i w_ij = 1 - mu/lam_j
+            u = np.empty((7, c.n))
+            np.divide(mu, lam, out=u[0])
+            np.subtract(1.0, u[0], out=u[1])
+            sums = sums[to_packed]
+            w_sum, w_x = np.sum(u[1]), np.sum(sums, axis=1)
+            w_lag, w_log_lag, w_mag, w_dist, w_log_dist = w_x
             grad = np.array([
                 mu * (at - np.sum(1.0 / lam)),
                 trig - w_sum,
@@ -682,19 +727,13 @@ def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") ->
                 (q - 1.0) * w_log_dist + np.sum(prod * ti * mass_q),
             ])
 
-            np.reciprocal(rows[:2], out=rows[:2])
-            gram = np.zeros((5, 5))
-            for lo in range(0, earlier.size, _GRAM_PAIRS):
-                gram += w_rows[:, lo:lo + _GRAM_PAIRS] @ rows[:, lo:lo + _GRAM_PAIRS].T
-            sums_j = np.zeros((5, c.n))
-            sums_j[:, owners] = np.add.reduceat(w_rows, starts, axis=1)
-
             # the log terms' part over (k, c, p, a, d, q): sum w g g^T, and
             # sum w times the log term's second derivatives, which are (c, c)
             # = g_c + g_c^2/p, (c, p) = (p-1)/p g_c, (p, p) = g_p, (a, a) =
             # g_a, the same for (d, q), and none in k or across the groups
             scale = np.array([-p * cc, 1.0 - p, a, -q * d, 1.0 - q])
-            w_g = scale * [w_lag, w_log_lag, w_mag, w_dist, w_log_dist]
+            np.multiply(sums, scale[:, None], out=u[2:])
+            w_g = scale * w_x
             pair = np.empty((6, 6))
             pair[0, 0] = w_sum
             pair[0, 1:] = pair[1:, 0] = w_g
@@ -706,11 +745,6 @@ def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") ->
             curv[1, 2] = curv[2, 1] = (p - 1.0) / p * w_g[0]
             curv[4, 4] += pair[4, 4] / q
             curv[4, 5] = curv[5, 4] = (q - 1.0) / q * w_g[3]
-            # u_j over (mu, k, c, p, a, d, q); sum_i w_ij = 1 - mu/lam_j
-            u = np.empty((7, c.n))
-            np.divide(mu, lam, out=u[0])
-            np.subtract(1.0, u[0], out=u[1])
-            np.multiply(sums_j[to_packed], scale[:, None], out=u[2:])
 
             # the compensator's part: trig_i is prod (in k and a) times ti
             # (in c and p) times mass (in d and q); the partials of prod are

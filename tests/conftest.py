@@ -5,7 +5,7 @@ import pytest
 
 from eqassess import BinGrid, Catalog, Region
 from eqassess.catalog import KM_PER_DEG, km_distance2, region_lattice
-from eqassess.intensity import (_ClippedMass, _earlier_pairs, _row_spans, hawkes_pack,
+from eqassess.intensity import (_ClippedMass, _row_spans, hawkes_pack,
                                 hawkes_unpack, spatial_mass, temporal_mass)
 from eqassess.simulate import simulate_homogeneous
 from eqassess.summaries import _weighted_k_values
@@ -269,6 +269,20 @@ class DenseHawkes:
 @pytest.fixture(scope="session")
 def dense_hawkes():
     return DenseHawkes
+
+
+def _earlier_pairs(times):
+    """(i, j) for every event i strictly earlier than event j of a
+    time-sorted catalog; events at the same time do not trigger each other."""
+    first = np.searchsorted(times, times, side="left")
+    later = np.repeat(np.arange(times.size), first)
+    earlier = np.arange(later.size) - np.repeat(np.cumsum(first) - first, first)
+    return earlier, later
+
+
+@pytest.fixture(scope="session")
+def earlier_pairs():
+    return _earlier_pairs
 
 
 def allocating_hawkes_score(c, region, m0, mode="approx"):

@@ -15,6 +15,7 @@ from eqassess import (Catalog, GriddedForecast, GridIntensity, HawkesIntensity, 
                       select_bandwidth, serialize_hawkes_params,
                       simulate_hawkes, simulate_homogeneous, temporal_trigger_cdf)
 from eqassess import intensity
+from eqassess.catalog import km_distance2
 from eqassess.intensity import (hawkes_objective, hawkes_pack, hawkes_score,
                                 hawkes_unpack, spatial_mass, temporal_mass)
 
@@ -395,9 +396,11 @@ class TestHawkesProtocol:
         monkeypatch.setattr(intensity, "km_grid2", counting)
         HawkesIntensity(params, history).rate_at(history.lons, history.lats,
                                                  history.times)
-        # the strictly-earlier pairs, plus at most _ROW_ALIGN columns a row
-        # of rounding; the dense rectangle would build n * n
-        assert 0 < sum(built) <= n * (n - 1) // 2 + n * intensity._ROW_ALIGN
+        # the strictly-earlier pairs, plus each block's triangle over the
+        # diagonal, under _ROW_ALIGN / 2 entries a row on average with the
+        # blocks of _ROW_ALIGN rows taken here; the dense rectangle would
+        # build n * n
+        assert 0 < sum(built) <= n * (n - 1) // 2 + n * intensity._ROW_ALIGN // 2
 
 
 class TestLagGrid:
@@ -705,8 +708,10 @@ class TestFitMle:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([0, 1, 2, 7, 40, 129, 182]),
            ties=st.booleans(), mode=st.sampled_from(["approx", "quadrature"]),
            spread=st.sampled_from([0.3, 3.0]))
-    def test_score_reuses_buffers_exactly(self, score_oracle, seed, n, ties, mode,
-                                          spread):
+    def test_score_matches_the_allocating_oracle(self, score_oracle, seed, n, ties, mode,
+                                                 spread):
+        # the blocks sum in another order than the oracle's whole-catalog
+        # sums, so finite scores agree to rounding, and non-finite ones exactly
         region = Region.rectangle(0.0, 1.0, 0.0, 1.0)
         gen = np.random.default_rng(seed)
         times = gen.uniform(0.0, 10.0, n)
@@ -726,8 +731,62 @@ class TestFitMle:
                 # a Python float power overflowed; the closure scores inf
                 want_value, want_grad = math.inf, np.full(7, np.nan)
             value, grad, _ = score(theta)
-            assert value == want_value
-            assert np.array_equal(grad, want_grad, equal_nan=True)
+            if not math.isfinite(want_value):
+                assert value == want_value
+                assert np.array_equal(grad, want_grad, equal_nan=True)
+                continue
+            assert value == pytest.approx(want_value, rel=1e-13, abs=0.0)
+            assert np.max(np.abs(grad - want_grad)) <= 1e-13 * np.max(np.abs(want_grad))
+
+    @pytest.mark.parametrize("mode", ["approx", "quadrature"])
+    @pytest.mark.parametrize("pairs", [1, 7, 64])
+    def test_score_does_not_depend_on_the_block_size(self, monkeypatch, mode, pairs):
+        # blocks of 1, 7 and 64 pairs, against the default: later-event
+        # groups larger than a block stay whole
+        region = Region.rectangle(0.0, 1.0, 0.0, 1.0)
+        gen = np.random.default_rng(pairs)
+        catalogs = [Catalog(np.sort(gen.uniform(0.0, 10.0, n)), gen.uniform(0.0, 1.0, n),
+                            gen.uniform(0.0, 1.0, n), gen.uniform(4.0, 6.0, n), 10.0, 4.0)
+                    for n in (0, 1, 2, 40)]
+        # every event at one time, so no pairs at all, and a few tied times
+        catalogs.append(Catalog(np.full(5, 3.0), gen.uniform(0.0, 1.0, 5),
+                                gen.uniform(0.0, 1.0, 5), gen.uniform(4.0, 6.0, 5), 10.0, 4.0))
+        catalogs.append(Catalog(np.floor(np.sort(gen.uniform(0.0, 10.0, 30))),
+                                gen.uniform(0.0, 1.0, 30), gen.uniform(0.0, 1.0, 30),
+                                gen.uniform(4.0, 6.0, 30), 10.0, 4.0))
+        theta = hawkes_pack(HawkesParams(mu=1e-4, k=0.004, c=0.04, p=1.4, a=0.9,
+                                         d=0.6, q=1.7, m0=4.0))
+        for cat in catalogs:
+            want = hawkes_score(cat, region, 4.0, mode)(theta)
+            with monkeypatch.context() as mp:
+                mp.setattr(intensity, "_GRAM_PAIRS", pairs)
+                got = hawkes_score(cat, region, 4.0, mode)(theta)
+            assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
+            for g, w in zip(got[1:], want[1:]):
+                assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 60),
+           lat=st.sampled_from([0.0, -30.0, 35.0]), copies=st.integers(0, 5))
+    def test_score_pairs_have_the_bits_of_km_distance2(self, earlier_pairs, seed, n, lat,
+                                                       copies):
+        gen = np.random.default_rng(seed)
+        lons = gen.uniform(-2.0, 2.0, n)
+        lats = lat + gen.uniform(-2.0, 2.0, n)
+        # some events on another's epicentre
+        if n:
+            at = gen.integers(0, n, copies)
+            lons[gen.integers(0, n, copies)] = lons[at]
+            lats[gen.integers(0, n, copies)] = lats[at]
+        times = np.sort(np.round(gen.uniform(0.0, 10.0, n), 1))
+        cat = Catalog(times, lons, lats, gen.uniform(4.0, 6.0, n), 10.0, 4.0)
+        dmag = cat.mags - 4.0
+        _, dt, r2, earlier_dmag = intensity._pair_blocks(cat, dmag)
+        i, j = earlier_pairs(cat.times)
+        lons, lats, times = cat.lons, cat.lats, cat.times
+        assert np.array_equal(r2, km_distance2(lons[i], lats[i], lons[j], lats[j]))
+        assert np.array_equal(dt, times[j] - times[i])
+        assert np.array_equal(earlier_dmag, dmag[i])
 
     def test_score_is_inf_where_a_float_power_overflows(self, small_catalog, unit_region):
         # c = 0.01 and p = 201 give c ** (1 - p) = 1e400 in temporal_mass
@@ -825,18 +884,21 @@ class TestNewtonFit:
         assert fit.iterations <= 6
         assert fit.log_lik >= want - 1e-9
 
-    def test_score_memory_in_pair_sized_arrays(self):
-        """A score keeps fifteen pair-sized arrays (the pair indices, dt and
-        r^2, the five factor rows, w and its five products), building it
-        peaks at no more, and an evaluation adds less than one."""
+    def test_score_memory_in_pair_sized_arrays(self, earlier_pairs):
+        """A score keeps three pair-sized arrays (dt, r^2 and the earlier
+        event's dmag), building it peaks at no more than eight, and an
+        evaluation adds no more than one block's workspace, whatever the
+        number of pairs."""
         import tracemalloc
 
         from test_acceptance import _roundtrip_truth
 
         truth, region, _ = _roundtrip_truth()
         cat = simulate_hawkes(truth, region, 700.0, RngStream(1000), gr_b=1.0, mag_span=4.0)
-        array = 8 * intensity._earlier_pairs(cat.times)[0].size
+        array = 8 * earlier_pairs(cat.times)[0].size
         assert array > 1_000_000
+        # the eleven rows of a block's workspace
+        block = 8 * 11 * intensity._GRAM_PAIRS
         tracemalloc.start()
         try:
             score = hawkes_score(cat, region, truth.m0)
@@ -846,9 +908,9 @@ class TestNewtonFit:
             evaluated_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert build_peak <= 16 * array
-        assert built <= 16 * array
-        assert evaluated_peak - built <= array
+        assert build_peak <= 8 * array
+        assert built <= 4 * array
+        assert evaluated_peak - built <= block
 
 
 class TestMinimize:
