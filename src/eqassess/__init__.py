@@ -19,11 +19,10 @@ _MODULE_OF = {name: module for module, names in {
                 "forecast_from_intensity joint_log_likelihood marginal_magnitude "
                 "marginal_space parse_forecast poisson_log_pmf scale_to_count "
                 "serialize_forecast sparse_log_likelihood",
-    "intensity": "BandwidthSelection FitResult GridIntensity HawkesIntensity HawkesParams "
-                 "HomogeneousIntensity KernelIntensity background_from_catalog branching_ratio "
-                 "central_gradient fit_mle kernel_density kernel_disk_mass log_likelihood "
-                 "mean_branching_ratio parse_hawkes_params radial_trigger_cdf select_bandwidth "
-                 "serialize_hawkes_params temporal_trigger_cdf",
+    "intensity": "FitResult GridIntensity HawkesIntensity HawkesParams HomogeneousIntensity "
+                 "branching_ratio central_gradient fit_mle log_likelihood mean_branching_ratio "
+                 "parse_hawkes_params radial_trigger_cdf serialize_hawkes_params "
+                 "temporal_trigger_cdf",
     "render": "render_error_diagram render_histogram render_k_curve render_map render_point_map",
     "residuals": "CellResidualSet HomogeneityResult RescaledTimes ResidualPointSet "
                  "VoronoiTessellation cell_residuals_to_csv cell_residuals_to_geojson "

@@ -825,3 +825,14 @@ def region_lattice(region: Region, n: int = 200) -> RegionLattice:
     inside = region.contains(lons, lats)
     cell = (KM_PER_DEG * np.cos(np.radians(lats)) * dlon) * (KM_PER_DEG * dlat)
     return RegionLattice(lons, lats, inside, cell, n, n)
+
+
+def box_lattice_index(region: Region, lons, lats, nx: int, ny: int) -> np.ndarray:
+    """Flat index iy * nx + ix of the cell of the nx x ny lattice over the
+    region's bounding box that holds each point. The box is closed: its
+    east and north edges fall in the last column and row, and a point
+    outside it goes to the nearest edge cell."""
+    lon_min, lon_max, lat_min, lat_max = region.bbox
+    ix = np.floor((lons - lon_min) / (lon_max - lon_min) * nx)
+    iy = np.floor((lats - lat_min) / (lat_max - lat_min) * ny)
+    return np.clip(iy, 0, ny - 1).astype(int) * nx + np.clip(ix, 0, nx - 1).astype(int)

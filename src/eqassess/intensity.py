@@ -1,4 +1,4 @@
-"""Intensity models: kernel smoothers, piecewise grids, and Hawkes clustering.
+"""Intensity models: constant rates, piecewise grids, and Hawkes clustering.
 
 All rates are event densities per km^2 per day. Every model exposes one
 protocol on vectorized, equal-length arrays:
@@ -20,12 +20,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .catalog import (KM_PER_DEG, Catalog, Region, km_distance, km_factors, km_grid2,
-                      region_lattice)
+from .catalog import KM_PER_DEG, Catalog, Region, km_factors, km_grid2, region_lattice
 from .forecast import GriddedForecast, marginal_space
 from .rng import RngStream
 
-# bytes of one float64 temporary (rows x columns) in the chunked kernel sums.
+# bytes of one float64 temporary (rows x columns) in the chunked Hawkes sums.
 # 256 KB keeps a block's few temporaries inside a 2 MB per-core L2 cache: on
 # an x86-64 host with that L2, the 40 Hawkes rate_at calls of a 39-catalog K
 # envelope on 450 events took 0.61-0.66 s at 256 KB and 0.78-0.94 s at 4 MB
@@ -58,46 +57,7 @@ def _row_spans(n_rows: int, n_cols: int):
     return zip(starts, starts[1:] + [n_rows])
 
 
-def kernel_density(r, d: float):
-    """Isotropic power-law kernel d/(2*pi) * (r^2 + d^2)^(-3/2).
-
-    Normalized to integrate to 1 over the plane; d (km) controls the width.
-    """
-    if d <= 0:
-        raise ValueError("kernel bandwidth d must be positive")
-    r = np.asarray(r, dtype=float)
-    return (d / (2.0 * math.pi)) * (r * r + d * d) ** -1.5
-
-
-def kernel_disk_mass(radius: float, d: float) -> float:
-    """Kernel mass inside a disk of the given radius: 1 - d/sqrt(r^2+d^2)."""
-    return 1.0 - d / math.hypot(radius, d)
-
-
-class _Stationary:
-    """The protocol for a rate that does not change in time."""
-
-    def _lattice(self, region: Region):
-        """(rates, cell areas) at the 200 x 200 lattice points inside the region."""
-        lat = region_lattice(region, 200)
-        return self.rate_at(lat.lons[lat.inside], lat.lats[lat.inside]), lat.cell_km2[lat.inside]
-
-    def integrate(self, lons, lats, t):
-        return self.rate_at(lons, lats) * t
-
-    def bounds(self, region: Region, t_max: float | None = None):
-        """(inf, sup) of the rate over a 200 x 200 lattice inside the region."""
-        vals, _ = self._lattice(region)
-        return float(vals.min()), float(vals.max())
-
-    def compensator(self, region: Region, times):
-        """Expected count in region x [0, t] for each t: the midpoint sum of
-        the rate over the 200 x 200 lattice, times t."""
-        vals, cell_km2 = self._lattice(region)
-        return float(np.sum(vals * cell_km2)) * np.asarray(times, dtype=float)
-
-
-class HomogeneousIntensity(_Stationary):
+class HomogeneousIntensity:
     """Constant rate (events per km^2 per day)."""
 
     def __init__(self, rate: float):
@@ -107,6 +67,9 @@ class HomogeneousIntensity(_Stationary):
 
     def rate_at(self, lons, lats, times=None):
         return np.full(np.shape(np.asarray(lons)), self.rate, dtype=float)
+
+    def integrate(self, lons, lats, t):
+        return self.rate_at(lons, lats) * t
 
     def bounds(self, region: Region, t_max: float | None = None):
         """(rate, rate), exactly."""
@@ -120,36 +83,7 @@ class HomogeneousIntensity(_Stationary):
         return f"HomogeneousIntensity({self.rate!r})"
 
 
-class KernelIntensity(_Stationary):
-    """Sum of power-law kernels centered on source points.
-
-    With scale=1 the plane integral equals the number of sources; scale
-    rescales the whole field (used for background rates calibrated to a
-    target count).
-    """
-
-    def __init__(self, src_lons, src_lats, d: float, scale: float = 1.0):
-        self.src_lons = np.atleast_1d(np.asarray(src_lons, dtype=float))
-        self.src_lats = np.atleast_1d(np.asarray(src_lats, dtype=float))
-        if self.src_lons.shape != self.src_lats.shape or self.src_lons.size == 0:
-            raise ValueError("kernel model needs matching, non-empty source arrays")
-        if d <= 0:
-            raise ValueError("kernel bandwidth d must be positive")
-        self.d = float(d)
-        self.scale = float(scale)
-
-    def rate_at(self, lons, lats, times=None):
-        lons = np.atleast_1d(np.asarray(lons, dtype=float))
-        lats = np.atleast_1d(np.asarray(lats, dtype=float))
-        out = np.empty(lons.shape, dtype=float)
-        for lo, hi in _row_spans(lons.size, self.src_lons.size):
-            r = km_distance(lons[lo:hi, None], lats[lo:hi, None],
-                            self.src_lons[None, :], self.src_lats[None, :])
-            out[lo:hi] = kernel_density(r, self.d).sum(axis=1)
-        return self.scale * out
-
-
-class GridIntensity(_Stationary):
+class GridIntensity:
     """Piecewise-constant spatial rate from a gridded forecast.
 
     Cell rate over the forecast window becomes a density (per km^2 per day);
@@ -166,6 +100,25 @@ class GridIntensity(_Stationary):
     def rate_at(self, lons, lats, times=None):
         cell = self.grid.locate(np.atleast_1d(lons), np.atleast_1d(lats))
         return np.where(cell >= 0, self.density[cell], 0.0)
+
+    def integrate(self, lons, lats, t):
+        return self.rate_at(lons, lats) * t
+
+    def _lattice(self, region: Region):
+        """(rates, cell areas) at the 200 x 200 lattice points inside the region."""
+        lat = region_lattice(region, 200)
+        return self.rate_at(lat.lons[lat.inside], lat.lats[lat.inside]), lat.cell_km2[lat.inside]
+
+    def bounds(self, region: Region, t_max: float | None = None):
+        """(inf, sup) of the rate over a 200 x 200 lattice inside the region."""
+        vals, _ = self._lattice(region)
+        return float(vals.min()), float(vals.max())
+
+    def compensator(self, region: Region, times):
+        """Expected count in region x [0, t] for each t: the midpoint sum of
+        the rate over the 200 x 200 lattice, times t."""
+        vals, cell_km2 = self._lattice(region)
+        return float(np.sum(vals * cell_km2)) * np.asarray(times, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -264,20 +217,19 @@ def _lag_factors(times, history_times):
 
 
 class HawkesIntensity:
-    """Conditional intensity mu(s) + sum over strictly earlier events of
+    """Conditional intensity mu + sum over strictly earlier events of
     k * (dt+c)^-p * exp(a*(M-m0)) * (r^2+d)^-q."""
 
-    def __init__(self, params: HawkesParams, history: Catalog, background=None):
+    def __init__(self, params: HawkesParams, history: Catalog):
         self.params = params
         self.history = history
-        self.background = background or HomogeneousIntensity(params.mu)
 
     def _productivity(self) -> np.ndarray:
         p = self.params
         return p.k * np.exp(p.a * (self.history.mags - p.m0))
 
     def _parts(self, lons, lats, times, log_lag):
-        """(background rate, triggered sum) at each point; the sum runs over
+        """(background rate mu, triggered sum) at each point; the sum runs over
         the history events strictly earlier than the point, of productivity
         x lag(t - t_i) x (r^2+d)^-q, each term built in the log domain as
         exp(log lag - q log(r^2+d)). log_lag(dt) gives the log of the lag
@@ -306,7 +258,7 @@ class HawkesIntensity:
         lats = np.atleast_1d(np.asarray(lats, dtype=float))
         shared = np.ndim(times) == 0
         times = np.broadcast_to(np.asarray(times, dtype=float), lons.shape)
-        bg = self.background.rate_at(lons, lats).astype(float)
+        bg = np.full(lons.shape, p.mu, dtype=float)
         out = np.zeros(lons.shape)
         if h.n == 0 or p.k == 0 or lons.size == 0:
             return bg, out
@@ -362,7 +314,7 @@ class HawkesIntensity:
     def bounds(self, region: Region, t_max: float | None = None):
         """(inf, sup) of the rate over region x [0, t_max].
 
-        inf is the background's infimum, below which the rate never falls.
+        inf is the background rate mu, below which the rate never falls.
         sup is certified: (r^2+d)^-q <= d^-q everywhere, and the temporal
         sum only decays between events, so it peaks just after an event j
         at sum over t_i <= t_j of kappa_i (t_j - t_i + c)^-p.
@@ -370,7 +322,6 @@ class HawkesIntensity:
         if t_max is None:
             raise ValueError("Hawkes bounds need t_max")
         p = self.params
-        lo, hi = self.background.bounds(region, t_max)
         before = self.history.times < t_max
         t = self.history.times[before]
         kappa = self._productivity()[before]
@@ -379,11 +330,11 @@ class HawkesIntensity:
             dt = t[s:e, None] - t[None, :]
             lag = np.where(dt >= 0, (np.maximum(dt, 0.0) + p.c) ** -p.p, 0.0)
             peak = max(peak, float(np.max(lag @ kappa)))
-        return lo, hi + p.d ** -p.q * peak
+        return p.mu, p.mu + p.d ** -p.q * peak
 
     def compensator(self, region: Region, times, mode: str = "approx"):
         """Expected count in region x [0, t] for each t: the background's
-        compensator plus each earlier event's triggering mass (Ogata 1988),
+        mu * area * t plus each earlier event's triggering mass (Ogata 1988),
         its spatial part over the whole plane (mode "approx") or clipped to
         the region by _ClippedMass (mode "quadrature")."""
         p = self.params
@@ -395,7 +346,7 @@ class HawkesIntensity:
             raise ValueError(f"unknown integral mode {mode!r}")
         kappa = self._productivity() * mass
         flat = np.asarray(times, dtype=float).reshape(-1)
-        out = self.background.compensator(region, flat)
+        out = p.mu * region.area_km2 * flat
         for lo, hi in _row_spans(flat.size, self.history.n):
             dt = flat[lo:hi, None] - self.history.times[None, :]
             out[lo:hi] += temporal_mass(np.maximum(dt, 0.0), p.c, p.p) @ kappa
@@ -961,49 +912,6 @@ def fit_mle(family: str, c: Catalog, region: Region, init,
         message=str(best.message),
         information=best.hess,
     )
-
-
-# --- kernel background utilities ----------------------------------------
-
-
-class BandwidthSelection(NamedTuple):
-    d: float
-    scores: np.ndarray
-
-
-def select_bandwidth(c: Catalog, candidates) -> BandwidthSelection:
-    """Pick the kernel width maximizing leave-one-out log-likelihood.
-
-    Score(d) = sum_i log(sum_{j != i} kernel(r_ij, d)); ties go to the
-    first candidate in the given order.
-    """
-    candidates = np.asarray(candidates, dtype=float)
-    if candidates.size == 0 or np.any(candidates <= 0):
-        raise ValueError("bandwidth candidates must be positive")
-    if c.n < 2:
-        raise ValueError("bandwidth selection needs at least 2 events")
-    r = km_distance(c.lons[:, None], c.lats[:, None], c.lons[None, :], c.lats[None, :])
-    off = ~np.eye(c.n, dtype=bool)
-    scores = np.empty(candidates.size)
-    for i, d in enumerate(candidates):
-        dens = kernel_density(r, float(d))
-        loo = (dens * off).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            scores[i] = float(np.sum(np.log(loo)))
-    return BandwidthSelection(float(candidates[int(np.argmax(scores))]), scores)
-
-
-def background_from_catalog(training: Catalog, d: float, region: Region,
-                            events_per_day: float) -> KernelIntensity:
-    """Kernel field over training epicenters scaled so that its compensator
-    over the region and one day equals events_per_day."""
-    if events_per_day <= 0:
-        raise ValueError("target background rate must be positive")
-    base = KernelIntensity(training.lons, training.lats, d)
-    integral = float(base.compensator(region, 1.0))
-    if integral <= 0:
-        raise ValueError("kernel field integrates to zero over the region")
-    return KernelIntensity(training.lons, training.lats, d, scale=events_per_day / integral)
 
 
 # --- parameter file round trip ------------------------------------------

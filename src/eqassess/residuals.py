@@ -19,7 +19,8 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .catalog import (_FIELD, BinGrid, Catalog, Region, _fill_rings, _format_distinct,
-                      _stack_rings, bin_counts, csv_text, empty_catalog, region_lattice)
+                      _stack_rings, bin_counts, box_lattice_index, csv_text, empty_catalog,
+                      region_lattice)
 from .forecast import GriddedForecast, forecast_from_intensity, poisson_log_pmf
 from .rng import RngStream
 from .simulate import MAX_CASCADE, simulate_homogeneous, simulate_inhomogeneous
@@ -31,7 +32,7 @@ from .summaries import _weighted_k_values
 def lattice_extrema(model, region: Region, t_max: float | None = None):
     """(inf, sup) of the model rate over region x [0, t_max], as given by
     model.bounds: exact for a homogeneous model, a 200 x 200 lattice scan
-    for a grid or kernel model, certified for a Hawkes model."""
+    for a grid model, certified for a Hawkes model."""
     return model.bounds(region, t_max)
 
 
@@ -603,14 +604,6 @@ class HomogeneityResult:
     note: str = ""
 
 
-def _quadrat_index(region: Region, lons, lats, m: int) -> np.ndarray:
-    """Index iy * m + ix of the m x m bounding-box quadrat holding each point."""
-    lon_min, lon_max, lat_min, lat_max = region.bbox
-    ix = np.clip(((lons - lon_min) / (lon_max - lon_min) * m).astype(int), 0, m - 1)
-    iy = np.clip(((lats - lat_min) / (lat_max - lat_min) * m).astype(int), 0, m - 1)
-    return iy * m + ix
-
-
 def _quadrat_layout(region: Region, n_points: int, n_lattice: int = 200):
     """Quadrat grid size m, mask of positive-area quadrats, expected counts.
 
@@ -620,7 +613,7 @@ def _quadrat_layout(region: Region, n_points: int, n_lattice: int = 200):
     lat = region_lattice(region, n_lattice)
     m = max(2, min(25, int(math.sqrt(n_points / 5.0))))
     while True:
-        qidx = _quadrat_index(region, lat.lons, lat.lats, m)
+        qidx = box_lattice_index(region, lat.lons, lat.lats, m, m)
         areas = np.zeros(m * m)
         np.add.at(areas, qidx[lat.inside], lat.cell_km2[lat.inside])
         pos = areas > 0
@@ -650,7 +643,7 @@ def homogeneity_test(ps, region: Region, method: str = "quadrat",
             return HomogeneityResult("quadrat", math.nan, math.nan,
                                      note="fewer than 10 points")
         m, pos, expected = _quadrat_layout(region, n)
-        obs = np.bincount(_quadrat_index(region, lons, lats, m),
+        obs = np.bincount(box_lattice_index(region, lons, lats, m, m),
                           minlength=m * m).astype(float)
         stray = float(obs[~pos].sum())
         chi2 = float(np.sum((obs[pos] - expected) ** 2 / expected)) + stray

@@ -125,10 +125,10 @@ def simulate_inhomogeneous(model, bound: float, region: Region, t_max: float,
 
 def simulate_hawkes(params: HawkesParams, region: Region, t_max: float,
                     rng: RngStream, gr_b: float = 1.0, mag_span: float = 4.0,
-                    background=None, max_events: int = MAX_CASCADE) -> Catalog:
+                    max_events: int = MAX_CASCADE) -> Catalog:
     """Branching-construction Hawkes catalog over region x [0, t_max].
 
-    Background events (constant mu, or the supplied spatial field) get
+    Background events (constant rate mu, uniform over the region) get
     truncated Gutenberg-Richter magnitudes; each event spawns
     Poisson(branching_ratio(M) x window-truncation) direct offspring with
     power-law temporal lags and radial offsets. Parents outside the region
@@ -140,24 +140,16 @@ def simulate_hawkes(params: HawkesParams, region: Region, t_max: float,
         raise ValueError("supercritical triggering: branching ratio at the "
                          "mean magnitude is >= 1")
     nbar = mean_branching_ratio(params, gr_b, mag_span)
-    bg_mean = float((background or HomogeneousIntensity(params.mu)).compensator(region, t_max))
+    bg_mean = float(HomogeneousIntensity(params.mu).compensator(region, t_max))
     if nbar >= 1.0 or bg_mean / (1.0 - nbar) > max_events:
         raise ValueError("expected cascade size exceeds the event cap")
 
     p = params
-    bg_rng = rng.substream(0)
-    if background is None:
-        gen = bg_rng.generator()
-        n_bg = int(gen.poisson(bg_mean))
-        lons, lats = _uniform_in_region(gen, region, n_bg)
-        times = gen.uniform(0.0, t_max, size=n_bg)
-        mags = gutenberg_richter_magnitudes(gen, n_bg, p.m0, gr_b, mag_span)
-    else:
-        bound = 1.05 * background.bounds(region, t_max)[1]
-        base = simulate_inhomogeneous(background, bound, region, t_max, bg_rng)
-        gen = bg_rng.substream(0).generator()
-        lons, lats, times = base.lons.copy(), base.lats.copy(), base.times.copy()
-        mags = gutenberg_richter_magnitudes(gen, base.n, p.m0, gr_b, mag_span)
+    gen = rng.substream(0).generator()
+    n_bg = int(gen.poisson(bg_mean))
+    lons, lats = _uniform_in_region(gen, region, n_bg)
+    times = gen.uniform(0.0, t_max, size=n_bg)
+    mags = gutenberg_richter_magnitudes(gen, n_bg, p.m0, gr_b, mag_span)
 
     all_t = [times]
     all_x = [lons]

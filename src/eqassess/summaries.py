@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog, Region, csv_text, region_lattice
+from .catalog import Catalog, Region, box_lattice_index, csv_text, region_lattice
 from .forecast import GriddedForecast, marginal_space
 from .rng import RngStream
 from .simulate import simulate_homogeneous
@@ -196,13 +196,10 @@ def error_diagram(model_or_forecast, c: Catalog, region: Region,
         lats = lat.lats[lat.inside]
         measure = lat.cell_km2[lat.inside]
         values = model_or_forecast.integrate(lons, lats, c.window_days) / c.window_days
-        # the lattice cell holding each event, numbered among inside cells;
-        # the bounding box is closed, its east and north edges in the last cells
-        lon_min, lon_max, lat_min, lat_max = region.bbox
-        ix = np.floor((c.lons - lon_min) / (lon_max - lon_min) * lat.nx).astype(int)
-        iy = np.floor((c.lats - lat_min) / (lat_max - lat_min) * lat.ny).astype(int)
-        flat = np.clip(iy, 0, lat.ny - 1) * lat.nx + np.clip(ix, 0, lat.nx - 1)
+        # the lattice cell holding each event, numbered among inside cells
+        flat = box_lattice_index(region, c.lons, c.lats, lat.nx, lat.ny)
         number = np.cumsum(lat.inside) - 1
+        lon_min, lon_max, lat_min, lat_max = region.bbox
         in_box = ((c.lons >= lon_min) & (c.lons <= lon_max)
                   & (c.lats >= lat_min) & (c.lats <= lat_max))
         cell = np.where(in_box & lat.inside[flat], number[flat], -1)

@@ -237,7 +237,7 @@ class DenseHawkes:
         lons = np.atleast_1d(np.asarray(lons, dtype=float))
         lats = np.atleast_1d(np.asarray(lats, dtype=float))
         times = np.broadcast_to(np.asarray(times, dtype=float), lons.shape)
-        bg = m.background.rate_at(lons, lats).astype(float)
+        bg = np.full(lons.shape, p.mu, dtype=float)
         out = np.zeros(lons.shape)
         if h.n == 0 or p.k == 0:
             return bg, out
@@ -381,15 +381,12 @@ def _spatial_quadrature_rate(model, region, n_grid=200):
     return float(np.sum(vals * lat.cell_km2[lat.inside]))
 
 
-def _hawkes_integral(params, c, region, mode, background=None):
+def _hawkes_integral(params, c, region, mode):
     """The integral of a Hawkes rate over region x [0, c.window_days], with
     the triggering of c's own events: what log_likelihood subtracted."""
     p = params
     T = c.window_days
-    if background is None:
-        bg = p.mu * region.area_km2 * T
-    else:
-        bg = _spatial_quadrature_rate(background, region) * T
+    bg = p.mu * region.area_km2 * T
     if c.n == 0 or p.k == 0:
         return bg
     prod = p.k * np.exp(p.a * (c.mags - p.m0))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from eqassess import (BinGrid, Catalog, Region, bin_counts, empty_catalog,
                       filter_catalog, km_distance, parse_catalog, parse_region,
                       region_lattice, serialize_catalog, serialize_region)
-from eqassess.catalog import KM_PER_DEG, km_distance2, km_factors, km_grid2
+from eqassess.catalog import KM_PER_DEG, box_lattice_index, km_distance2, km_factors, km_grid2
 
 # 80 x 50 disjoint unit boxes east of lon 10, lon-fastest
 _FILLERS = BinGrid.regular(np.arange(10.0, 91.0), np.arange(0.0, 51.0),
@@ -446,3 +446,48 @@ class TestRegionLattice:
     def test_inside_mask(self, unit_region):
         lat = region_lattice(unit_region, 10)
         assert lat.inside.all()  # bbox equals the region for a rectangle
+
+
+# an L-shaped region whose bounding box is lon [-3, 1], lat [10, 12]
+_ELL = Region([(-3, 10), (1, 10), (1, 11), (-1, 11), (-1, 12), (-3, 12)])
+
+
+class TestBoxLatticeIndex:
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    def test_lattice_points_index_themselves(self, n):
+        lat = region_lattice(_ELL, n)
+        np.testing.assert_array_equal(box_lattice_index(_ELL, lat.lons, lat.lats, n, n),
+                                      np.arange(n * n))
+
+    @pytest.mark.parametrize("region", [Region.rectangle(0.0, 1.0, 0.0, 1.0), _ELL],
+                             ids=["unit square", "ell"])
+    def test_closed_box_and_nearest_edge_cell(self, region):
+        # a 4 x 3 lattice; points given as fractions of the box
+        lon_min, lon_max, lat_min, lat_max = region.bbox
+        fx = np.array([0.0, 1.0, 1.0, 0.0, 0.5, 1.0, 1.5, -0.5, 0.5, 0.5, 0.3, 0.99])
+        fy = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 1.5, -0.5, 0.4, 0.99])
+        lons = lon_min + fx * (lon_max - lon_min)
+        lats = lat_min + fy * (lat_max - lat_min)
+        ix = np.array([0, 3, 3, 0, 2, 3, 3, 0, 2, 2, 1, 3])
+        iy = np.array([0, 0, 2, 2, 2, 1, 1, 1, 2, 0, 1, 2])
+        np.testing.assert_array_equal(box_lattice_index(region, lons, lats, 4, 3),
+                                      iy * 4 + ix)
+
+    def test_empty_input(self, unit_region):
+        idx = box_lattice_index(unit_region, np.zeros(0), np.zeros(0), 5, 5)
+        assert idx.shape == (0,) and idx.dtype.kind == "i"
+
+    @settings(max_examples=200, deadline=None)
+    @given(nx=st.integers(1, 30), ny=st.integers(1, 30),
+           fx=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=20),
+           fy=st.lists(st.floats(-2.0, 3.0), min_size=20, max_size=20))
+    def test_truncation_agrees_after_the_clip(self, nx, ny, fx, fy):
+        # flooring and truncating toward zero differ only below the box,
+        # where the clip sends both to the first column or row
+        lon_min, lon_max, lat_min, lat_max = _ELL.bbox
+        lons = lon_min + np.asarray(fx) * (lon_max - lon_min)
+        lats = lat_min + np.asarray(fy[:len(fx)]) * (lat_max - lat_min)
+        ix = np.clip(((lons - lon_min) / (lon_max - lon_min) * nx).astype(int), 0, nx - 1)
+        iy = np.clip(((lats - lat_min) / (lat_max - lat_min) * ny).astype(int), 0, ny - 1)
+        np.testing.assert_array_equal(box_lattice_index(_ELL, lons, lats, nx, ny),
+                                      iy * nx + ix)

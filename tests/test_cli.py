@@ -618,26 +618,24 @@ def test_each_command_loads_only_its_modules(paths, command):
 # every public name of the package, as its eagerly importing __init__.py
 # exported them before the submodules loaded on first use
 PUBLIC_NAMES = """
-BandwidthSelection BinCounts BinGrid Catalog CellResidualSet ErrorDiagram Event
-FORECAST_HEADER FitResult GridIntensity GriddedForecast HawkesIntensity HawkesParams
-HomogeneityResult HomogeneousIntensity KFunctionCurve KernelIntensity PairwiseResult
-Region RegionLattice RescaledTimes ResidualPointSet RngStream TestResult
-VoronoiTessellation background_from_catalog bin_counts branching_ratio
+BinCounts BinGrid Catalog CellResidualSet ErrorDiagram Event FORECAST_HEADER FitResult
+GridIntensity GriddedForecast HawkesIntensity HawkesParams HomogeneityResult
+HomogeneousIntensity KFunctionCurve PairwiseResult Region RegionLattice RescaledTimes
+ResidualPointSet RngStream TestResult VoronoiTessellation bin_counts branching_ratio
 catalog_log_likelihood cell_residuals_to_csv cell_residuals_to_geojson central_gradient
 deviance_residuals empty_catalog error_diagram error_diagram_to_csv expected_total
 filter_catalog fit_mle forecast_from_intensity gutenberg_richter_magnitudes
-homogeneity_test joint_log_likelihood k_curve_to_csv kernel_density kernel_disk_mass
-km_distance l_test lattice_extrema log_likelihood m_test marginal_magnitude
-marginal_space mean_branching_ratio mean_gr_magnitude n_test paradox_fixture
-parse_catalog parse_forecast parse_hawkes_params parse_region pixel_residuals pmap
-poisson_log_pmf r_test radial_trigger_cdf region_lattice render_error_diagram
-render_histogram render_k_curve render_map render_point_map rescale_times
-results_to_csv s_test scale_to_count select_bandwidth serialize_catalog
-serialize_forecast serialize_hawkes_params serialize_region simulate_hawkes
-simulate_homogeneous simulate_inhomogeneous simulate_poisson_grid sparse_log_likelihood
-student_t_statistic super_thin superpose_residuals t_test_pairwise temporal_trigger_cdf
-thin_residuals voronoi_residuals voronoi_tessellation w_test_pairwise weighted_k
-wilcoxon_signed_rank
+homogeneity_test joint_log_likelihood k_curve_to_csv km_distance l_test lattice_extrema
+log_likelihood m_test marginal_magnitude marginal_space mean_branching_ratio
+mean_gr_magnitude n_test paradox_fixture parse_catalog parse_forecast
+parse_hawkes_params parse_region pixel_residuals pmap poisson_log_pmf r_test
+radial_trigger_cdf region_lattice render_error_diagram render_histogram render_k_curve
+render_map render_point_map rescale_times results_to_csv s_test scale_to_count
+serialize_catalog serialize_forecast serialize_hawkes_params serialize_region
+simulate_hawkes simulate_homogeneous simulate_inhomogeneous simulate_poisson_grid
+sparse_log_likelihood student_t_statistic super_thin superpose_residuals t_test_pairwise
+temporal_trigger_cdf thin_residuals voronoi_residuals voronoi_tessellation
+w_test_pairwise weighted_k wilcoxon_signed_rank
 """.split()
 
 

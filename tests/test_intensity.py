@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from eqassess import (Catalog, GriddedForecast, GridIntensity, HawkesIntensity, HawkesParams,
-                      HomogeneousIntensity, KernelIntensity, Region,
-                      RngStream, background_from_catalog, branching_ratio,
-                      central_gradient, fit_mle, kernel_density,
-                      kernel_disk_mass, log_likelihood, mean_branching_ratio,
-                      parse_hawkes_params, radial_trigger_cdf,
-                      select_bandwidth, serialize_hawkes_params,
+                      HomogeneousIntensity, Region, RngStream, branching_ratio,
+                      central_gradient, fit_mle, log_likelihood, mean_branching_ratio,
+                      parse_hawkes_params, radial_trigger_cdf, serialize_hawkes_params,
                       simulate_hawkes, simulate_homogeneous, temporal_trigger_cdf)
 from eqassess import intensity
 from eqassess.catalog import km_distance2
@@ -28,67 +25,6 @@ def planar_distance_km(lon1, lat1, lon2, lat2):
     dx = KM_PER_DEG * math.cos(mean_lat) * (lon2 - lon1)
     dy = KM_PER_DEG * (lat2 - lat1)
     return math.hypot(dx, dy)
-
-
-class TestKernelDensity:
-    def test_value_at_origin_unit_width(self):
-        assert kernel_density(0.0, 1.0) == pytest.approx(1.0 / (2.0 * math.pi),
-                                                         abs=1e-12)
-
-    def test_value_at_r_equals_d(self):
-        d = 3.7
-        expect = 1.0 / (2.0 * math.pi * 2.0 ** 1.5 * d * d)
-        assert kernel_density(d, d) == pytest.approx(expect, rel=1e-12)
-
-    def test_disk_mass_ten_widths(self):
-        # closed form: 1 - d/sqrt(100 d^2 + d^2)
-        assert kernel_disk_mass(10.0, 1.0) == pytest.approx(
-            1.0 - 1.0 / math.sqrt(101.0), abs=1e-12)
-
-    def test_disk_mass_matches_radial_quadrature(self):
-        d = 2.5
-        val, err = quad(lambda r: 2.0 * math.pi * r * kernel_density(r, d),
-                        0.0, 50.0 * d)
-        assert val == pytest.approx(kernel_disk_mass(50.0 * d, d), abs=1e-9)
-
-    def test_plane_mass_nearly_one(self):
-        assert kernel_disk_mass(1000.0, 1.0) >= 0.998
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            kernel_density(1.0, 0.0)
-
-
-class TestKernelIntensity:
-    def test_single_source_at_source(self):
-        m = KernelIntensity([0.5], [0.5], d=2.0)
-        assert m.rate_at(0.5, 0.5)[0] == pytest.approx(kernel_density(0.0, 2.0))
-
-    def test_two_identical_sources_double(self):
-        one = KernelIntensity([0.5], [0.5], d=2.0).rate_at(0.3, 0.6)
-        two = KernelIntensity([0.5, 0.5], [0.5, 0.5], d=2.0).rate_at(0.3, 0.6)
-        assert two[0] == pytest.approx(2.0 * one[0], rel=1e-12)
-
-    def test_scale_factor(self):
-        base = KernelIntensity([0.5], [0.5], d=2.0).rate_at(0.3, 0.6)
-        scaled = KernelIntensity([0.5], [0.5], d=2.0, scale=7.0).rate_at(0.3, 0.6)
-        assert scaled[0] == pytest.approx(7.0 * base[0], rel=1e-12)
-
-    def test_uniform_sources_give_count_density(self):
-        # many sources on a big square with a narrow kernel: the field near
-        # the center approaches sources-per-area
-        rng = np.random.default_rng(0)
-        n = 400
-        lons = rng.uniform(0.0, 2.0, n)
-        lats = rng.uniform(0.0, 2.0, n)
-        m = KernelIntensity(lons, lats, d=3.0)
-        area = (2.0 * KM_PER_DEG) * (2.0 * KM_PER_DEG * math.cos(math.radians(1.0)))
-        val = m.rate_at(1.0, 1.0)[0]
-        assert val == pytest.approx(n / area, rel=0.35)
-
-    def test_empty_sources_rejected(self):
-        with pytest.raises(ValueError):
-            KernelIntensity([], [], d=1.0)
 
 
 class TestHawkesParams:
@@ -206,14 +142,78 @@ class TestHawkesIntensity:
         np.testing.assert_array_equal(
             m.rate_at(np.full(4, 0.5), np.full(4, 0.5), ts), np.full(4, 0.1))
 
-    def test_kernel_background_field(self, two_event_history):
-        bg = KernelIntensity([0.5], [0.5], d=5.0, scale=3.0)
+    def test_bounds_are_mu_and_the_peak_after_an_event(self, unit_region,
+                                                       two_event_history):
+        p, h = self.PARAMS, two_event_history
+        kappa = p.k * np.exp(p.a * (h.mags - p.m0))
+        # the temporal sum peaks just after the second event
+        peak = max(kappa[0] * p.c ** -p.p,
+                   kappa[0] * (2.0 + p.c) ** -p.p + kappa[1] * p.c ** -p.p)
+        lo, hi = HawkesIntensity(p, h).bounds(unit_region, 10.0)
+        assert lo == p.mu
+        assert hi == pytest.approx(p.mu + p.d ** -p.q * peak, rel=1e-12)
+
+    @pytest.mark.parametrize("t_max", [0.5, 1.0])
+    def test_bounds_before_any_event_are_mu(self, unit_region, two_event_history, t_max):
+        # the event at t = 1 is not strictly earlier than t_max = 1
+        m = HawkesIntensity(self.PARAMS, two_event_history)
+        assert m.bounds(unit_region, t_max) == (self.PARAMS.mu, self.PARAMS.mu)
+
+    def test_bounds_of_an_empty_history_are_mu(self, unit_region):
+        m = HawkesIntensity(self.PARAMS, Catalog(np.zeros(0), np.zeros(0), np.zeros(0),
+                                                 np.zeros(0), 10.0, 4.0))
+        assert m.bounds(unit_region, 10.0) == (self.PARAMS.mu, self.PARAMS.mu)
+
+    def test_compensator_without_triggering_is_mu_area_t(self, unit_region,
+                                                         two_event_history):
         p = HawkesParams(mu=0.1, k=0.0, c=0.01, p=1.2, a=1.0, d=1.0, q=1.5,
                          m0=4.0)
-        m = HawkesIntensity(p, two_event_history, background=bg)
-        np.testing.assert_allclose(m.rate_at(0.4, 0.6, 5.0),
-                                   bg.rate_at(0.4, 0.6))
+        times = np.array([0.0, 0.5, 2.0, 10.0])
+        got = HawkesIntensity(p, two_event_history).compensator(unit_region, times)
+        np.testing.assert_array_equal(got, 0.1 * unit_region.area_km2 * times)
 
+
+class TestStationaryModels:
+    # unequal, positive cell rates on the 2 x 2 grid, 7.15 events in 5 days
+    RATES = np.array([2.0, 0.2, 1.0, 0.1, 3.0, 0.3, 0.5, 0.05])
+
+    def test_homogeneous_integral_and_compensator(self, unit_region):
+        m = HomogeneousIntensity(2e-4)
+        np.testing.assert_array_equal(m.integrate([0.2, 0.9], [0.1, 0.4], 3.0),
+                                      np.full(2, 2e-4 * 3.0))
+        np.testing.assert_array_equal(m.compensator(unit_region, [1.0, 4.0]),
+                                      2e-4 * unit_region.area_km2 * np.array([1.0, 4.0]))
+
+    def test_grid_bounds_are_the_cell_extremes(self, unit_region, two_by_two_grid):
+        m = GridIntensity(GriddedForecast(two_by_two_grid, self.RATES, 5.0))
+        centres = m.rate_at([0.25, 0.75, 0.25, 0.75], [0.25, 0.25, 0.75, 0.75])
+        assert m.bounds(unit_region) == (centres.min(), centres.max())
+
+    def test_grid_bounds_on_one_cell(self, two_by_two_grid):
+        m = GridIntensity(GriddedForecast(two_by_two_grid, self.RATES, 5.0))
+        south_west = Region.rectangle(0.05, 0.45, 0.05, 0.45)
+        rate = m.rate_at(0.25, 0.25)[0]
+        assert m.bounds(south_west) == (rate, rate)
+
+    def test_grid_rate_outside_every_cell_is_zero(self, two_by_two_grid):
+        m = GridIntensity(GriddedForecast(two_by_two_grid, self.RATES, 5.0))
+        np.testing.assert_array_equal(m.rate_at([-0.1, 0.5, 1.2], [0.5, 1.3, -2.0]),
+                                      np.zeros(3))
+
+    def test_grid_compensator_totals_the_forecast(self, unit_region, two_by_two_grid):
+        m = GridIntensity(GriddedForecast(two_by_two_grid, self.RATES, 5.0))
+        assert m.compensator(unit_region, 5.0) == pytest.approx(self.RATES.sum(), rel=1e-4)
+
+    def test_grid_scales_with_its_rates(self, unit_region, two_by_two_grid):
+        one = GridIntensity(GriddedForecast(two_by_two_grid, self.RATES, 5.0))
+        seven = GridIntensity(GriddedForecast(two_by_two_grid, 7.0 * self.RATES, 5.0))
+        lons, lats = [0.1, 0.6, 0.3, 0.9], [0.2, 0.1, 0.8, 0.7]
+        np.testing.assert_allclose(seven.rate_at(lons, lats), 7.0 * one.rate_at(lons, lats),
+                                   rtol=1e-15)
+        np.testing.assert_allclose(seven.bounds(unit_region),
+                                   7.0 * np.array(one.bounds(unit_region)), rtol=1e-15)
+        assert seven.compensator(unit_region, 1.0) == pytest.approx(
+            7.0 * one.compensator(unit_region, 1.0), rel=1e-14)
 
 class TestHawkesProtocol:
     def test_kernel_masses_against_quadrature(self):
@@ -225,21 +225,16 @@ class TestHawkesProtocol:
         want, _ = quad(lambda r: 2.0 * math.pi * r * (r * r + d) ** -q, 0.0, math.inf)
         assert spatial_mass(d, q) == pytest.approx(want, rel=1e-9)
 
-    @pytest.mark.parametrize("with_background", [False, True])
-    def test_integrate_matches_sliced_reference(self, aligned_history, sliced,
-                                                with_background):
+    def test_integrate_matches_sliced_reference(self, aligned_history, sliced):
         params, history = aligned_history
-        bg = KernelIntensity([0.4], [0.6], d=20.0, scale=50.0) \
-            if with_background else None
-        m = HawkesIntensity(params, history, background=bg)
+        m = HawkesIntensity(params, history)
         # at the events (where the triggered part peaks) and between them
         lons = np.r_[history.lons, np.linspace(0.05, 0.95, 9)]
         lats = np.r_[history.lats, np.linspace(0.9, 0.1, 9)]
         exact = m.integrate(lons, lats, 5.0)
         np.testing.assert_allclose(exact, sliced(m).integrate(lons, lats, 5.0),
                                    rtol=1e-4)
-        base = bg.rate_at(lons, lats) if with_background else params.mu
-        assert np.all(exact > base * 5.0)
+        assert np.all(exact > params.mu * 5.0)
 
     def test_integrate_before_all_events_is_background(self):
         history = Catalog(np.array([2.0]), np.array([0.5]), np.array([0.5]),
@@ -248,12 +243,14 @@ class TestHawkesProtocol:
         np.testing.assert_array_equal(m.integrate([0.5, 0.1], [0.5, 0.9], 2.0),
                                       np.full(2, 0.1 * 2.0))
 
-    def test_stationary_protocol(self, unit_region):
-        m = KernelIntensity([0.5], [0.5], d=10.0, scale=3.0)
+    def test_stationary_protocol(self, unit_region, two_by_two_grid):
+        # four unequal, positive cell rates, the largest in the north-west cell
+        rates = np.array([2.0, 0.2, 1.0, 0.1, 3.0, 0.3, 0.5, 0.05])
+        m = GridIntensity(GriddedForecast(two_by_two_grid, rates, 5.0))
         np.testing.assert_array_equal(m.integrate([0.2, 0.5], [0.3, 0.5], 4.0),
                                       m.rate_at([0.2, 0.5], [0.3, 0.5]) * 4.0)
         lo, hi = m.bounds(unit_region, 4.0)
-        assert 0 < lo < hi == pytest.approx(m.rate_at(0.5, 0.5)[0], rel=0.01)
+        assert 0 < lo < hi == pytest.approx(m.rate_at(0.25, 0.75)[0], rel=0.01)
 
     def test_bounds_need_t_max(self, unit_region, aligned_history):
         with pytest.raises(ValueError, match="t_max"):
@@ -262,24 +259,20 @@ class TestHawkesProtocol:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
            c=st.floats(1e-3, 1.0), p=st.floats(1.05, 3.0),
-           d=st.floats(1e-3, 5.0), q=st.floats(1.05, 3.0),
-           with_background=st.booleans())
-    def test_certified_sup_covers_every_event(self, seed, n, c, p, d, q,
-                                              with_background):
+           d=st.floats(1e-3, 5.0), q=st.floats(1.05, 3.0))
+    def test_certified_sup_covers_every_event(self, seed, n, c, p, d, q):
         region = Region.rectangle(0.0, 1.0, 0.0, 1.0)
         gen = np.random.default_rng(seed)
         history = Catalog(np.sort(gen.uniform(0.0, 10.0, n)),
                           gen.uniform(0.0, 1.0, n), gen.uniform(0.0, 1.0, n),
                           gen.uniform(4.0, 6.0, n), 10.0, 4.0)
         params = HawkesParams(mu=1e-3, k=0.01, c=c, p=p, a=1.2, d=d, q=q, m0=4.0)
-        m = HawkesIntensity(params, history,
-                            background=HomogeneousIntensity(2e-3)
-                            if with_background else None)
+        m = HawkesIntensity(params, history)
         lo, hi = m.bounds(region, 10.0)
         at = m.rate_at(history.lons, history.lats, history.times)
         after = m.rate_at(history.lons, history.lats,
                           np.nextafter(history.times, np.inf))
-        assert lo == (2e-3 if with_background else 1e-3)
+        assert lo == 1e-3
         assert np.all(at >= lo)
         # the sup and the rate sum the same terms in another order
         assert np.all(at <= hi * (1.0 + 1e-12))
@@ -310,15 +303,14 @@ class TestHawkesProtocol:
                               gen.uniform(0.0, 1.0, n_history),
                               gen.uniform(0.0, 1.0, n_history),
                               gen.uniform(4.0, 6.0, n_history), 5.0, 4.0)
-        bg = KernelIntensity(history.lons[:7], history.lats[:7], d=5.0, scale=0.3)
         lons, lats = gen.uniform(0.0, 1.0, n_points), gen.uniform(0.0, 1.0, n_points)
         times = gen.uniform(0.0, 5.0, n_points)
 
         def everything():
-            m = HawkesIntensity(params, history, background=bg)
+            m = HawkesIntensity(params, history)
             return [m.rate_at(lons, lats, times), m.integrate(lons, lats, 5.0),
                     np.array(m.bounds(unit_region, 5.0)),
-                    m.compensator(unit_region, times), bg.rate_at(lons, lats)]
+                    m.compensator(unit_region, times)]
 
         monkeypatch.setattr(intensity, "_CHUNK_BYTES", 1 << 40)
         one = everything()
@@ -340,10 +332,10 @@ class TestHawkesProtocol:
     @given(seed=st.integers(0, 2 ** 32 - 1), n_history=st.sampled_from([1, 2, 30, 150]),
            n_points=st.sampled_from([0, 1, 7, 64, 129, 257, 300]),
            span_rows=st.sampled_from([1, 2, None]), ties=st.booleans(),
-           k_zero=st.booleans(), kernel_bg=st.booleans())
+           k_zero=st.booleans())
     def test_rate_and_integral_match_dense_sums(self, dense_hawkes, c, p, d, q, box,
                                                 window, seed, n_history, n_points,
-                                                span_rows, ties, k_zero, kernel_bg):
+                                                span_rows, ties, k_zero):
         gen = np.random.default_rng(seed)
         times = np.sort(gen.uniform(0.0, window, n_history))
         if ties:
@@ -354,9 +346,7 @@ class TestHawkesProtocol:
                           gen.uniform(4.0, 6.0, n_history), window, 4.0)
         params = HawkesParams(mu=3e-4, k=0.0 if k_zero else 0.004, c=c, p=p,
                               a=1.0, d=d, q=q, m0=4.0)
-        bg = KernelIntensity(history.lons[:3], history.lats[:3], d=5.0, scale=0.3) \
-            if kernel_bg else None
-        m = HawkesIntensity(params, history, background=bg)
+        m = HawkesIntensity(params, history)
         lons, lats = gen.uniform(0.0, box, n_points), gen.uniform(0.0, box, n_points)
         # unsorted, some at history times (excluded: strictly earlier only),
         # some before the first event and after the last
@@ -544,19 +534,22 @@ class TestCompensator:
     @pytest.fixture
     def models(self, small_catalog, two_by_two_grid):
         params = HawkesParams(mu=1e-4, k=0.01, c=0.01, p=1.3, a=1.0, d=1.0, q=1.5, m0=4.0)
-        kernel = KernelIntensity(small_catalog.lons, small_catalog.lats, d=20.0)
         rates = np.array([2.0, 0.2, 1.0, 0.1, 3.0, 0.3, 0.5, 0.05])
-        return {"homogeneous": HomogeneousIntensity(2e-4), "kernel": kernel,
+        # two of the four cells empty
+        sparse = np.array([2.0, 0.2, 0.0, 0.0, 3.0, 0.3, 0.0, 0.0])
+        quiet = HawkesParams(mu=1e-4, k=0.0, c=0.01, p=1.3, a=1.0, d=1.0, q=1.5, m0=4.0)
+        return {"homogeneous": HomogeneousIntensity(2e-4),
                 "grid": GridIntensity(GriddedForecast(two_by_two_grid, rates, 5.0)),
+                "sparse grid": GridIntensity(GriddedForecast(two_by_two_grid, sparse, 5.0)),
                 "hawkes": HawkesIntensity(params, small_catalog),
-                "hawkes on a kernel": HawkesIntensity(params, small_catalog, kernel)}
+                "hawkes without triggering": HawkesIntensity(quiet, small_catalog)}
 
     @pytest.mark.parametrize("times", [2.5, [0.0, 1.0, 5.0], [[0.5, 1.5], [2.0, 4.0]]])
     def test_shape_of_times(self, unit_region, models, times):
         for m in models.values():
             assert np.shape(m.compensator(unit_region, times)) == np.shape(times)
 
-    @pytest.mark.parametrize("name", ["kernel", "grid"])
+    @pytest.mark.parametrize("name", ["grid", "sparse grid"])
     def test_lattice_sum(self, unit_region, models, integral_oracles, name):
         m = models[name]
         per_day = integral_oracles.spatial_quadrature_rate(m, unit_region)
@@ -565,13 +558,11 @@ class TestCompensator:
                                    [0.5 * per_day, 3.0 * per_day], rtol=1e-15)
 
     @pytest.mark.parametrize("mode", ["approx", "quadrature"])
-    @pytest.mark.parametrize("name", ["hawkes", "hawkes on a kernel"])
+    @pytest.mark.parametrize("name", ["hawkes", "hawkes without triggering"])
     def test_hawkes_window_integral(self, unit_region, small_catalog, models,
                                     integral_oracles, mode, name):
         m = models[name]
-        background = None if name == "hawkes" else m.background
-        want = integral_oracles.hawkes_integral(m.params, small_catalog, unit_region,
-                                                mode, background)
+        want = integral_oracles.hawkes_integral(m.params, small_catalog, unit_region, mode)
         got = m.compensator(unit_region, small_catalog.window_days, mode=mode)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -971,38 +962,3 @@ class TestMinimize:
         res = intensity.minimize(lambda x: (math.inf, np.full(1, np.nan), np.full((1, 1), np.nan)),
                                  np.zeros(1), 1e-6, 10)
         assert (res.nit, res.message) == (0, "the objective is not finite at the start")
-
-
-class TestBandwidth:
-    def test_selects_sensible_width(self):
-        # two tight clusters 55 km apart: very small and very large widths
-        # both lose leave-one-out likelihood to an intermediate one
-        gen = np.random.default_rng(3)
-        base = np.array([[0.2, 0.2], [0.7, 0.7]])
-        pts = np.vstack([b + gen.normal(0, 0.01, (20, 2)) for b in base])
-        c = Catalog(np.arange(40) * 0.01, pts[:, 0], pts[:, 1],
-                    np.full(40, 4.0), 1.0, 4.0)
-        sel = select_bandwidth(c, [0.05, 2.0, 500.0])
-        assert sel.d == 2.0
-        assert np.all(np.isfinite(sel.scores))
-
-    def test_needs_two_events(self, unit_region):
-        c = Catalog(np.array([0.1]), np.array([0.5]), np.array([0.5]),
-                    np.array([4.0]), 1.0, 4.0)
-        with pytest.raises(ValueError):
-            select_bandwidth(c, [1.0])
-
-
-class TestBackgroundFromCatalog:
-    def test_region_integral_hits_target(self, unit_region, small_catalog):
-        bg = background_from_catalog(small_catalog, d=20.0, region=unit_region,
-                                     events_per_day=10.0)
-        total = bg.compensator(unit_region, 1.0)
-        assert total == pytest.approx(10.0, rel=1e-6)
-
-    def test_wider_kernel_same_integral(self, unit_region, small_catalog):
-        a = background_from_catalog(small_catalog, 10.0, unit_region, 5.0)
-        b = background_from_catalog(small_catalog, 20.0, unit_region, 5.0)
-        ia = a.compensator(unit_region, 1.0)
-        ib = b.compensator(unit_region, 1.0)
-        assert ia == pytest.approx(ib, rel=1e-6)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from eqassess import (BinGrid, Catalog, GriddedForecast, GridIntensity,
-                      HomogeneousIntensity, KernelIntensity, Region,
+                      HomogeneousIntensity, Region,
                       RngStream, bin_counts, cell_residuals_to_csv,
                       cell_residuals_to_geojson, deviance_residuals,
                       homogeneity_test, joint_log_likelihood,
@@ -27,17 +27,23 @@ def single_band_grid():
                            np.array([4.0, 6.0]))
 
 
+def peaked_grid_model(grid):
+    """Unequal, positive cell rates on a 2 x 2 grid, 80 events a day in
+    all, 72 of them in the north-east cell."""
+    return GridIntensity(GriddedForecast(grid, np.array([2.0, 2.0, 4.0, 72.0]), 1.0))
+
+
 class TestLatticeExtrema:
     def test_constant_model(self, unit_region):
         lo, hi = lattice_extrema(HomogeneousIntensity(3.5), unit_region)
         assert lo == 3.5 and hi == 3.5
 
-    def test_peaked_model(self, unit_region):
-        m = KernelIntensity([0.5], [0.5], d=10.0)
+    def test_peaked_model(self, unit_region, single_band_grid):
+        m = peaked_grid_model(single_band_grid)
         lo, hi = lattice_extrema(m, unit_region)
         assert 0 < lo < hi
-        # the lattice supremum sits near the central peak
-        assert hi == pytest.approx(m.rate_at(0.5, 0.5)[0], rel=0.01)
+        # the lattice supremum is the north-east cell's rate
+        assert hi == pytest.approx(m.rate_at(0.75, 0.75)[0], rel=0.01)
 
     def test_time_dependent_needs_t_max(self, unit_region, small_catalog):
         from eqassess import HawkesIntensity, HawkesParams
@@ -67,11 +73,11 @@ class TestThinning:
         assert r.n == 0
         assert "degenerate" in r.note
 
-    def test_retained_count_mean(self, unit_region):
-        # thinning a kernel field: mean retained = b * A * T
-        model = KernelIntensity([0.5], [0.5], d=60.0, scale=80.0)
+    def test_retained_count_mean(self, unit_region, single_band_grid):
+        # thinning an inhomogeneous field: mean retained = b * A * T
+        model = peaked_grid_model(single_band_grid)
         b, _ = lattice_extrema(model, unit_region)
-        sup = model.rate_at(0.5, 0.5)[0]
+        sup = model.rate_at(0.75, 0.75)[0]
         kept = []
         for i in range(60):
             c = simulate_homogeneous(0.0, unit_region, 1.0, RngStream(5))
@@ -85,9 +91,9 @@ class TestThinning:
         sd = math.sqrt(expect / 60)
         assert np.mean(kept) == pytest.approx(expect, abs=4 * sd)
 
-    def test_deterministic(self, unit_region):
+    def test_deterministic(self, unit_region, single_band_grid):
         c = simulate_homogeneous(3e-4, unit_region, 10.0, RngStream(6), mag=4.0)
-        model = KernelIntensity([0.5], [0.5], d=50.0, scale=30.0)
+        model = peaked_grid_model(single_band_grid)
         a = thin_residuals(c, model, unit_region, RngStream(7))
         b = thin_residuals(c, model, unit_region, RngStream(7))
         np.testing.assert_array_equal(a.times, b.times)
@@ -102,9 +108,9 @@ class TestSuperposition:
         assert r.n == c.n
         assert r.retained_mask().all()
 
-    def test_total_count_mean(self, unit_region):
-        # superposing on a kernel field: mean total = sup * A * T
-        model = KernelIntensity([0.5], [0.5], d=60.0, scale=80.0)
+    def test_total_count_mean(self, unit_region, single_band_grid):
+        # superposing on an inhomogeneous field: mean total = sup * A * T
+        model = peaked_grid_model(single_band_grid)
         _, sup = lattice_extrema(model, unit_region)
         from eqassess import simulate_inhomogeneous
         totals = []
@@ -118,8 +124,8 @@ class TestSuperposition:
         sd = math.sqrt(expect / 60)
         assert np.mean(totals) == pytest.approx(expect, abs=4 * sd)
 
-    def test_tags_present(self, unit_region):
-        model = KernelIntensity([0.5], [0.5], d=60.0, scale=80.0)
+    def test_tags_present(self, unit_region, single_band_grid):
+        model = peaked_grid_model(single_band_grid)
         from eqassess import simulate_inhomogeneous
         _, sup = lattice_extrema(model, unit_region)
         c = simulate_inhomogeneous(model, sup * 1.0001, unit_region, 1.0,
@@ -714,6 +720,19 @@ class TestHomogeneity:
         r = homogeneity_test(c, unit_region, method="quadrat")
         assert r.p_value > 0.01
         assert r.df is not None and r.df > 1
+        # ten points make a 2 x 2 quadrat layout. Points on the box's east
+        # and north edges count in the last column and row, points just
+        # outside it in the nearest edge quadrat: the statistic is that of
+        # the same counts at the quadrats' centres
+        lons = np.array([1.0, 0.25, 1.0, 1.001, 0.25, -0.001, 0.75, 0.25, 0.75, 0.25])
+        lats = np.array([0.25, 1.0, 1.0, 0.25, 1.001, 0.75, -0.001, 0.25, 0.75, 0.75])
+        quadrat = np.array([1, 2, 3, 1, 2, 2, 1, 0, 3, 2])
+        times = np.linspace(0.05, 0.95, 10)
+        edge = Catalog(times, lons, lats, np.full(10, 4.0), 1.0, 4.0)
+        centre = Catalog(times, 0.25 + 0.5 * (quadrat % 2),
+                         0.25 + 0.5 * (quadrat // 2), np.full(10, 4.0), 1.0, 4.0)
+        assert (homogeneity_test(edge, unit_region, method="quadrat")
+                == homogeneity_test(centre, unit_region, method="quadrat"))
 
     def test_clustered_pattern_fails_quadrat(self, unit_region):
         gen = RngStream(22).generator()

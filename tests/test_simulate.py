@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from eqassess import (GriddedForecast, HawkesParams, HomogeneousIntensity,
-                      KernelIntensity, Region, RngStream, bin_counts,
+                      Region, RngStream, bin_counts,
                       gutenberg_richter_magnitudes, mean_branching_ratio,
                       mean_gr_magnitude, pmap, simulate_hawkes,
                       simulate_homogeneous, simulate_inhomogeneous,
@@ -130,13 +130,15 @@ class TestInhomogeneous:
             simulate_inhomogeneous(HomogeneousIntensity(1e-4), bound,
                                    unit_region, 2.0, RngStream(9))
 
-    def test_kernel_field_thinning_concentrates_mass(self, unit_region):
-        model = KernelIntensity([0.5], [0.5], d=10.0, scale=50.0)
-        bound = model.rate_at(0.5, 0.5)[0] * 1.001
+    def test_grid_field_thinning_concentrates_mass(self, unit_region, two_by_two_grid):
+        # 72 of 80 events a day in the north-east cell
+        from eqassess import GridIntensity
+        rates = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 36.0, 36.0])
+        model = GridIntensity(GriddedForecast(two_by_two_grid, rates, 1.0))
+        bound = model.rate_at(0.75, 0.75)[0] * 1.001
         c = simulate_inhomogeneous(model, bound, unit_region, 1.0, RngStream(10))
         assert c.n > 20
-        r_center = np.hypot(c.lons - 0.5, c.lats - 0.5)
-        assert np.median(r_center) < 0.25  # half the mass well inside
+        assert np.mean((c.lons > 0.5) & (c.lats > 0.5)) > 0.75
 
     def test_grid_agreement_with_poisson_grid(self, two_by_two_grid):
         # thinning a piecewise-constant field and direct per-cell sampling
@@ -216,6 +218,17 @@ class TestHawkes:
         assert counts.var() / counts.mean() == pytest.approx(1.0, abs=0.1)
         assert counts.mean() == pytest.approx(
             2e-4 * unit_region.area_km2 * 10.0, rel=0.05)
+
+    def test_background_is_uniform_over_the_region(self, unit_region):
+        # without triggering, pooled epicentres and times are uniform
+        p = HawkesParams(mu=2e-4, k=0.0, c=0.05, p=1.5, a=1.0, d=0.5,
+                         q=1.8, m0=4.0)
+        cats = [simulate_hawkes(p, unit_region, 10.0, RngStream(810).substream(i))
+                for i in range(40)]
+        for values, top in (("lons", 1.0), ("lats", 1.0), ("times", 10.0)):
+            pooled = np.concatenate([getattr(c, values) for c in cats])
+            assert pooled.size > 500
+            assert stats.kstest(pooled / top, "uniform").pvalue > 0.01
 
     def test_clustering_raises_dispersion(self, unit_region):
         # triggered catalogs are overdispersed relative to Poisson

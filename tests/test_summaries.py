@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqassess import (Catalog, GriddedForecast, GridIntensity, HawkesIntensity,
-                      HomogeneousIntensity, KernelIntensity, RngStream,
+from eqassess import (BinGrid, Catalog, GriddedForecast, GridIntensity, HawkesIntensity,
+                      HomogeneousIntensity, RngStream,
                       error_diagram, error_diagram_to_csv, k_curve_to_csv,
                       simulate_homogeneous, simulate_poisson_grid, weighted_k)
 from eqassess import summaries
@@ -302,10 +302,27 @@ class TestErrorDiagram:
                     np.full(3, 4.5), 1.0, 4.0)
         diag = error_diagram(HomogeneousIntensity(1e-3), c, unit_region, n_grid=10)
         assert diag.miss_fractions[1] == pytest.approx(2.0 / 3.0)
+        # a surface with one value per lattice cell pins the cell of each
+        # event: on the box's east and north edges, the last column and row;
+        # just outside the box, none
+        edges = np.linspace(0.0, 1.0, 11)
+        model = GridIntensity(GriddedForecast(
+            BinGrid.regular(edges, edges, np.array([4.0, 6.0])), 1.0 + np.arange(100.0), 1.0))
+        lons = np.array([1.0, 0.5, 1.0, 0.0, 0.95, 1.03, 0.5, -0.03, 0.5])
+        lats = np.array([0.5, 1.0, 1.0, 0.0, 0.35, 0.5, 1.03, 0.5, -0.03])
+        cells = np.array([59, 95, 99, 0, 39, -1, -1, -1, -1])
+        c = Catalog(np.full(9, 0.5), lons, lats, np.full(9, 4.5), 1.0, 4.0)
+        diag = error_diagram(model, c, unit_region, n_grid=10)
+        centre = edges[:-1] + 0.05
+        score = np.where(cells >= 0, model.rate_at(centre[cells % 10], centre[cells // 10]), 0.0)
+        np.testing.assert_array_equal(diag.miss_fractions,
+                                      [np.sum(score < u) / 9 for u in diag.thresholds])
 
-    def test_model_path_peaked_field(self, unit_region):
-        model = KernelIntensity([0.5], [0.5], d=20.0, scale=200.0)
-        sup = model.rate_at(0.5, 0.5)[0]
+    def test_model_path_peaked_field(self, unit_region, two_by_two_grid):
+        # unequal, positive cell rates, 72 of 80 events a day in the north-east cell
+        rates = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 36.0, 36.0])
+        model = GridIntensity(GriddedForecast(two_by_two_grid, rates, 1.0))
+        sup = model.rate_at(0.75, 0.75)[0]
         from eqassess import simulate_inhomogeneous
         c = simulate_inhomogeneous(model, sup * 1.0001, unit_region, 1.0,
                                    RngStream(15), mag=4.0)
