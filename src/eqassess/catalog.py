@@ -352,6 +352,80 @@ def _stack_rings(polys):
     return (np.concatenate(rings, dtype=float) if rings else np.empty((0, 2))), sizes
 
 
+def _clip_rings(xy, counts, normal, offset, keep_le):
+    """Sutherland-Hodgman clip of k rings at once, each by its own line.
+
+    Ring r is xy[r, :counts[r]] of the padded (k, cap, 2) array. It keeps
+    the side n.p <= c of the line n = normal[r], c = offset[r] where
+    keep_le[r] holds, and n.p >= c elsewhere. Returns the clipped rings as
+    (xy, counts), padded to the longest. Each ring is the vertex walk's:
+    every kept vertex, each followed by the crossing on the edge to the
+    next vertex where one end is kept and the other not, at
+    xi + t * (xj - xi) with t = di / (di - dj). Output slots are the
+    running count of those emits. Side values are x * nx + y * ny - c
+    elementwise, so a vertex's value depends on neither its ring's length
+    nor the padding.
+    """
+    d = xy[..., 0] * normal[:, :1] + xy[..., 1] * normal[:, 1:] - offset[:, None]
+    slot = np.arange(xy.shape[1])
+    valid = slot < counts[:, None]
+    inside = valid & np.where(keep_le[:, None], d <= 0, d >= 0)
+    nxt = np.where(slot + 1 < counts[:, None], slot + 1, 0)
+    cross = valid & (inside != np.take_along_axis(inside, nxt, axis=1))
+    emit = inside + cross.astype(np.intp)
+    end, sizes = np.cumsum(emit, axis=1), emit.sum(axis=1)
+    out = np.zeros((len(xy), sizes.max(initial=0), 2))
+    r, i = np.nonzero(inside)
+    out[r, end[r, i] - emit[r, i]] = xy[r, i]
+    (r, i), j = np.nonzero(cross), nxt[cross]
+    t = d[r, i] / (d[r, i] - d[r, j])
+    out[r, end[r, i] - 1] = xy[r, i] + t[:, None] * (xy[r, j] - xy[r, i])
+    return out, sizes
+
+
+def _poly_areas(xy, sizes) -> np.ndarray:
+    """Shoelace areas of stacked polygons (see _stack_rings) in one pass; a
+    polygon with fewer than 3 vertices has area 0."""
+    full = sizes >= 3
+    areas = np.zeros(sizes.size)
+    if full.any():
+        xy, sizes = xy[np.repeat(full, sizes)], sizes[full]
+        starts = np.cumsum(sizes) - sizes
+        nxt = np.arange(1, xy.shape[0] + 1)
+        nxt[starts + sizes - 1] = starts
+        x, y = xy[:, 0], xy[:, 1]
+        areas[full] = np.abs(np.add.reduceat(x * y[nxt] - x[nxt] * y, starts)) / 2.0
+    return areas
+
+
+def box_areas(region: Region, boxes) -> np.ndarray:
+    """Area (km^2) of the region inside each (lon_min, lon_max, lat_min,
+    lat_max) box, exactly: the region's ring clipped by the box's sides and
+    measured in the cos(latitude)-weighted km^2 of cell_area_km2 by Green's
+    theorem, d(lon) sin(mean lat) sinc(d(lat) / 2) per edge. Clipped vertices
+    within rounding of a side sit on it, and a sum within rounding of 0 is 0:
+    a box that meets the region only along its border has area 0."""
+    v, eps = region.vertices, np.finfo(float).eps
+    b = np.asarray(boxes, dtype=float).reshape(-1, 1, 4)
+    out, step = [], max(1, (_CHUNK_ELEMENTS >> 4) // len(v))
+    for bb in np.split(b, np.arange(step, len(b), step)):
+        k, tol = len(bb), 4 * eps * np.abs(v).max()
+        xy, counts = np.broadcast_to(v, (k,) + v.shape), np.full(k, len(v))
+        for side in range(4):
+            xy, counts = _clip_rings(xy, counts, np.eye(2)[[side // 2] * k], bb[:, 0, side],
+                                     np.full(k, side % 2 == 1))
+        low, high = bb[..., 0::2], bb[..., 1::2]
+        xy = np.select([xy < low + tol, xy > high - tol], [low, high], xy)
+        slot = np.arange(xy.shape[1])
+        nxt = np.where(slot < counts[:, None], (slot + 1) % np.maximum(counts, 1)[:, None], slot)
+        x, ph = xy[..., 0], np.radians(xy[..., 1])
+        x1, ph1 = np.take_along_axis(x, nxt, 1), np.take_along_axis(ph, nxt, 1)
+        t = (x1 - x) * np.sin(0.5 * (ph + ph1)) * np.sinc((ph1 - ph) / (2.0 * np.pi))
+        s = np.abs(t.sum(axis=1))
+        out.append(np.where(s > 8 * slot.size * eps * np.abs(t).sum(axis=1), s, 0.0))
+    return KM_PER_DEG ** 2 * (180.0 / np.pi) * np.concatenate(out)
+
+
 _FIELD = "\x00"  # marks a field in a _fill_rings template, whose own text never holds it
 
 
@@ -797,8 +871,8 @@ class RegionLattice:
     """Midpoint evaluation lattice over a region's bounding box.
 
     Flattened cell centers with an inside-region mask and per-cell km^2
-    areas (latitude-dependent). Shared by quadrature, extrema scans, and
-    the error diagram.
+    areas (latitude-dependent). Shared by the Voronoi residuals' quadrature
+    and the error diagram.
     """
 
     lons: np.ndarray
@@ -807,10 +881,6 @@ class RegionLattice:
     cell_km2: np.ndarray
     nx: int
     ny: int
-
-    @property
-    def area_km2(self) -> float:
-        return float(self.cell_km2[self.inside].sum())
 
 
 def region_lattice(region: Region, n: int = 200) -> RegionLattice:

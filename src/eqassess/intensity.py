@@ -7,9 +7,10 @@ protocol on vectorized, equal-length arrays:
   (time-independent models ignore times);
 - integrate(lons, lats, t): the exact integral of the rate over [0, t] at
   each point;
-- bounds(region, t_max): (inf, sup) of the rate over region x [0, t_max];
+- bounds(region, t_max): (inf, sup) of the rate over region x [0, t_max],
+  exact for constant and grid models (the grid's from catalog.box_areas);
 - compensator(region, times): the expected count in region x [0, t] for
-  each t, in the shape of times.
+  each t, in the shape of times, exact for constant and grid models.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .catalog import KM_PER_DEG, Catalog, Region, km_factors, km_grid2, region_lattice
+from .catalog import KM_PER_DEG, Catalog, Region, box_areas, km_factors, km_grid2
 from .forecast import GriddedForecast, marginal_space
 from .rng import RngStream
 
@@ -95,7 +96,6 @@ class GridIntensity:
         marg = marginal_space(f)
         self.grid = marg.grid
         self.density = marg.rates / (marg.grid.cell_area_km2() * f.window_days)
-        self.window_days = f.window_days
 
     def rate_at(self, lons, lats, times=None):
         cell = self.grid.locate(np.atleast_1d(lons), np.atleast_1d(lats))
@@ -104,21 +104,19 @@ class GridIntensity:
     def integrate(self, lons, lats, t):
         return self.rate_at(lons, lats) * t
 
-    def _lattice(self, region: Region):
-        """(rates, cell areas) at the 200 x 200 lattice points inside the region."""
-        lat = region_lattice(region, 200)
-        return self.rate_at(lat.lons[lat.inside], lat.lats[lat.inside]), lat.cell_km2[lat.inside]
-
     def bounds(self, region: Region, t_max: float | None = None):
-        """(inf, sup) of the rate over a 200 x 200 lattice inside the region."""
-        vals, _ = self._lattice(region)
+        """(inf, sup) of the rate over the region, exactly: the extreme densities
+        of the cells with area in it, and 0 where the region leaves the grid."""
+        areas = box_areas(region, self.grid.boxes[:, :4])
+        leaves = areas.sum() < (1.0 - 1e-12) * box_areas(region, [region.bbox])[0]
+        vals = np.append(self.density[areas > 0], [0.0] * int(leaves))
         return float(vals.min()), float(vals.max())
 
     def compensator(self, region: Region, times):
-        """Expected count in region x [0, t] for each t: the midpoint sum of
-        the rate over the 200 x 200 lattice, times t."""
-        vals, cell_km2 = self._lattice(region)
-        return float(np.sum(vals * cell_km2)) * np.asarray(times, dtype=float)
+        """Expected count in region x [0, t] for each t, exactly: each cell's
+        density times its area inside the region, times t."""
+        area_rate = float(self.density @ box_areas(region, self.grid.boxes[:, :4]))
+        return area_rate * np.asarray(times, dtype=float)
 
 
 @dataclass(frozen=True)

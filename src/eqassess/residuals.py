@@ -18,9 +18,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import chdtrc
 
-from .catalog import (_FIELD, BinGrid, Catalog, Region, _fill_rings, _format_distinct,
-                      _stack_rings, bin_counts, box_lattice_index, csv_text, empty_catalog,
-                      region_lattice)
+from .catalog import (_FIELD, BinGrid, Catalog, Region, _clip_rings, _fill_rings,
+                      _format_distinct, _poly_areas, _stack_rings, bin_counts, box_areas,
+                      box_lattice_index, csv_text, empty_catalog, region_lattice)
 from .forecast import GriddedForecast, forecast_from_intensity, poisson_log_pmf
 from .rng import RngStream
 from .simulate import MAX_CASCADE, simulate_homogeneous, simulate_inhomogeneous
@@ -31,8 +31,8 @@ from .summaries import _weighted_k_values
 
 def lattice_extrema(model, region: Region, t_max: float | None = None):
     """(inf, sup) of the model rate over region x [0, t_max], as given by
-    model.bounds: exact for a homogeneous model, a 200 x 200 lattice scan
-    for a grid model, certified for a Hawkes model."""
+    model.bounds: exact for a homogeneous or grid model, certified for a
+    Hawkes model."""
     return model.bounds(region, t_max)
 
 
@@ -92,16 +92,16 @@ def thin_residuals(c: Catalog, model, region: Region,
     """Keep each event with probability b / rate(event), b = the infimum
     from model.bounds.
 
-    A correct model leaves a homogeneous Poisson pattern of rate b. If the
-    event's rate falls below b (off-lattice minimum), the keep probability
-    clamps at 1. b = 0 degenerates to an empty pattern, reported in note.
+    A correct model leaves a homogeneous Poisson pattern of rate b; the keep
+    probability clamps at 1 for an event whose rate is below b (outside the
+    region). b = 0 degenerates to an empty pattern, reported in note.
     """
     b, _ = model.bounds(region, c.window_days)
     if b <= 0:
         empty = np.array([])
         return ResidualPointSet(empty, empty, empty, empty.astype(str), 0.0,
                                 region, c.window_days,
-                                note="degenerate: lattice infimum is 0")
+                                note="degenerate: rate infimum is 0")
     lam = model.rate_at(c.lons, c.lats, c.times)
     with np.errstate(divide="ignore"):
         probs = np.minimum(1.0, b / lam)
@@ -309,52 +309,6 @@ def points_to_geojson(ps: ResidualPointSet) -> str:
 
 COINCIDENT_NUDGE_DEG = 1e-9  # step between exactly coincident generators
 MAX_COINCIDENT = 1000
-
-
-def _clip_rings(xy, counts, normal, offset, keep_le):
-    """Sutherland-Hodgman clip of k rings at once, each by its own line.
-
-    Ring r is xy[r, :counts[r]] of the padded (k, cap, 2) array. It keeps
-    the side n.p <= c of the line n = normal[r], c = offset[r] where
-    keep_le[r] holds, and n.p >= c elsewhere. Returns the clipped rings as
-    (xy, counts), padded to the longest. Each ring is the vertex walk's:
-    every kept vertex, each followed by the crossing on the edge to the
-    next vertex where one end is kept and the other not, at
-    xi + t * (xj - xi) with t = di / (di - dj). Output slots are the
-    running count of those emits. Side values are x * nx + y * ny - c
-    elementwise, so a vertex's value depends on neither its ring's length
-    nor the padding.
-    """
-    d = xy[..., 0] * normal[:, :1] + xy[..., 1] * normal[:, 1:] - offset[:, None]
-    slot = np.arange(xy.shape[1])
-    valid = slot < counts[:, None]
-    inside = valid & np.where(keep_le[:, None], d <= 0, d >= 0)
-    nxt = np.where(slot + 1 < counts[:, None], slot + 1, 0)
-    cross = valid & (inside != np.take_along_axis(inside, nxt, axis=1))
-    emit = inside + cross.astype(np.intp)
-    end, sizes = np.cumsum(emit, axis=1), emit.sum(axis=1)
-    out = np.zeros((len(xy), sizes.max(initial=0), 2))
-    r, i = np.nonzero(inside)
-    out[r, end[r, i] - emit[r, i]] = xy[r, i]
-    (r, i), j = np.nonzero(cross), nxt[cross]
-    t = d[r, i] / (d[r, i] - d[r, j])
-    out[r, end[r, i] - 1] = xy[r, i] + t[:, None] * (xy[r, j] - xy[r, i])
-    return out, sizes
-
-
-def _poly_areas(xy, sizes) -> np.ndarray:
-    """Shoelace areas of stacked polygons (see _stack_rings) in one pass; a
-    polygon with fewer than 3 vertices has area 0."""
-    full = sizes >= 3
-    areas = np.zeros(sizes.size)
-    if full.any():
-        xy, sizes = xy[np.repeat(full, sizes)], sizes[full]
-        starts = np.cumsum(sizes) - sizes
-        nxt = np.arange(1, xy.shape[0] + 1)
-        nxt[starts + sizes - 1] = starts
-        x, y = xy[:, 0], xy[:, 1]
-        areas[full] = np.abs(np.add.reduceat(x * y[nxt] - x[nxt] * y, starts)) / 2.0
-    return areas
 
 
 @dataclass(frozen=True)
@@ -604,18 +558,19 @@ class HomogeneityResult:
     note: str = ""
 
 
-def _quadrat_layout(region: Region, n_points: int, n_lattice: int = 200):
-    """Quadrat grid size m, mask of positive-area quadrats, expected counts.
+def _quadrat_layout(region: Region, n_points: int):
+    """Quadrat grid size m, mask of positive-area quadrats, expected counts
+    in proportion to each quadrat's exact area in the region (box_areas).
 
     m starts at floor(sqrt(n/5)) (bounded to [2, 25]) and shrinks until
     every positive-area quadrat expects at least 5 points.
     """
-    lat = region_lattice(region, n_lattice)
+    lon_min, lon_max, lat_min, lat_max = region.bbox
     m = max(2, min(25, int(math.sqrt(n_points / 5.0))))
     while True:
-        qidx = box_lattice_index(region, lat.lons, lat.lats, m, m)
-        areas = np.zeros(m * m)
-        np.add.at(areas, qidx[lat.inside], lat.cell_km2[lat.inside])
+        iy, ix = np.divmod(np.arange(m * m), m)  # box_lattice_index's quadrat iy * m + ix
+        x, y = np.linspace(lon_min, lon_max, m + 1), np.linspace(lat_min, lat_max, m + 1)
+        areas = box_areas(region, np.column_stack([x[ix], x[ix + 1], y[iy], y[iy + 1]]))
         pos = areas > 0
         expected = n_points * areas[pos] / areas[pos].sum()
         if m == 2 or expected.min() >= 5.0:

@@ -127,7 +127,7 @@ def envelope_oracle():
 
 
 def reference_clip_halfplane(poly, normal, offset, keep_le):
-    """Reference for residuals._clip_rings: the Sutherland-Hodgman walk
+    """Reference for catalog._clip_rings: the Sutherland-Hodgman walk
     over numpy rows of one ring, with side values x * nx + y * ny - c
     taken elementwise."""
     if poly.shape[0] == 0:
@@ -147,7 +147,7 @@ def reference_clip_halfplane(poly, normal, offset, keep_le):
 
 
 def reference_shoelace(poly):
-    """Reference for residuals._poly_areas: one polygon at a time."""
+    """Reference for catalog._poly_areas: one polygon at a time."""
     if poly.shape[0] < 3:
         return 0.0
     x, y = poly[:, 0], poly[:, 1]

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqassess import (BinGrid, Catalog, Region, bin_counts, empty_catalog,
-                      filter_catalog, km_distance, parse_catalog, parse_region,
+from eqassess import (BinGrid, Catalog, GriddedForecast, GridIntensity, Region, bin_counts,
+                      empty_catalog, filter_catalog, km_distance, parse_catalog, parse_region,
                       region_lattice, serialize_catalog, serialize_region)
-from eqassess.catalog import KM_PER_DEG, box_lattice_index, km_distance2, km_factors, km_grid2
+from eqassess import catalog
+from eqassess.catalog import (KM_PER_DEG, box_areas, box_lattice_index, km_distance2, km_factors,
+                              km_grid2)
 
 # 80 x 50 disjoint unit boxes east of lon 10, lon-fastest
 _FILLERS = BinGrid.regular(np.arange(10.0, 91.0), np.arange(0.0, 51.0),
@@ -441,7 +443,7 @@ class TestBinCounts:
 class TestRegionLattice:
     def test_lattice_area_converges(self, unit_region):
         lat = region_lattice(unit_region, 100)
-        assert lat.area_km2 == pytest.approx(unit_region.area_km2, rel=1e-3)
+        assert lat.cell_km2[lat.inside].sum() == pytest.approx(unit_region.area_km2, rel=1e-3)
 
     def test_inside_mask(self, unit_region):
         lat = region_lattice(unit_region, 10)
@@ -491,3 +493,148 @@ class TestBoxLatticeIndex:
         iy = np.clip(((lats - lat_min) / (lat_max - lat_min) * ny).astype(int), 0, ny - 1)
         np.testing.assert_array_equal(box_lattice_index(_ELL, lons, lats, nx, ny),
                                       iy * nx + ix)
+
+
+def _ring_area(v):
+    """The region's own cos(latitude)-weighted area: Green's theorem on its
+    unclipped ring, d(lon) sin(mean lat) sinc(d(lat) / 2) per edge."""
+    x, ph = v[:, 0], np.radians(v[:, 1])
+    x1, ph1 = np.roll(x, -1), np.roll(ph, -1)
+    s = np.sum((x1 - x) * np.sin(0.5 * (ph + ph1)) * np.sinc((ph1 - ph) / (2.0 * np.pi)))
+    return KM_PER_DEG ** 2 * math.degrees(abs(s))
+
+
+def _star_polygon(seed):
+    """A random simple polygon: 3-12 vertices at random radii about a random
+    centre, at angles 2 pi (k + u) / n, u in [0, 1/2), so that no two in turn
+    are half a turn apart."""
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(3, 13))
+    angles = (np.arange(n) + gen.uniform(0.0, 0.5, n)) * (2.0 * np.pi / n)
+    r = gen.uniform(0.2, 1.0, n) * gen.uniform(0.05, 3.0)
+    centre = gen.uniform([-170.0, -70.0], [170.0, 70.0])
+    return Region(centre + np.column_stack([r * np.cos(angles), r * np.sin(angles)]))
+
+
+def _cuts(gen, lo, hi, k):
+    """lo, then k - 1 sorted random cuts between lo and hi, then hi."""
+    return np.r_[lo, np.sort(gen.uniform(lo, hi, k - 1)), hi]
+
+
+def _lattice_sum(lat, box):
+    """The midpoint-lattice area of the region inside a box."""
+    inside = lat.inside & (lat.lons >= box[0]) & (lat.lons <= box[1]) & \
+        (lat.lats >= box[2]) & (lat.lats <= box[3])
+    return float(lat.cell_km2[inside].sum())
+
+
+def _lattice_error(region, box, lat):
+    """A bound on the midpoint lattice's error for the region inside a box:
+    only a lattice cell that the boundary of region or box crosses can be
+    misclassified, a segment crosses at most |dx|/dlon + |dy|/dlat + 2 of
+    them, and the cos(latitude) midpoint rule errs by at most dlat^2/24
+    relative on the rest."""
+    lon_min, lon_max, lat_min, lat_max = region.bbox
+    dlon, dlat = (lon_max - lon_min) / lat.nx, (lat_max - lat_min) / lat.ny
+    step = np.diff(np.vstack([region.vertices, region.vertices[:1]]), axis=0)
+    crossed = np.sum(np.abs(step[:, 0]) / dlon + np.abs(step[:, 1]) / dlat + 2.0) \
+        + 2.0 * (box[1] - box[0]) / dlon + 2.0 * (box[3] - box[2]) / dlat + 8.0
+    midpoint = math.radians(dlat) ** 2 / 24.0 * lat.cell_km2.sum()
+    return crossed * lat.cell_km2.max() + midpoint
+
+
+class TestBoxAreas:
+    def test_region_areas_in_the_ell(self):
+        got = box_areas(_ELL, [_ELL.bbox, (-3, 1, 10, 11), (-3, -1, 11, 12)])
+        np.testing.assert_allclose(got[0], got[1] + got[2], rtol=1e-14)
+        np.testing.assert_allclose(got[0], _ring_area(_ELL.vertices), rtol=1e-14)
+        # the lattice's edges fall on the ell's corners, so only the midpoint
+        # rule in cos(latitude) separates the 2000 x 2000 sum from the area
+        lat = region_lattice(_ELL, 2000)
+        assert got[0] == pytest.approx(float(lat.cell_km2[lat.inside].sum()), rel=2e-11)
+
+    def test_border_and_outside_boxes_are_empty(self):
+        # the notch, boxes in it that share its sides, and boxes outside the
+        # bounding box that share one of its sides or only a corner
+        boxes = [(-1, 1, 11, 12), (-1, 0, 11, 11.5), (0, 1, 11.5, 12), (-0.5, 0.5, 11, 11.2),
+                 (1, 2, 10, 11), (1, 3, 9, 10), (-5, -3, 9, 13), (-3, 1, 12, 14),
+                 (-3, 1, 8, 10), (10, 11, 10, 12), (1, 2, 11, 12)]
+        np.testing.assert_array_equal(box_areas(_ELL, boxes), np.zeros(len(boxes)))
+
+    def test_border_boxes_where_the_clip_rounds(self):
+        # a north edge through collinear vertices leaves a ring along the
+        # box's south side whose d(lon) sum rounds to 6e-13 km^2 unless
+        # read as 0; the crossing from (0.9, 0.2) back to the triangle's
+        # west edge lands an ulp off lon 0.1 unless snapped to the side
+        comb = Region([(0.1, 0.0), (0.7, 0.0), (0.7, 0.7), (0.3, 0.7), (0.2, 0.7), (0.1, 0.7)])
+        assert box_areas(comb, [(0.1, 0.7, 0.7, 1.0)])[0] == 0.0
+        triangle = Region([(0.1, -0.3), (0.9, 0.2), (0.1, 0.7)])
+        assert box_areas(triangle, [(-0.9, 0.1, -1.3, 1.7)])[0] == 0.0
+        # so the cell west of the triangle, which it only touches, sets no bound
+        grid = BinGrid(np.array([[-0.9, 0.1, -1.3, 1.7, 4.0, 5.0],
+                                 [0.1, 1.0, -1.3, 1.7, 4.0, 5.0]]))
+        model = GridIntensity(GriddedForecast(grid, np.array([50.0, 1.0]), 1.0))
+        assert model.bounds(triangle) == (model.density[1], model.density[1])
+
+    def test_chunks_give_the_same_areas(self, monkeypatch):
+        x, y = np.linspace(-3.0, 1.0, 9), np.linspace(10.0, 12.0, 6)
+        tiles = [(x[i], x[i + 1], y[j], y[j + 1]) for i in range(8) for j in range(5)]
+        whole = box_areas(_ELL, tiles)
+        monkeypatch.setattr(catalog, "_CHUNK_ELEMENTS", (7 * len(_ELL.vertices)) << 4)
+        np.testing.assert_allclose(box_areas(_ELL, tiles), whole, rtol=1e-14)
+
+    def test_no_boxes(self):
+        assert box_areas(_ELL, np.zeros((0, 4))).shape == (0,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), ell=st.booleans())
+    def test_tiles_cover_and_border(self, seed, ell):
+        region = _ELL if ell else _star_polygon(seed)
+        gen = np.random.default_rng(seed)
+        lon_min, lon_max, lat_min, lat_max = region.bbox
+        w, h = lon_max - lon_min, lat_max - lat_min
+        own = _ring_area(region.vertices)
+        # boxes that tile the bounding box sum to the region's own area
+        x = _cuts(gen, lon_min, lon_max, int(gen.integers(1, 9)))
+        y = _cuts(gen, lat_min, lat_max, int(gen.integers(1, 9)))
+        tiles = [(x[i], x[i + 1], y[j], y[j + 1]) for i in range(len(x) - 1)
+                 for j in range(len(y) - 1)]
+        assert box_areas(region, tiles).sum() == pytest.approx(own, rel=1e-12)
+        # a box over the region holds all of it; boxes beyond a side of the
+        # bounding box, even sharing it, hold none of it
+        pad = gen.uniform(0.0, 1.0, 4)
+        cover = (lon_min - pad[0], lon_max + pad[1], lat_min - pad[2], lat_max + pad[3])
+        outside = [(lon_max, lon_max + w, lat_min - h, lat_max + h),
+                   (lon_min - pad[0] - w, lon_min - pad[0], lat_min, lat_max),
+                   (lon_min, lon_max, lat_max, lat_max + pad[2] + 0.1),
+                   (lon_min - w, lon_min, lat_min - h, lat_min)]
+        got = box_areas(region, [cover] + outside)
+        assert got[0] == pytest.approx(own, rel=1e-12)
+        np.testing.assert_array_equal(got[1:], np.zeros(4))
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_boxes_match_the_lattice(self, seed):
+        region = _star_polygon(seed)
+        gen = np.random.default_rng(seed)
+        lon_min, lon_max, lat_min, lat_max = region.bbox
+        lat = region_lattice(region, 2000)
+        lo = gen.uniform([lon_min, lat_min], [lon_max, lat_max], (5, 2))
+        hi = lo + gen.uniform(0.05, 1.0, (5, 2)) * [lon_max - lon_min, lat_max - lat_min]
+        boxes = np.column_stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]])
+        for box, got in zip(boxes, box_areas(region, boxes)):
+            assert abs(got - _lattice_sum(lat, box)) <= _lattice_error(region, box, lat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), ell=st.booleans())
+    def test_grid_that_misses_the_region_has_zero_bounds(self, seed, ell):
+        # grid cells beyond the region's bounding box, the nearest sharing its
+        # east side
+        region = _ELL if ell else _star_polygon(seed)
+        lon_min, lon_max, lat_min, lat_max = region.bbox
+        edges = lon_max + np.r_[0.0, np.cumsum(np.random.default_rng(seed).uniform(0.1, 1.0, 3))]
+        grid = BinGrid.regular(edges, np.linspace(lat_min - 1.0, lat_max + 1.0, 4),
+                               np.array([4.0, 5.0]))
+        model = GridIntensity(GriddedForecast(grid, np.arange(1.0, 10.0), 1.0))
+        assert model.bounds(region) == (0.0, 0.0)
+        assert model.compensator(region, 1.0) == 0.0

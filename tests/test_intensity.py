@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from eqassess import (Catalog, GriddedForecast, GridIntensity, HawkesIntensity, HawkesParams,
-                      HomogeneousIntensity, Region, RngStream, branching_ratio,
+from eqassess import (BinGrid, Catalog, GriddedForecast, GridIntensity, HawkesIntensity,
+                      HawkesParams, HomogeneousIntensity, Region, RngStream, branching_ratio,
                       central_gradient, fit_mle, log_likelihood, mean_branching_ratio,
                       parse_hawkes_params, radial_trigger_cdf, serialize_hawkes_params,
                       simulate_hawkes, simulate_homogeneous, temporal_trigger_cdf)
@@ -550,12 +550,33 @@ class TestCompensator:
             assert np.shape(m.compensator(unit_region, times)) == np.shape(times)
 
     @pytest.mark.parametrize("name", ["grid", "sparse grid"])
-    def test_lattice_sum(self, unit_region, models, integral_oracles, name):
+    def test_exact_cell_area_sum(self, unit_region, models, integral_oracles, name):
+        # every cell lies in the region: each density times the cell's exact
+        # area, KM_PER_DEG^2 d(lon) (180 / pi) d(sin lat)
         m = models[name]
-        per_day = integral_oracles.spatial_quadrature_rate(m, unit_region)
-        assert m.compensator(unit_region, 1.0) == per_day
-        np.testing.assert_allclose(m.compensator(unit_region, [0.5, 3.0]),
-                                   [0.5 * per_day, 3.0 * per_day], rtol=1e-15)
+        b = m.grid.boxes
+        areas = KM_PER_DEG ** 2 * (b[:, 1] - b[:, 0]) * np.degrees(
+            np.sin(np.radians(b[:, 3])) - np.sin(np.radians(b[:, 2])))
+        per_day = float(m.density @ areas)
+        np.testing.assert_allclose(m.compensator(unit_region, [1.0, 0.5, 3.0]),
+                                   [per_day, 0.5 * per_day, 3.0 * per_day], rtol=1e-13)
+        # the 2000 x 2000 midpoint lattice has its edges on the cells' and
+        # errs only by the midpoint rule in cos(latitude), at most h^2 / 24
+        # relative for lattice rows h radians high
+        lattice = integral_oracles.spatial_quadrature_rate(m, unit_region, n_grid=2000)
+        assert lattice == pytest.approx(per_day, rel=math.radians(1.0 / 2000) ** 2 / 24 + 1e-13)
+
+    def test_thin_cell_grid(self, unit_region):
+        # a middle cell 0.004 degrees wide, between two 200 x 200 lattice
+        # columns' midpoints
+        boxes = np.array([[0.0, 0.003, 0.0, 1.0, 4.0, 5.0], [0.003, 0.007, 0.0, 1.0, 4.0, 5.0],
+                          [0.007, 1.0, 0.0, 1.0, 4.0, 5.0]])
+        m = GridIntensity(GriddedForecast(BinGrid(boxes), np.array([1.0, 40.0, 50.0]), 1.0))
+        assert m.density[1] == pytest.approx(0.80699, rel=1e-5)
+        assert m.bounds(unit_region) == (m.density[2], m.density[1])
+        # the densities hold cell_area_km2's cos(mean latitude) areas, the
+        # compensator exact ones: they differ by 1.3e-5 on a 1-degree row
+        assert m.compensator(unit_region, 1.0) == pytest.approx(91.0, rel=2e-5)
 
     @pytest.mark.parametrize("mode", ["approx", "quadrature"])
     @pytest.mark.parametrize("name", ["hawkes", "hawkes without triggering"])

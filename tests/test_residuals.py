@@ -17,7 +17,7 @@ from eqassess import (BinGrid, Catalog, GriddedForecast, GridIntensity,
                       simulate_homogeneous, super_thin, superpose_residuals,
                       thin_residuals, voronoi_residuals,
                       voronoi_tessellation)
-from eqassess import residuals
+from eqassess import catalog, residuals
 from eqassess.catalog import _stack_rings
 
 
@@ -459,9 +459,9 @@ _COORD = st.floats(-200.0, 200.0, allow_nan=False)
 
 
 def _clip_one(poly, normal, offset, keep_le):
-    """residuals._clip_rings on the one ring poly."""
-    out, sizes = residuals._clip_rings(poly[None], np.array([len(poly)]), normal[None],
-                                       np.array([offset]), np.array([keep_le]))
+    """catalog._clip_rings on the one ring poly."""
+    out, sizes = catalog._clip_rings(poly[None], np.array([len(poly)]), normal[None],
+                                     np.array([offset]), np.array([keep_le]))
     return out[0, :sizes[0]]
 
 
@@ -499,7 +499,7 @@ class TestClipAndAreas:
         offset = np.array([r[t, 0] * n[0] + r[t, 1] * n[1] if 0 <= t < len(r) else 3.0
                            for r, n, (*_, t) in zip(rings, normal, cuts)])
         keep_le = np.array([c[3] for c in cuts], dtype=bool)
-        out, sizes = residuals._clip_rings(xy, counts, normal, offset, keep_le)
+        out, sizes = catalog._clip_rings(xy, counts, normal, offset, keep_le)
         assert out.shape == (len(rings), sizes.max(initial=0), 2)
         for k, r in enumerate(rings):
             alone = _clip_one(r, normal[k], offset[k], keep_le[k])
@@ -509,7 +509,7 @@ class TestClipAndAreas:
     @given(st.lists(st.lists(st.tuples(_COORD, _COORD), max_size=9), max_size=8))
     def test_areas_in_one_pass(self, shoelace_oracle, rings):
         polys = [np.array(r, dtype=float).reshape(-1, 2) for r in rings]
-        got = residuals._poly_areas(*_stack_rings(polys))
+        got = catalog._poly_areas(*_stack_rings(polys))
         for area, p in zip(got, polys):
             # the summation order changed: allow rounding of the summed terms
             terms = p[:, 0] * np.roll(p[:, 1], -1) - np.roll(p[:, 0], -1) * p[:, 1]
@@ -587,7 +587,7 @@ class TestVoronoiAgainstReference:
         for ring in tess.polys_km:
             assert not np.any(np.all(ring == np.roll(ring, 1, axis=0), axis=1))
         xy, counts = cut[0]
-        assert np.array_equal(tess.areas_km2, residuals._poly_areas(xy, counts))
+        assert np.array_equal(tess.areas_km2, catalog._poly_areas(xy, counts))
         # the 10 x 10 and 20 x 20 lattices do cut through vertices
         assert (counts.sum() > sum(map(len, tess.polys_km))) == (m > 5)
 
@@ -733,6 +733,16 @@ class TestHomogeneity:
                          0.25 + 0.5 * (quadrat // 2), np.full(10, 4.0), 1.0, 4.0)
         assert (homogeneity_test(edge, unit_region, method="quadrat")
                 == homogeneity_test(centre, unit_region, method="quadrat"))
+
+    @pytest.mark.parametrize("n", [452, 2000])
+    def test_quadrat_counts_follow_exact_areas(self, n):
+        # every quadrat of the 3 x 3 degree box lies in the region, so its
+        # exact area is KM_PER_DEG^2 d(lon) (180 / pi) d(sin lat)
+        m, pos, expected = residuals._quadrat_layout(Region.rectangle(0, 3, 0, 3), n)
+        edges = np.linspace(0.0, 3.0, m + 1)
+        areas = np.outer(np.diff(np.sin(np.radians(edges))), np.diff(edges)).ravel()
+        assert pos.all()
+        np.testing.assert_allclose(expected, n * areas / areas.sum(), rtol=1e-12)
 
     def test_clustered_pattern_fails_quadrat(self, unit_region):
         gen = RngStream(22).generator()
