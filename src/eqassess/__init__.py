@@ -16,9 +16,8 @@ _MODULE_OF = {name: module for module, names in {
                    "results_to_csv s_test student_t_statistic t_test_pairwise "
                    "w_test_pairwise wilcoxon_signed_rank",
     "forecast": "FORECAST_HEADER GriddedForecast catalog_log_likelihood expected_total "
-                "forecast_from_intensity joint_log_likelihood marginal_magnitude "
-                "marginal_space parse_forecast poisson_log_pmf scale_to_count "
-                "serialize_forecast sparse_log_likelihood",
+                "joint_log_likelihood marginal_magnitude marginal_space parse_forecast "
+                "poisson_log_pmf scale_to_count serialize_forecast sparse_log_likelihood",
     "intensity": "FitResult GridIntensity HawkesIntensity HawkesParams HomogeneousIntensity "
                  "branching_ratio central_gradient fit_mle log_likelihood mean_branching_ratio "
                  "parse_hawkes_params radial_trigger_cdf serialize_hawkes_params "

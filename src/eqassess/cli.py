@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import math
 import os
 import sys
 
@@ -64,8 +65,17 @@ _CONVERTERS = {
 
 _BOOL_KEYS = {"sims_out", "plots", "envelope"}
 
-# count option name -> its least value; a smaller one is a usage error
-_LEAST = {"jobs": 1, "n_grid": 1, "n_sim": 1, "max_iter": 1, "restarts": 0}
+# option name -> (what its value must be, the test of it); a value that
+# fails is a usage error. --window is checked where it is used, as data.
+_VALID = {
+    **{key: (f"at least {least}", lambda v, least=least: v >= least)
+       for key, least in (("jobs", 1), ("n_grid", 1), ("n_sim", 1),
+                          ("max_iter", 1), ("restarts", 0))},
+    "level": ("in (0, 1)", lambda v: 0 < v < 1),
+    "gtol": ("finite and positive", lambda v: 0 < v < math.inf),
+    **{key: ("finite", math.isfinite) for key in ("k", "rate", "gr_b", "mag_span", "mag")},
+    "mode": ("approx or quadrature", lambda v: v in ("approx", "quadrature")),
+}
 
 
 def _to_bool(v) -> bool:
@@ -127,9 +137,10 @@ def _resolve(command: str, args: argparse.Namespace, allowed: set) -> RunConfig:
         if v is not None:
             merged[key] = v
     options = {k: _convert(k, v) for k, v in merged.items()}
-    for key, least in _LEAST.items():
-        if options.get(key, least) < least:
-            raise ConfigError(f"--{key.replace('_', '-')} must be at least {least}")
+    for key, (what, valid) in _VALID.items():
+        if key in options and not valid(options[key]):
+            raise ConfigError(f"--{key.replace('_', '-')} must be {what}, "
+                              f"got {options[key]!r}")
     out_dir = str(options.pop("out", "out"))
     seed = int(options.pop("seed", 0))
     # --jobs is checked, then dropped: no output, the manifest included, reads it
@@ -401,7 +412,7 @@ def _cmd_residuals(cfg: RunConfig) -> int:
             ws.write("taus.csv", csv_text({"tau": rt.taus}, {"total_mass": rt.total_mass}))
         elif kind == "pixel":
             fa = _load_forecast(cfg, "forecast_a", cfg.get("window", c.window_days))
-            raw, pearson = pixel_residuals(fa, c, fa.grid)
+            raw, pearson = pixel_residuals(fa, c)
             _write_cells(ws, "raw", raw, "raw residuals")
             _write_cells(ws, "pearson", pearson, "Pearson residuals")
         elif kind == "deviance":
@@ -423,6 +434,15 @@ def _cmd_residuals(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_model_source(cfg: RunConfig) -> None:
+    """kfn and errordiag take exactly one of --params or --forecast, and
+    --window only with --forecast, the one input it spans."""
+    if (cfg.get("params") is None) == (cfg.get("forecast") is None):
+        raise ConfigError(f"{cfg.command}: give exactly one of --params or --forecast")
+    if cfg.get("window") is not None and cfg.get("forecast") is None:
+        raise ConfigError(f"{cfg.command}: --window applies only to --forecast")
+
+
 def _cmd_kfn(cfg: RunConfig) -> int:
     from .intensity import GridIntensity
     from .render import render_k_curve
@@ -430,8 +450,7 @@ def _cmd_kfn(cfg: RunConfig) -> int:
 
     c = _load_catalog(cfg)
     region = _load_region(cfg)
-    if (cfg.get("params") is None) == (cfg.get("forecast") is None):
-        raise ConfigError("kfn: give exactly one of --params or --forecast")
+    _check_model_source(cfg)
     if cfg.get("params") is not None:
         model = _load_model(cfg, c)
     else:
@@ -457,8 +476,7 @@ def _cmd_errordiag(cfg: RunConfig) -> int:
 
     c = _load_catalog(cfg)
     region = _load_region(cfg)
-    if (cfg.get("params") is None) == (cfg.get("forecast") is None):
-        raise ConfigError("errordiag: give exactly one of --params or --forecast")
+    _check_model_source(cfg)
     if cfg.get("params") is not None:
         target = _load_model(cfg, c)
     else:

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .catalog import (BinGrid, Catalog, Region, _is_float, _read_numeric_csv,
-                      bin_counts, csv_text)
+from .catalog import BinGrid, Catalog, _is_float, _read_numeric_csv, bin_counts, csv_text
 
 FORECAST_HEADER = ("lon_min", "lon_max", "lat_min", "lat_max", "mag_min", "mag_max", "rate", "mask")
 
@@ -168,41 +167,3 @@ def sparse_log_likelihood(f: GriddedForecast, cells, counts) -> float:
 def catalog_log_likelihood(f: GriddedForecast, c: Catalog) -> float:
     return joint_log_likelihood(f, bin_counts(c, f.grid).counts)
 
-
-def forecast_from_intensity(model, grid: BinGrid, window_days: float,
-                            region: Region | None = None, n_sub: int = 8,
-                            band_weights=None) -> GriddedForecast:
-    """Integrate an intensity model over grid cells and the window.
-
-    Each cell rate is a midpoint quadrature over the cell's lon/lat box of
-    the model's exact integral over [0, window_days]; when a region is
-    given, the density is treated as zero outside it. Magnitude structure is
-    supplied through band_weights (one weight per band, summing to 1;
-    default splits rate evenly across bands).
-    """
-    from .catalog import KM_PER_DEG
-
-    bands = grid.mag_bands
-    if band_weights is None:
-        band_weights = np.full(bands.shape[0], 1.0 / bands.shape[0])
-    band_weights = np.asarray(band_weights, dtype=float)
-    if band_weights.shape != (bands.shape[0],) or abs(band_weights.sum() - 1.0) > 1e-9:
-        raise ValueError("band_weights must give one weight per magnitude band, summing to 1")
-
-    space = grid.space_boxes
-    space_rate = np.empty(space.shape[0])
-    u = (np.arange(n_sub) + 0.5) / n_sub
-    for i, (lo_x, hi_x, lo_y, hi_y) in enumerate(space):
-        gx, gy = np.meshgrid(lo_x + u * (hi_x - lo_x), lo_y + u * (hi_y - lo_y))
-        lons, lats = gx.ravel(), gy.ravel()
-        mass = model.integrate(lons, lats, window_days)
-        if region is not None:
-            mass = np.where(region.contains(lons, lats), mass, 0.0)
-        da = (KM_PER_DEG * np.cos(np.radians(lats)) * (hi_x - lo_x) / n_sub) * \
-             (KM_PER_DEG * (hi_y - lo_y) / n_sub)
-        space_rate[i] = float(np.sum(mass * da))
-
-    space_of = grid.space_index()
-    band_of = grid.band_index()
-    rates = space_rate[space_of] * band_weights[band_of]
-    return GriddedForecast(grid, rates, window_days)

@@ -3,8 +3,9 @@
 Point residuals (thinning, superposition, super-thinning, rescaled times)
 transform the observed catalog so that, under the fitted model being
 correct, the output is homogeneous Poisson (or unit-rate exponential for
-rescaled inter-event times). Cell residuals (raw/Pearson pixels, deviance,
-Voronoi) compare observed and integrated-expected counts per region cell.
+rescaled inter-event times). Cell residuals compare observed and expected
+counts per cell: raw/Pearson pixels and deviance on a gridded forecast's
+cells, Voronoi on the model's integral over each event's cell.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from scipy.special import chdtrc
 from .catalog import (_FIELD, BinGrid, Catalog, Region, _clip_rings, _fill_rings,
                       _format_distinct, _poly_areas, _stack_rings, bin_counts, box_areas,
                       box_lattice_index, csv_text, empty_catalog, region_lattice)
-from .forecast import GriddedForecast, forecast_from_intensity, poisson_log_pmf
+from .forecast import GriddedForecast, poisson_log_pmf
 from .rng import RngStream
-from .simulate import MAX_CASCADE, simulate_homogeneous, simulate_inhomogeneous
-from .summaries import _weighted_k_values
+from .simulate import MAX_CASCADE, simulate_inhomogeneous
 
 # --- shared evaluation helpers -------------------------------------------
 
@@ -196,27 +196,18 @@ def _box_rings(grid: BinGrid) -> list:
     return list(grid.boxes[:, [0, 2, 1, 2, 1, 3, 0, 3]].reshape(-1, 4, 2))
 
 
-def pixel_residuals(model_or_forecast, c: Catalog, grid: BinGrid,
-                    region: Region | None = None, n_sub: int = 8):
-    """Raw (count - expectation) and Pearson (raw / sqrt expectation) cell
-    residuals. Returns (raw, pearson) CellResidualSets; zero-expectation
-    cells are flagged and their Pearson value is NaN."""
-    counts = bin_counts(c, grid).counts
-    if isinstance(model_or_forecast, GriddedForecast):
-        f = model_or_forecast
-        if f.grid != grid:
-            raise ValueError("forecast grid does not match the requested grid")
-        expected = f.rates.copy()
-    else:
-        if grid.mag_bands.shape[0] != 1:
-            raise ValueError("model-based cell expectations need a single-band grid")
-        expected = forecast_from_intensity(model_or_forecast, grid, c.window_days,
-                                           region, n_sub).rates
+def pixel_residuals(f: GriddedForecast, c: Catalog):
+    """Raw (count - expectation) and Pearson (raw / sqrt expectation)
+    residuals of the forecast's cells, the catalog binned on f.grid.
+    Returns (raw, pearson) CellResidualSets; zero-expectation cells are
+    flagged and their Pearson value is NaN."""
+    counts = bin_counts(c, f.grid).counts
+    expected = f.rates.copy()
     raw = counts - expected
     flags = expected <= 0
     with np.errstate(divide="ignore", invalid="ignore"):
         pearson = np.where(flags, np.nan, raw / np.sqrt(expected))
-    polys = _box_rings(grid)
+    polys = _box_rings(f.grid)
     return (
         CellResidualSet("raw", raw.astype(float), flags, polys, expected, counts),
         CellResidualSet("pearson", pearson, flags, polys, expected, counts),
@@ -551,7 +542,6 @@ def voronoi_residuals(model, c: Catalog, region: Region,
 
 @dataclass(frozen=True)
 class HomogeneityResult:
-    method: str
     statistic: float
     p_value: float
     df: int | None = None
@@ -578,64 +568,26 @@ def _quadrat_layout(region: Region, n_points: int):
         m -= 1
 
 
-def homogeneity_test(ps, region: Region, method: str = "quadrat",
-                     rng: RngStream | None = None, n_sim: int = 199,
-                     nominal_rate: float | None = None) -> HomogeneityResult:
-    """Test a point pattern for spatial homogeneity.
-
-    "quadrat": chi-square over an adaptive m x m grid (expected counts
-    proportional to region-clipped quadrat area, at least 5 per quadrat).
-    "kfunction": centered K-function at 5 lags against envelopes from
-    n_sim homogeneous simulations at nominal_rate (defaults to the
-    pattern's empirical rate); p by rank of the max deviation. Pairs come
-    from a k-d tree search, in O(pairs within the largest lag) memory.
-    """
+def homogeneity_test(ps, region: Region) -> HomogeneityResult:
+    """Quadrat chi-square test of a point pattern for spatial homogeneity,
+    over an adaptive m x m grid (_quadrat_layout: expected counts in
+    proportion to each quadrat's exact area in the region, at least 5 per
+    quadrat). Points outside every positive-area quadrat add their count
+    to the statistic."""
     lons = np.asarray(ps.lons, dtype=float)
     lats = np.asarray(ps.lats, dtype=float)
     n = lons.size
-    if method == "quadrat":
-        if n < 10:
-            return HomogeneityResult("quadrat", math.nan, math.nan,
-                                     note="fewer than 10 points")
-        m, pos, expected = _quadrat_layout(region, n)
-        obs = np.bincount(box_lattice_index(region, lons, lats, m, m),
-                          minlength=m * m).astype(float)
-        stray = float(obs[~pos].sum())
-        chi2 = float(np.sum((obs[pos] - expected) ** 2 / expected)) + stray
-        df = int(pos.sum()) - 1
-        # chdtrc(0, x) is 0, where the chi-square law with no degree of freedom is undefined
-        p = float(chdtrc(df, chi2)) if df > 0 else math.nan
-        return HomogeneityResult("quadrat", chi2, p, df=df)
-
-    if method == "kfunction":
-        if rng is None:
-            raise ValueError("kfunction homogeneity test needs an RngStream")
-        if n < 2:
-            return HomogeneityResult("kfunction", math.nan, math.nan,
-                                     note="fewer than 2 points")
-        T = float(getattr(ps, "window_days", 1.0))
-        area = region.area_km2
-        if nominal_rate is None:
-            nominal_rate = n / (area * T)
-        lags = math.sqrt(area) * np.array([0.02, 0.04, 0.06, 0.08, 0.10])
-
-        def k_hat(xlon, xlat):
-            x, y = region.to_km(xlon, xlat)
-            n_ordered = max(xlon.size * (xlon.size - 1), 1)  # K = 0 below 2 points
-            return area * _weighted_k_values(x, y, None, lags) / n_ordered
-
-        k_obs = k_hat(lons, lats)
-        k_sims = np.empty((n_sim, lags.size))
-        for s in range(n_sim):
-            sim = simulate_homogeneous(nominal_rate, region, T, rng.substream(s))
-            k_sims[s] = k_hat(sim.lons, sim.lats)
-        center = k_sims.mean(axis=0)
-        dev_obs = float(np.max(np.abs(k_obs - center)))
-        dev_sims = np.max(np.abs(k_sims - center), axis=1)
-        p = (1.0 + float(np.sum(dev_sims >= dev_obs))) / (n_sim + 1.0)
-        return HomogeneityResult("kfunction", dev_obs, p)
-
-    raise ValueError(f"unknown homogeneity method {method!r}")
+    if n < 10:
+        return HomogeneityResult(math.nan, math.nan, note="fewer than 10 points")
+    m, pos, expected = _quadrat_layout(region, n)
+    obs = np.bincount(box_lattice_index(region, lons, lats, m, m),
+                      minlength=m * m).astype(float)
+    stray = float(obs[~pos].sum())
+    chi2 = float(np.sum((obs[pos] - expected) ** 2 / expected)) + stray
+    df = int(pos.sum()) - 1
+    # chdtrc(0, x) is 0, where the chi-square law with no degree of freedom is undefined
+    p = float(chdtrc(df, chi2)) if df > 0 else math.nan
+    return HomogeneityResult(chi2, p, df=df)
 
 
 def point_report(ps: ResidualPointSet, region: Region) -> str:
@@ -647,7 +599,7 @@ def point_report(ps: ResidualPointSet, region: Region) -> str:
              f"n_superposed = {int(np.sum(ps.tags == 'superposed'))}"]
     if ps.note:
         lines.append(f"note = {ps.note}")
-    hom = homogeneity_test(ps, region, method="quadrat")
+    hom = homogeneity_test(ps, region)
     lines.append(f"quadrat_statistic = {hom.statistic!r}")
     lines.append(f"quadrat_p = {hom.p_value!r}")
     if hom.df is not None:

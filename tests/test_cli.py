@@ -292,6 +292,51 @@ def test_count_option_below_its_least_is_usage_error(paths, capsys, argv, flag, 
     assert not out.exists()
 
 
+HAWKES_PARAMS = "mu = 2e-4\nk = 0.003\nc = 0.05\np = 1.5\na = 1.0\nd = 0.5\nq = 1.8\nm0 = 4.0\n"
+TEST_A = ["test", "--catalog", "{catalog}", "--forecast-a", "{forecast}", "--window", "10"]
+FIT = ["fit", "--catalog", "{catalog}", "--region", "{region}", "--family"]
+SIM_HOM = ["simulate", "--kind", "homogeneous", "--region", "{region}", "--window", "5"]
+SIM_HAWKES = ["simulate", "--kind", "hawkes", "--region", "{region}", "--window", "5",
+              "--params", "{hawkes}"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (TEST_A, "--level", "nan"),
+    (TEST_A, "--level", "2"),
+    (TEST_A, "--level", "0"),
+    (FIT + ["homogeneous"], "--gtol", "-1"),
+    (FIT + ["homogeneous"], "--gtol", "nan"),
+    (FIT + ["homogeneous"], "--mode", "bogus"),
+    (FIT + ["hawkes"], "--mode", "bogus"),
+    (["residuals", "--kind", "superthin", "--catalog", "{catalog}", "--region", "{region}",
+      "--params", "{params}"], "--k", "nan"),
+    (SIM_HOM, "--rate", "nan"),
+    (SIM_HOM + ["--rate", "0.002"], "--mag", "inf"),
+    (SIM_HAWKES, "--gr-b", "nan"),
+    (SIM_HAWKES, "--mag-span", "nan"),
+])
+def test_option_outside_its_range_is_usage_error(paths, capsys, argv, flag, value):
+    hawkes = paths["dir"] / "hawkes.txt"
+    hawkes.write_text(HAWKES_PARAMS)
+    out = paths["dir"] / "x"
+    rc = main([a.format(hawkes=hawkes, **paths) for a in argv] + [
+        flag, value, "--out", str(out)])
+    assert rc == 2
+    assert f"{flag} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["kfn", "errordiag"])
+def test_window_without_forecast_is_usage_error(paths, capsys, command):
+    # a --params model has no window to span: the option would change nothing
+    out = paths["dir"] / "x"
+    rc = main([command, "--catalog", paths["catalog"], "--region", paths["region"],
+               "--params", paths["params"], "--window", "5", "--out", str(out)])
+    assert rc == 2
+    assert "--window applies only to --forecast" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_catalog_is_data_error(paths):
     bad = paths["dir"] / "bad.csv"
     bad.write_text("time,lon,lat,mag\nnoon,0.5,0.5,4.0\n")
@@ -561,10 +606,10 @@ COMMAND_MODULES = {
     "simulate": {"intensity", "simulate"},
     "test": {"consistency"},
     "test --plots": {"consistency", "render"},
-    "residuals": {"intensity", "render", "residuals", "simulate", "summaries"},
+    "residuals": {"intensity", "render", "residuals", "simulate"},
     "kfn": {"intensity", "render", "simulate", "summaries"},
     "errordiag": {"intensity", "render", "simulate", "summaries"},
-    "tessellate": {"intensity", "residuals", "simulate", "summaries"},
+    "tessellate": {"intensity", "residuals", "simulate"},
 }
 
 
@@ -624,7 +669,7 @@ HomogeneousIntensity KFunctionCurve PairwiseResult Region RegionLattice Rescaled
 ResidualPointSet RngStream TestResult VoronoiTessellation bin_counts branching_ratio
 catalog_log_likelihood cell_residuals_to_csv cell_residuals_to_geojson central_gradient
 deviance_residuals empty_catalog error_diagram error_diagram_to_csv expected_total
-filter_catalog fit_mle forecast_from_intensity gutenberg_richter_magnitudes
+filter_catalog fit_mle gutenberg_richter_magnitudes
 homogeneity_test joint_log_likelihood k_curve_to_csv km_distance l_test lattice_extrema
 log_likelihood m_test marginal_magnitude marginal_space mean_branching_ratio
 mean_gr_magnitude n_test paradox_fixture parse_catalog parse_forecast

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqassess import (BinGrid, Catalog, GriddedForecast, HomogeneousIntensity,
-                      bin_counts, catalog_log_likelihood, expected_total,
-                      forecast_from_intensity, joint_log_likelihood,
+from eqassess import (BinGrid, Catalog, GriddedForecast, bin_counts,
+                      catalog_log_likelihood, expected_total, joint_log_likelihood,
                       marginal_magnitude, marginal_space, parse_forecast,
                       poisson_log_pmf, scale_to_count, serialize_forecast,
                       sparse_log_likelihood)
@@ -228,41 +227,3 @@ class TestLikelihood:
     def test_sparse_count_on_zero_rate_is_minus_infinity(self, forecast):
         f = GriddedForecast(forecast.grid, np.r_[0.0, forecast.rates[1:]], 5.0)
         assert sparse_log_likelihood(f, np.array([0, 2]), np.array([1, 1])) == -math.inf
-
-class TestForecastFromIntensity:
-    def test_homogeneous_rates(self, two_by_two_grid):
-        model = HomogeneousIntensity(1e-4)
-        f = forecast_from_intensity(model, two_by_two_grid, window_days=10.0)
-        areas = two_by_two_grid.cell_area_km2()
-        # each space cell's total splits evenly over the 2 bands; the
-        # quadrature averages cos(lat) over sub-rows while cell_area_km2
-        # uses the mid-latitude, so agreement is ~1e-6, not exact
-        np.testing.assert_allclose(f.rates, 1e-4 * areas * 10.0 / 2.0,
-                                   rtol=1e-5)
-
-    def test_band_weights(self, two_by_two_grid):
-        model = HomogeneousIntensity(1e-4)
-        f = forecast_from_intensity(model, two_by_two_grid, window_days=10.0,
-                                    band_weights=[0.9, 0.1])
-        band_of = two_by_two_grid.band_index()
-        hi = f.rates[band_of == 0]
-        lo = f.rates[band_of == 1]
-        np.testing.assert_allclose(hi / lo, np.full(4, 9.0), rtol=1e-12)
-
-    def test_hawkes_rates_match_sliced_reference(self, unit_region, two_by_two_grid,
-                                                 aligned_history, sliced):
-        from eqassess import HawkesIntensity
-        params, history = aligned_history
-        model = HawkesIntensity(params, history)
-        exact = forecast_from_intensity(model, two_by_two_grid, 5.0, unit_region)
-        ref = forecast_from_intensity(sliced(model), two_by_two_grid, 5.0, unit_region)
-        np.testing.assert_allclose(exact.rates, ref.rates, rtol=1e-4)
-        # the triggered part adds to what the background alone would give
-        bg = forecast_from_intensity(HomogeneousIntensity(params.mu),
-                                     two_by_two_grid, 5.0, unit_region)
-        assert np.all(exact.rates > bg.rates)
-
-    def test_bad_weights_rejected(self, two_by_two_grid):
-        with pytest.raises(ValueError):
-            forecast_from_intensity(HomogeneousIntensity(1.0), two_by_two_grid,
-                                    1.0, band_weights=[0.5, 0.4])

@@ -62,7 +62,7 @@ class TestRenderMap:
     def test_flagged_cells_hatched(self, two_by_two_grid, small_catalog):
         rates = np.array([0.0, 0.2, 1.0, 0.1, 3.0, 0.3, 0.5, 0.05])
         f = GriddedForecast(two_by_two_grid, rates, small_catalog.window_days)
-        _, pearson = pixel_residuals(f, small_catalog, two_by_two_grid)
+        _, pearson = pixel_residuals(f, small_catalog)
         svg = render_map(pearson, title="flagged")
         assert "hatch" in svg
         assert 'fill="url(#hatch)"' in svg

@@ -221,7 +221,7 @@ class TestPixelResiduals:
     def test_forecast_path_exact(self, two_by_two_grid, small_catalog):
         rates = np.array([2.0, 0.2, 1.0, 0.1, 3.0, 0.3, 0.5, 0.05])
         f = GriddedForecast(two_by_two_grid, rates, small_catalog.window_days)
-        raw, pearson = pixel_residuals(f, small_catalog, two_by_two_grid)
+        raw, pearson = pixel_residuals(f, small_catalog)
         counts = bin_counts(small_catalog, two_by_two_grid).counts
         np.testing.assert_allclose(raw.values, counts - rates)
         np.testing.assert_allclose(pearson.values,
@@ -231,32 +231,10 @@ class TestPixelResiduals:
     def test_zero_rate_cell_flagged(self, two_by_two_grid, small_catalog):
         rates = np.array([2.0, 0.0, 1.0, 0.1, 3.0, 0.3, 0.5, 0.05])
         f = GriddedForecast(two_by_two_grid, rates, small_catalog.window_days)
-        raw, pearson = pixel_residuals(f, small_catalog, two_by_two_grid)
+        raw, pearson = pixel_residuals(f, small_catalog)
         assert raw.flags[1] and pearson.flags[1]
         assert math.isnan(pearson.values[1])
         assert np.isfinite(raw.values[1])
-
-    def test_model_path_homogeneous(self, unit_region, small_catalog,
-                                    single_band_grid):
-        rate = 3e-4
-        raw, _ = pixel_residuals(HomogeneousIntensity(rate), small_catalog,
-                                 single_band_grid, region=unit_region)
-        counts = bin_counts(small_catalog, single_band_grid).counts
-        areas = single_band_grid.cell_area_km2()
-        expect = rate * areas * small_catalog.window_days
-        np.testing.assert_allclose(raw.values, counts - expect, rtol=1e-4)
-
-    def test_model_path_needs_single_band(self, unit_region, small_catalog,
-                                          two_by_two_grid):
-        with pytest.raises(ValueError, match="single-band"):
-            pixel_residuals(HomogeneousIntensity(1.0), small_catalog,
-                            two_by_two_grid, region=unit_region)
-
-    def test_forecast_grid_mismatch(self, two_by_two_grid, small_catalog,
-                                    single_band_grid):
-        f = GriddedForecast(single_band_grid, np.ones(4), 1.0)
-        with pytest.raises(ValueError, match="grid"):
-            pixel_residuals(f, small_catalog, two_by_two_grid)
 
 
 class TestDevianceResiduals:
@@ -717,7 +695,7 @@ class TestHomogeneity:
     def test_uniform_pattern_passes_quadrat(self, unit_region):
         c = simulate_homogeneous(1e-2, unit_region, 1.0, RngStream(21), mag=4.0)
         assert c.n > 100
-        r = homogeneity_test(c, unit_region, method="quadrat")
+        r = homogeneity_test(c, unit_region)
         assert r.p_value > 0.01
         assert r.df is not None and r.df > 1
         # ten points make a 2 x 2 quadrat layout. Points on the box's east
@@ -731,8 +709,7 @@ class TestHomogeneity:
         edge = Catalog(times, lons, lats, np.full(10, 4.0), 1.0, 4.0)
         centre = Catalog(times, 0.25 + 0.5 * (quadrat % 2),
                          0.25 + 0.5 * (quadrat // 2), np.full(10, 4.0), 1.0, 4.0)
-        assert (homogeneity_test(edge, unit_region, method="quadrat")
-                == homogeneity_test(centre, unit_region, method="quadrat"))
+        assert homogeneity_test(edge, unit_region) == homogeneity_test(centre, unit_region)
 
     @pytest.mark.parametrize("n", [452, 2000])
     def test_quadrat_counts_follow_exact_areas(self, n):
@@ -752,65 +729,10 @@ class TestHomogeneity:
         ])
         c = Catalog(np.linspace(0.01, 0.99, 120), pts[:, 0], pts[:, 1],
                     np.full(120, 4.0), 1.0, 4.0)
-        r = homogeneity_test(c, unit_region, method="quadrat")
+        r = homogeneity_test(c, unit_region)
         assert r.p_value < 1e-6
 
     def test_small_pattern_not_applicable(self, unit_region, small_catalog):
-        r = homogeneity_test(small_catalog, unit_region, method="quadrat")
+        r = homogeneity_test(small_catalog, unit_region)
         assert math.isnan(r.p_value)
         assert "fewer" in r.note
-
-    def test_kfunction_needs_rng(self, unit_region, small_catalog):
-        with pytest.raises(ValueError, match="RngStream"):
-            homogeneity_test(small_catalog, unit_region, method="kfunction")
-
-    def test_kfunction_uniform_passes(self, unit_region):
-        c = simulate_homogeneous(1e-3, unit_region, 1.0, RngStream(23), mag=4.0)
-        r = homogeneity_test(c, unit_region, method="kfunction",
-                             rng=RngStream(24), n_sim=99)
-        assert r.p_value > 0.05
-
-    def test_kfunction_clustered_fails(self, unit_region):
-        gen = RngStream(25).generator()
-        pts = np.vstack([
-            gen.normal(0.3, 0.01, (40, 2)),
-            gen.normal(0.7, 0.01, (40, 2)),
-        ])
-        c = Catalog(np.linspace(0.01, 0.99, 80), pts[:, 0], pts[:, 1],
-                    np.full(80, 4.0), 1.0, 4.0)
-        r = homogeneity_test(c, unit_region, method="kfunction",
-                             rng=RngStream(26), n_sim=199)
-        assert r.p_value == pytest.approx(1.0 / 200.0)
-
-    def test_kfunction_deterministic(self, unit_region):
-        c = simulate_homogeneous(1e-3, unit_region, 1.0, RngStream(27), mag=4.0)
-        r1 = homogeneity_test(c, unit_region, method="kfunction",
-                              rng=RngStream(28), n_sim=99)
-        r2 = homogeneity_test(c, unit_region, method="kfunction",
-                              rng=RngStream(28), n_sim=99)
-        assert r1.p_value == r2.p_value
-        assert r1.statistic == r2.statistic
-
-    @pytest.mark.parametrize("pattern,seed,test_seed,n_sim", [
-        ("uniform", 23, 24, 99), ("clustered", 25, 26, 199),
-        ("uniform", 27, 28, 99)])
-    def test_kfunction_matches_dense_pair_counts(self, unit_region, monkeypatch,
-                                                 dense_pairs, pattern, seed,
-                                                 test_seed, n_sim):
-        # the seeds of the kfunction tests above, with the k-d tree pair sums
-        # and with the dense matrix they replaced: the same statistic and p
-        if pattern == "clustered":
-            gen = RngStream(seed).generator()
-            pts = np.vstack([gen.normal(0.3, 0.01, (40, 2)),
-                             gen.normal(0.7, 0.01, (40, 2))])
-            c = Catalog(np.linspace(0.01, 0.99, 80), pts[:, 0], pts[:, 1],
-                        np.full(80, 4.0), 1.0, 4.0)
-        else:
-            c = simulate_homogeneous(1e-3, unit_region, 1.0, RngStream(seed), mag=4.0)
-        fast = homogeneity_test(c, unit_region, method="kfunction",
-                                rng=RngStream(test_seed), n_sim=n_sim)
-        monkeypatch.setattr(residuals, "_weighted_k_values", dense_pairs)
-        dense = homogeneity_test(c, unit_region, method="kfunction",
-                                 rng=RngStream(test_seed), n_sim=n_sim)
-        assert fast.statistic == dense.statistic
-        assert fast.p_value == dense.p_value

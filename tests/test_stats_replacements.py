@@ -74,7 +74,7 @@ def test_quadrat_p_equals_scipy_stats(seed, clustered):
         lons, lats = gen.random((2, n))
     pts = Catalog(np.linspace(0.0, 1.0, n), np.clip(lons, 0, 1), np.clip(lats, 0, 1),
                   np.full(n, 4.0), 1.0, 4.0)
-    r = homogeneity_test(pts, Region.rectangle(0.0, 1.0, 0.0, 1.0), "quadrat")
+    r = homogeneity_test(pts, Region.rectangle(0.0, 1.0, 0.0, 1.0))
     assert r.df > 0
     assert r.p_value == float(stats.chi2.sf(r.statistic, r.df))
 
