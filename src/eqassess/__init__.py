@@ -25,9 +25,8 @@ _MODULE_OF = {name: module for module, names in {
     "render": "render_error_diagram render_histogram render_k_curve render_map render_point_map",
     "residuals": "CellResidualSet HomogeneityResult RescaledTimes ResidualPointSet "
                  "VoronoiTessellation cell_residuals_to_csv cell_residuals_to_geojson "
-                 "deviance_residuals homogeneity_test lattice_extrema pixel_residuals "
-                 "rescale_times super_thin superpose_residuals thin_residuals "
-                 "voronoi_residuals voronoi_tessellation",
+                 "deviance_residuals homogeneity_test pixel_residuals rescale_times super_thin "
+                 "superpose_residuals thin_residuals voronoi_residuals voronoi_tessellation",
     "rng": "RngStream pmap",
     "simulate": "gutenberg_richter_magnitudes mean_gr_magnitude simulate_hawkes "
                 "simulate_homogeneous simulate_inhomogeneous simulate_poisson_grid",

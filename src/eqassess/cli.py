@@ -77,6 +77,24 @@ _VALID = {
     "mode": ("approx or quadrature", lambda v: v in ("approx", "quadrature")),
 }
 
+# command -> run kind -> the options that runs of that kind read, of those
+# that some kind of the command reads. A residuals or simulate run's kind is
+# its --kind; a kfn or errordiag run's, its model source and, for kfn,
+# --envelope. A run of no kind listed, or given an option that its kind does
+# not read, exits 2.
+_READS = {
+    "residuals": {"--kind thin": "params", "--kind superpose": "params",
+                  "--kind rescale": "params", "--kind superthin": "params k",
+                  "--kind voronoi": "params n_grid", "--kind pixel": "forecast_a window",
+                  "--kind deviance": "forecast_a forecast_b window"},
+    "simulate": {"--kind homogeneous": "region window rate mag",
+                 "--kind hawkes": "region window params gr_b mag_span",
+                 "--kind grid": "forecast window"},
+    "kfn": {"--params": "params", "--params --envelope": "params n_sim",
+            "--forecast": "forecast window", "--forecast --envelope": "forecast window n_sim"},
+    "errordiag": {"--params": "params n_grid", "--forecast": "forecast window"},
+}
+
 
 def _to_bool(v) -> bool:
     if isinstance(v, bool):
@@ -141,6 +159,15 @@ def _resolve(command: str, args: argparse.Namespace, allowed: set) -> RunConfig:
         if key in options and not valid(options[key]):
             raise ConfigError(f"--{key.replace('_', '-')} must be {what}, "
                               f"got {options[key]!r}")
+    rows = _READS.get(command, {})
+    kind = (f"--kind {options['kind']}" if "kind" in options else
+            " ".join(f"--{k}" for k in ("params", "forecast", "envelope") if options.get(k)))
+    if rows and kind not in rows:
+        raise ConfigError(f"{command} takes one of {', '.join(rows)}; got {kind or 'none'}")
+    unread = set(options) & set(" ".join(rows.values()).split()) - set(rows.get(kind, "").split())
+    if unread:
+        raise ConfigError(f"{command} {kind} does not read "
+                          + ", ".join("--" + k.replace("_", "-") for k in sorted(unread)))
     out_dir = str(options.pop("out", "out"))
     seed = int(options.pop("seed", 0))
     # --jobs is checked, then dropped: no output, the manifest included, reads it
@@ -286,8 +313,6 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     elif kind == "grid":
         f = _load_forecast(cfg, "forecast", cfg.get("window", 1.0))
         c = simulate_poisson_grid(f, rng)
-    else:
-        raise ConfigError(f"simulate: unknown kind {kind!r}")
     ws = Workspace(cfg.out_dir)
     path = ws.write("catalog.csv", serialize_catalog(c))
     ws.finish(cfg)
@@ -425,22 +450,11 @@ def _cmd_residuals(cfg: RunConfig) -> int:
             model = _load_model(cfg, c)
             rs = voronoi_residuals(model, c, region, n_grid=cfg.get("n_grid", 200))
             _write_cells(ws, "voronoi", rs, "Voronoi residuals")
-        else:
-            raise ConfigError(f"residuals: unknown kind {kind!r}")
     except ValueError as e:
         raise DataError(str(e)) from None
     ws.finish(cfg)
     print(f"residuals: kind={kind} -> {cfg.out_dir}")
     return 0
-
-
-def _check_model_source(cfg: RunConfig) -> None:
-    """kfn and errordiag take exactly one of --params or --forecast, and
-    --window only with --forecast, the one input it spans."""
-    if (cfg.get("params") is None) == (cfg.get("forecast") is None):
-        raise ConfigError(f"{cfg.command}: give exactly one of --params or --forecast")
-    if cfg.get("window") is not None and cfg.get("forecast") is None:
-        raise ConfigError(f"{cfg.command}: --window applies only to --forecast")
 
 
 def _cmd_kfn(cfg: RunConfig) -> int:
@@ -450,7 +464,6 @@ def _cmd_kfn(cfg: RunConfig) -> int:
 
     c = _load_catalog(cfg)
     region = _load_region(cfg)
-    _check_model_source(cfg)
     if cfg.get("params") is not None:
         model = _load_model(cfg, c)
     else:
@@ -476,7 +489,6 @@ def _cmd_errordiag(cfg: RunConfig) -> int:
 
     c = _load_catalog(cfg)
     region = _load_region(cfg)
-    _check_model_source(cfg)
     if cfg.get("params") is not None:
         target = _load_model(cfg, c)
     else:

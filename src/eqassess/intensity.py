@@ -21,7 +21,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .catalog import KM_PER_DEG, Catalog, Region, box_areas, km_factors, km_grid2
+from .catalog import (_CHUNK_ELEMENTS, KM_PER_DEG, Catalog, Region, box_areas, km_factors,
+                      km_grid2)
 from .forecast import GriddedForecast, marginal_space
 from .rng import RngStream
 
@@ -354,64 +355,43 @@ class HawkesIntensity:
 # --- likelihood ---------------------------------------------------------
 
 
-def _ray_segments(origin_xy, ring_km, n_angles: int):
-    """Radii where rays from origin cross the polygon boundary.
-
-    Returns (radii, signs): per crossing, +1 starts an inside run and -1
-    ends one, so the region-clipped mass along each ray is an alternating
-    sum of the radial antiderivative. The origin must lie inside.
-    """
-    ax = ring_km[:, 0]
-    ay = ring_km[:, 1]
-    bx = np.roll(ax, -1)
-    by = np.roll(ay, -1)
-    ex = bx - ax
-    ey = by - ay
-    theta = (np.arange(n_angles) + 0.5) * (2.0 * math.pi / n_angles)
-    ux, uy = np.cos(theta), np.sin(theta)
-    px, py = float(origin_xy[0]), float(origin_xy[1])
-    # solve p + t u = a + s e per (angle, edge)
-    denom = ux[:, None] * ey[None, :] - uy[:, None] * ex[None, :]
-    rx = ax[None, :] - px
-    ry = ay[None, :] - py
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (rx * ey[None, :] - ry * ex[None, :]) / denom
-        s = (rx * uy[:, None] - ry * ux[:, None]) / denom
-    valid = (np.abs(denom) > 1e-300) & (t > 0) & (s >= 0.0) & (s < 1.0)
-    radii, signs = [], []
-    for k in range(n_angles):
-        tk = np.sort(t[k][valid[k]])
-        if tk.size == 0:
-            continue
-        # the origin is inside, so crossings alternate exit, entry, exit, ...
-        sg = np.where(np.arange(tk.size) % 2 == 0, 1.0, -1.0)
-        radii.append(tk)
-        signs.append(sg)
-    if not radii:
-        return np.array([]), np.array([])
-    return np.concatenate(radii), np.concatenate(signs)
-
-
 class _ClippedMass:
-    """Per-event region-clipped integral of (r^2+d)^-q over the region.
+    """Per-event integral of (r^2+d)^-q over the region, r the distance
+    from the event.
 
-    Geometry (ray crossing radii per event) is precomputed; evaluation for
-    any (d, q) is an exact radial antiderivative summed over ray wedges.
+    n_angles rays leave each event, one through the middle of each wedge of
+    2*pi/n_angles. Along a ray the integral is a signed sum over its
+    boundary crossings of the wedge integral out to the crossing: + where
+    the ray leaves the region, - where it enters, as the sign of the ray x
+    edge cross product times the ring's orientation says. So an event
+    outside the region is measured too, and no crossings need sorting. The
+    crossings of all events, angles and edges are found at once, in chunks
+    of at most _CHUNK_ELEMENTS; any (d, q) is then exact in radius.
     """
 
     def __init__(self, c: Catalog, region: Region, n_angles: int = 720):
         x, y = region.to_km(c.lons, c.lats)
-        self.n_angles = n_angles
-        self.n_events = c.n
-        ev_idx, radii, signs = [], [], []
-        for i in range(c.n):
-            r, s = _ray_segments((x[i], y[i]), region.ring_km, n_angles)
-            ev_idx.append(np.full(r.size, i))
-            radii.append(r)
-            signs.append(s)
-        self.ev = np.concatenate(ev_idx) if ev_idx else np.array([], dtype=int)
-        self.radii = np.concatenate(radii) if radii else np.array([])
-        self.signs = np.concatenate(signs) if signs else np.array([])
+        ax, ay = region.ring_km[:, 0], region.ring_km[:, 1]
+        ex, ey = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
+        theta = (np.arange(n_angles) + 0.5) * (2.0 * math.pi / n_angles)
+        ux, uy = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        # solve p + t u = a + s e per (event, angle, edge)
+        denom = ux * ey - uy * ex
+        crosses = np.abs(denom) > 1e-300
+        sign = np.where(denom * np.sum(ax * ey - ay * ex) > 0, 1.0, -1.0)
+        self.n_angles, self.n_events = n_angles, c.n
+        ev, radii, signs = [np.zeros(0, dtype=np.intp)], [np.zeros(0)], [np.zeros(0)]
+        step = max(1, _CHUNK_ELEMENTS // denom.size)
+        for lo in range(0, c.n, step):
+            rx, ry = ax - x[lo:lo + step, None], ay - y[lo:lo + step, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (rx * ey - ry * ex)[:, None, :] / denom
+                s = (rx[:, None, :] * uy - ry[:, None, :] * ux) / denom
+            i, k, e = np.nonzero(crosses & (t > 0) & (s >= 0.0) & (s < 1.0))
+            ev.append(lo + i)
+            radii.append(t[i, k, e])
+            signs.append(sign[k, e])
+        self.ev, self.radii, self.signs = map(np.concatenate, (ev, radii, signs))
 
     def _per_event(self, wedge: np.ndarray) -> np.ndarray:
         # each of n_angles wedges spans 2*pi/n_angles of arc

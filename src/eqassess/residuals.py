@@ -19,21 +19,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import chdtrc
 
-from .catalog import (_FIELD, BinGrid, Catalog, Region, _clip_rings, _fill_rings,
-                      _format_distinct, _poly_areas, _stack_rings, bin_counts, box_areas,
-                      box_lattice_index, csv_text, empty_catalog, region_lattice)
+from .catalog import (_FIELD, BinGrid, Catalog, Region, _clip_rings, _distinct_rows,
+                      _fill_rings, _format_distinct, _poly_areas, _stack_rings, bin_counts,
+                      box_areas, box_lattice_index, csv_text, empty_catalog, region_lattice)
 from .forecast import GriddedForecast, poisson_log_pmf
 from .rng import RngStream
 from .simulate import MAX_CASCADE, simulate_inhomogeneous
 
 # --- shared evaluation helpers -------------------------------------------
-
-
-def lattice_extrema(model, region: Region, t_max: float | None = None):
-    """(inf, sup) of the model rate over region x [0, t_max], as given by
-    model.bounds: exact for a homogeneous or grid model, certified for a
-    Hawkes model."""
-    return model.bounds(region, t_max)
 
 
 class _Deficit:
@@ -298,10 +291,6 @@ def points_to_geojson(ps: ResidualPointSet) -> str:
 
 # --- Voronoi --------------------------------------------------------------
 
-COINCIDENT_NUDGE_DEG = 1e-9  # step between exactly coincident generators
-MAX_COINCIDENT = 1000
-
-
 @dataclass(frozen=True)
 class VoronoiTessellation:
     gen_lons: np.ndarray
@@ -405,27 +394,15 @@ def voronoi_tessellation(lons, lats, region: Region) -> VoronoiTessellation:
     neighbour rank a round.
     Three or more generators on one line (_strip_neighbours) are cut by
     their neighbours along it alone: the strips between those bisectors
-    are the exact diagram. Exactly coincident generators are separated by
-    deterministic 1e-9-degree nudges, a copy stepping on until no generator
-    is there. A vertex equal to the one before it in its ring is dropped.
+    are the exact diagram. The generators are the distinct (lon, lat) rows,
+    in first-appearance order: repeated copies share one cell. A vertex
+    equal to the one before it in its ring is dropped.
     """
     from scipy.spatial import Delaunay, QhullError, cKDTree  # here: `test` never pays its 0.15 s
-    lons = np.atleast_1d(np.asarray(lons, dtype=float)).copy()
-    lats = np.atleast_1d(np.asarray(lats, dtype=float)).copy()
-    if lons.size == 0:
+    lonlat = np.column_stack([np.atleast_1d(np.asarray(v, dtype=float)) for v in (lons, lats)])
+    if lonlat.shape[0] == 0:
         raise ValueError("tessellation needs at least one generator")
-    keys = list(zip(lons.tolist(), lats.tolist()))
-    taken, seen = set(keys), {}
-    for i, (x, y) in enumerate(keys):
-        k, step = seen.get((x, y), (0, 0))
-        if k >= MAX_COINCIDENT:
-            raise ValueError(f"more than {MAX_COINCIDENT} coincident generators")
-        while k and (lons[i], lats[i]) in taken:
-            step += 1
-            lons[i], lats[i] = x + COINCIDENT_NUDGE_DEG * step, y + COINCIDENT_NUDGE_DEG * step
-        taken.add((lons[i], lats[i]))
-        seen[x, y] = (k + 1, step)
-
+    lons, lats = _distinct_rows(lonlat)[0].T
     pts = np.column_stack(region.to_km(lons, lats))
     n = pts.shape[0]
     rings, counts = np.tile(region.ring_km, (n, 1, 1)), np.full(n, region.ring_km.shape[0])
@@ -509,10 +486,11 @@ def _tessellation(lons, lats, rings, counts, region: Region) -> VoronoiTessellat
 
 def voronoi_residuals(model, c: Catalog, region: Region,
                       n_grid: int = 200) -> CellResidualSet:
-    """Voronoi cell residuals (1 - Lambda_i) / sqrt(Lambda_i).
+    """Voronoi cell residuals (k_i - Lambda_i) / sqrt(Lambda_i).
 
-    Cells are generated by the catalog epicenters themselves, so each holds
-    exactly one event; Lambda_i integrates the model's window integral
+    Cells are generated by the distinct catalog epicenters themselves, so
+    cell i holds the k_i events at its epicenter (k_i = 1 unless events
+    repeat one); Lambda_i integrates the model's window integral
     (model.integrate) over the cell by lattice quadrature, owned lattice
     points decided by nearest generator. Zero-mass cells are flagged.
     """
@@ -530,11 +508,11 @@ def voronoi_residuals(model, c: Catalog, region: Region,
     _, owner = tree.query(np.column_stack([qx, qy]))
     lam = np.zeros(tess.n_cells)
     np.add.at(lam, owner, model.integrate(lons, lats, c.window_days) * da)
+    counts = np.bincount(_distinct_rows(np.column_stack([c.lons, c.lats]))[1])
     flags = lam <= 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(flags, np.nan, (1.0 - lam) / np.sqrt(lam))
-    return CellResidualSet("voronoi", values, flags, tess.polys_lonlat(),
-                           lam, np.ones(tess.n_cells, dtype=int))
+        values = np.where(flags, np.nan, (counts - lam) / np.sqrt(lam))
+    return CellResidualSet("voronoi", values, flags, tess.polys_lonlat(), lam, counts)
 
 
 # --- homogeneity tests ----------------------------------------------------

@@ -158,18 +158,9 @@ def reference_voronoi(lons, lats, region):
     """Reference for residuals.voronoi_tessellation: each cell clipped
     against every other generator in distance order until the bisectors are
     out of reach, the method the Delaunay-neighbour candidates replaced.
-    Returns (polys_km, areas_km2)."""
-    lons = np.atleast_1d(np.asarray(lons, dtype=float)).copy()
-    lats = np.atleast_1d(np.asarray(lats, dtype=float)).copy()
-    seen: dict = {}
-    for i in range(lons.size):
-        key = (lons[i], lats[i])
-        k = seen.get(key, 0)
-        if k:
-            lons[i] += 1e-9 * k
-            lats[i] += 1e-9 * k
-        seen[key] = k + 1
-    px, py = region.to_km(lons, lats)
+    The generators must be distinct. Returns (polys_km, areas_km2)."""
+    px, py = region.to_km(np.atleast_1d(np.asarray(lons, dtype=float)),
+                          np.atleast_1d(np.asarray(lats, dtype=float)))
     pts = np.column_stack([px, py])
     polys = []
     for i in range(pts.shape[0]):
@@ -396,6 +387,66 @@ def _hawkes_integral(params, c, region, mode):
     else:
         trig = float(np.sum(prod * ti * _ClippedMass(c, region).masses(p.d, p.q)))
     return bg + trig
+
+
+def _ray_segments(origin_xy, ring_km, n_angles: int):
+    """Radii where rays from origin cross the polygon boundary.
+
+    Returns (radii, signs): per crossing, +1 starts an inside run and -1
+    ends one, so the region-clipped mass along each ray is an alternating
+    sum of the radial antiderivative. The origin must lie inside.
+    """
+    ax = ring_km[:, 0]
+    ay = ring_km[:, 1]
+    bx = np.roll(ax, -1)
+    by = np.roll(ay, -1)
+    ex = bx - ax
+    ey = by - ay
+    theta = (np.arange(n_angles) + 0.5) * (2.0 * math.pi / n_angles)
+    ux, uy = np.cos(theta), np.sin(theta)
+    px, py = float(origin_xy[0]), float(origin_xy[1])
+    # solve p + t u = a + s e per (angle, edge)
+    denom = ux[:, None] * ey[None, :] - uy[:, None] * ex[None, :]
+    rx = ax[None, :] - px
+    ry = ay[None, :] - py
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rx * ey[None, :] - ry * ex[None, :]) / denom
+        s = (rx * uy[:, None] - ry * ux[:, None]) / denom
+    valid = (np.abs(denom) > 1e-300) & (t > 0) & (s >= 0.0) & (s < 1.0)
+    radii, signs = [], []
+    for k in range(n_angles):
+        tk = np.sort(t[k][valid[k]])
+        if tk.size == 0:
+            continue
+        # the origin is inside, so crossings alternate exit, entry, exit, ...
+        sg = np.where(np.arange(tk.size) % 2 == 0, 1.0, -1.0)
+        radii.append(tk)
+        signs.append(sg)
+    if not radii:
+        return np.array([]), np.array([])
+    return np.concatenate(radii), np.concatenate(signs)
+
+
+def sorted_ray_masses(c, region, d, q, n_angles=720):
+    """Reference for intensity._ClippedMass.masses on events inside the
+    region: each event's rays cut one at a time, their crossings sorted by
+    radius and signed +1, -1, +1, ... from the first, the wedge integral
+    out to each crossing summed with those signs."""
+    x, y = region.to_km(c.lons, c.lats)
+    ev, radii, signs = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)]
+    for i in range(c.n):
+        r, sg = _ray_segments((x[i], y[i]), region.ring_km, n_angles)
+        ev.append(np.full(r.size, i))
+        radii.append(r)
+        signs.append(sg)
+    ev, radii, signs = map(np.concatenate, (ev, radii, signs))
+    seg = (d ** (1.0 - q) - (radii ** 2 + d) ** (1.0 - q)) / (2.0 * (q - 1.0))
+    return np.bincount(ev, weights=signs * seg, minlength=c.n) * (2.0 * math.pi / n_angles)
+
+
+@pytest.fixture(scope="session")
+def clipped_mass_oracle():
+    return sorted_ray_masses
 
 
 @pytest.fixture(scope="session")

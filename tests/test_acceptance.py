@@ -26,7 +26,7 @@ from eqassess.intensity import (GridIntensity, HawkesIntensity, HawkesParams,
                                 fit_mle, hawkes_objective, hawkes_pack,
                                 log_likelihood)
 from eqassess.residuals import (deviance_residuals, homogeneity_test,
-                                lattice_extrema, rescale_times, super_thin,
+                                rescale_times, super_thin,
                                 superpose_residuals, thin_residuals,
                                 voronoi_tessellation)
 from eqassess.rng import RngStream
@@ -247,7 +247,7 @@ def test_criterion_05_super_thinning_extremes(report):
                         np.asarray([30.0, 15.0, 22.5, 7.5]), 1.0)
     model = GridIntensity(f)
     region = Region.rectangle(0.0, 1.0, 0.0, 1.0)
-    lo, hi = lattice_extrema(model, region, 1.0)
+    lo, hi = model.bounds(region, 1.0)
 
     n_rep = 1000
     d_thin, d_sup = [], []

@@ -276,7 +276,7 @@ def test_jobs_must_be_positive(paths):
 @pytest.mark.parametrize("argv, flag, value", [
     (["residuals", "--kind", "voronoi", "--params", "{params}"], "--n-grid", "0"),
     (["residuals", "--kind", "voronoi", "--params", "{params}"], "--n-grid", "-3"),
-    (["errordiag", "--forecast", "{forecast}", "--window", "10"], "--n-grid", "0"),
+    (["errordiag", "--params", "{params}"], "--n-grid", "0"),
     (["kfn", "--forecast", "{forecast}", "--window", "10", "--envelope"], "--n-sim", "0"),
     (["kfn", "--forecast", "{forecast}", "--window", "10", "--envelope"], "--n-sim", "-2"),
     (["fit", "--family", "homogeneous"], "--max-iter", "0"),
@@ -333,8 +333,54 @@ def test_window_without_forecast_is_usage_error(paths, capsys, command):
     rc = main([command, "--catalog", paths["catalog"], "--region", paths["region"],
                "--params", paths["params"], "--window", "5", "--out", str(out)])
     assert rc == 2
-    assert "--window applies only to --forecast" in capsys.readouterr().err
+    assert f"{command} --params does not read --window" in capsys.readouterr().err
     assert not out.exists()
+
+
+CAT_REGION = ["--catalog", "{catalog}", "--region", "{region}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["residuals", "--kind", "superthin", *CAT_REGION, "--params", "{params}", "--window", "5",
+      "--n-grid", "7", "--forecast-b", "nofile.csv"],
+     "residuals --kind superthin does not read --forecast-b, --n-grid, --window"),
+    (["kfn", *CAT_REGION, "--params", "{params}", "--n-sim", "5"],
+     "kfn --params does not read --n-sim"),
+    (["simulate", "--kind", "grid", "--forecast", "{forecast}", "--rate", "5", "--gr-b", "2",
+      "--region", "nofile.csv"], "simulate --kind grid does not read --gr-b, --rate, --region"),
+    (["errordiag", *CAT_REGION, "--forecast", "{forecast}", "--n-grid", "7"],
+     "errordiag --forecast does not read --n-grid"),
+])
+def test_option_its_kind_does_not_read_is_usage_error(paths, capsys, argv, message):
+    # each run would ignore the option and still echo it in manifest.txt
+    out = paths["dir"] / "x"
+    rc = main([a.format(**paths) for a in argv] + ["--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kfn", *CAT_REGION, "--params", "{params}", "--forecast", "{forecast}"],
+     "kfn takes one of --params, --params --envelope, --forecast, --forecast --envelope; "
+     "got --params --forecast"),
+    (["errordiag", *CAT_REGION], "errordiag takes one of --params, --forecast; got none"),
+    (["residuals", "--kind", "bogus", *CAT_REGION], "residuals takes one of --kind thin, "),
+])
+def test_run_of_no_listed_kind_is_usage_error(paths, capsys, argv, message):
+    out = paths["dir"] / "x"
+    rc = main([a.format(**paths) for a in argv] + ["--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_option_its_kind_does_not_read_is_usage_error(paths, capsys):
+    cfgfile = paths["dir"] / "run.cfg"
+    cfgfile.write_text(f"kind = grid\nforecast = {paths['forecast']}\nmag = 4.5\n")
+    rc = main(["simulate", "--config", str(cfgfile), "--out", str(paths["dir"] / "x")])
+    assert rc == 2
+    assert "simulate --kind grid does not read --mag" in capsys.readouterr().err
 
 
 def test_malformed_catalog_is_data_error(paths):
@@ -454,16 +500,21 @@ def test_residuals_superpose_refusal_names_bound_and_count(paths, capsys):
     assert "Poisson(C)" in err and "--kind superthin" in err
 
 
-def test_tessellate_refuses_too_many_coincident_generators(paths, capsys):
-    n = 1001
-    cat = Catalog(np.linspace(0.0, 9.0, n), np.full(n, 0.5), np.full(n, 0.5),
-                  np.full(n, 4.5), window_days=10.0, m0=4.0)
+def test_tessellate_writes_one_cell_per_distinct_epicentre(paths, capsys):
+    n = 1003
+    lons, lats = np.full(n, 0.5), np.full(n, 0.5)
+    lons[[10, 500]], lats[[10, 500]] = [0.2, 0.8], [0.3, 0.9]
+    cat = Catalog(np.linspace(0.0, 9.0, n), lons, lats, np.full(n, 4.5),
+                  window_days=10.0, m0=4.0)
     catalog = paths["dir"] / "stack.csv"
     catalog.write_text(serialize_catalog(cat))
+    out = paths["dir"] / "tess"
     rc = main(["tessellate", "--catalog", str(catalog), "--region", paths["region"],
-               "--out", str(paths["dir"] / "tess")])
-    assert rc == 3
-    assert "more than 1000 coincident generators" in capsys.readouterr().err
+               "--out", str(out)])
+    assert rc == 0
+    assert "tessellate: cells=3 " in capsys.readouterr().out
+    rows = _read_bytes(out, "areas.csv").decode().splitlines()[2:]
+    assert [r.split(",")[1:3] for r in rows] == [["0.5", "0.5"], ["0.2", "0.3"], ["0.8", "0.9"]]
 
 
 def test_residuals_pixel_artifacts(paths):
@@ -629,7 +680,7 @@ def _command_argv(paths, command):
         "kfn": ["kfn", "--catalog", p["catalog"], "--region", p["region"],
                 "--params", p["params"]],
         "errordiag": ["errordiag", "--catalog", p["catalog"], "--region", p["region"],
-                      "--forecast", p["forecast"], "--window", "10", "--n-grid", "20"],
+                      "--forecast", p["forecast"], "--window", "10"],
         "tessellate": ["tessellate", "--catalog", p["catalog"], "--region", p["region"]],
     }[command]
 
@@ -670,7 +721,7 @@ ResidualPointSet RngStream TestResult VoronoiTessellation bin_counts branching_r
 catalog_log_likelihood cell_residuals_to_csv cell_residuals_to_geojson central_gradient
 deviance_residuals empty_catalog error_diagram error_diagram_to_csv expected_total
 filter_catalog fit_mle gutenberg_richter_magnitudes
-homogeneity_test joint_log_likelihood k_curve_to_csv km_distance l_test lattice_extrema
+homogeneity_test joint_log_likelihood k_curve_to_csv km_distance l_test
 log_likelihood m_test marginal_magnitude marginal_space mean_branching_ratio
 mean_gr_magnitude n_test paradox_fixture parse_catalog parse_forecast
 parse_hawkes_params parse_region pixel_residuals pmap poisson_log_pmf r_test

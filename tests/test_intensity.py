@@ -12,7 +12,7 @@ from eqassess import (BinGrid, Catalog, GriddedForecast, GridIntensity, HawkesIn
                       parse_hawkes_params, radial_trigger_cdf, serialize_hawkes_params,
                       simulate_hawkes, simulate_homogeneous, temporal_trigger_cdf)
 from eqassess import intensity
-from eqassess.catalog import km_distance2
+from eqassess.catalog import km_distance2, region_lattice
 from eqassess.intensity import (hawkes_objective, hawkes_pack, hawkes_score,
                                 hawkes_unpack, spatial_mass, temporal_mass)
 
@@ -528,6 +528,47 @@ class TestLogLikelihood:
         want = np.sum(np.log(m.rate_at(cat.lons, cat.lats, cat.times))) \
             - m.compensator(unit_region, 10.0, mode=mode)
         assert log_likelihood(m, cat, unit_region, mode) == pytest.approx(want, rel=1e-12)
+
+
+class TestClippedMass:
+    """_ClippedMass against the per-event, per-angle sorted crossings it
+    replaced (clipped_mass_oracle), which holds for events inside the
+    region, with chunks of 7 events so that chunk edges are crossed."""
+
+    L_SHAPE = Region([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+
+    @pytest.mark.parametrize("region", [Region.rectangle(0.0, 1.0, 0.0, 1.0),
+                                        Region.rectangle(10.0, 11.0, 40.0, 41.0)])
+    def test_rectangle_masses_equal_sorted_rays(self, clipped_mass_oracle, monkeypatch,
+                                                region):
+        # each ray leaves a rectangle once, so the sums run in the same order
+        monkeypatch.setattr(intensity, "_CHUNK_ELEMENTS", 7 * 720 * 4)
+        c = simulate_homogeneous(2e-3, region, 10.0, RngStream(3), mag=4.0)
+        clipped = intensity._ClippedMass(c, region)
+        for d, q in [(100.0, 1.5), (2.0, 1.7)]:
+            assert np.array_equal(clipped.masses(d, q), clipped_mass_oracle(c, region, d, q))
+
+    def test_l_shape_masses_match_sorted_rays(self, clipped_mass_oracle, monkeypatch):
+        monkeypatch.setattr(intensity, "_CHUNK_ELEMENTS", 7 * 720 * 6)
+        c = simulate_homogeneous(5e-4, self.L_SHAPE, 10.0, RngStream(3), mag=4.0)
+        assert c.n > 100
+        clipped = intensity._ClippedMass(c, self.L_SHAPE)
+        for d, q in [(100.0, 1.5), (2.0, 1.7)]:
+            np.testing.assert_allclose(clipped.masses(d, q),
+                                       clipped_mass_oracle(c, self.L_SHAPE, d, q),
+                                       rtol=1e-14, atol=0.0)
+
+    def test_event_outside_the_region_matches_a_lattice(self, unit_region):
+        # its rays enter the box before they leave it: the mass is positive
+        c = Catalog(np.array([1.0]), np.array([1.2]), np.array([0.5]), np.array([4.0]),
+                    window_days=2.0, m0=4.0)
+        mass = intensity._ClippedMass(c, unit_region).masses(100.0, 1.5)[0]
+        lat = region_lattice(unit_region, 1000)
+        x, y = unit_region.to_km(lat.lons[lat.inside], lat.lats[lat.inside])
+        ex, ey = unit_region.to_km(c.lons, c.lats)
+        lattice = np.sum(((x - ex) ** 2 + (y - ey) ** 2 + 100.0) ** -1.5
+                         * lat.cell_km2[lat.inside])
+        assert mass == pytest.approx(lattice, rel=2e-5)
 
 
 class TestCompensator:
