@@ -22,6 +22,9 @@ from .forecast import (GriddedForecast, expected_total, joint_log_likelihood,
                        scale_to_count, sparse_log_likelihood)
 from .rng import RngStream, pmap
 
+# fewest non-zero differences the W test's normal approximation takes
+_MIN_NONZERO = 10
+
 
 @dataclass(frozen=True)
 class TestResult:
@@ -111,9 +114,13 @@ def l_test(f: GriddedForecast, c: Catalog, rng: RngStream, n_sim: int = 1000,
     return TestResult("l", obs, gamma, n_sim, decision, level, sim_statistics=sims)
 
 
-def _conditional_marginal_test(name: str, marg: GriddedForecast,
-                               marg_counts: np.ndarray, rng: RngStream,
-                               n_sim: int, level: float) -> TestResult:
+def _conditional_marginal_test(name: str, f: GriddedForecast, c: Catalog,
+                               marg: GriddedForecast, index: np.ndarray,
+                               rng: RngStream, n_sim: int, level: float) -> TestResult:
+    """The M or S test: marg is f collapsed by index, the cell of marg
+    that holds each cell of f, and c's counts are binned the same way."""
+    marg_counts = np.bincount(index, weights=bin_counts(c, f.grid).counts,
+                              minlength=marg.rates.size).astype(int)
     n_obs = int(marg_counts.sum())
     if n_obs == 0:
         return TestResult(name, math.nan, math.nan, 0, "not-applicable", level,
@@ -137,22 +144,14 @@ def m_test(f: GriddedForecast, c: Catalog, rng: RngStream, n_sim: int = 1000,
     scored by joint Poisson likelihood; null counts are multinomial
     placements of the same total across bands.
     """
-    counts = bin_counts(c, f.grid).counts
-    band_of = f.grid.band_index()
-    marg_counts = np.bincount(band_of, weights=counts,
-                              minlength=f.grid.mag_bands.shape[0]).astype(int)
-    return _conditional_marginal_test("m", marginal_magnitude(f), marg_counts,
+    return _conditional_marginal_test("m", f, c, marginal_magnitude(f), f.grid.band_index(),
                                       rng, n_sim, level)
 
 
 def s_test(f: GriddedForecast, c: Catalog, rng: RngStream, n_sim: int = 1000,
            level: float = 0.05) -> TestResult:
     """Spatial-distribution test; the space marginal analogue of m_test."""
-    counts = bin_counts(c, f.grid).counts
-    space_of = f.grid.space_index()
-    marg_counts = np.bincount(space_of, weights=counts,
-                              minlength=f.grid.space_boxes.shape[0]).astype(int)
-    return _conditional_marginal_test("s", marginal_space(f), marg_counts,
+    return _conditional_marginal_test("s", f, c, marginal_space(f), f.grid.space_index(),
                                       rng, n_sim, level)
 
 
@@ -269,11 +268,11 @@ def wilcoxon_signed_rank(x: np.ndarray):
 
 
 def w_test_pairwise(fa: GriddedForecast, fb: GriddedForecast, c: Catalog,
-                    level: float = 0.05, min_nonzero: int = 10) -> PairwiseResult:
+                    level: float = 0.05) -> PairwiseResult:
     """Wilcoxon signed-rank test on per-bin log-likelihood differences.
 
-    Needs at least min_nonzero non-zero finite differences for the normal
-    approximation; below that the result is not-applicable.
+    Needs at least _MIN_NONZERO (10) non-zero finite differences for the
+    normal approximation; below that the result is not-applicable.
     """
     if fa.grid != fb.grid:
         raise ValueError("w_test_pairwise needs both forecasts on the same grid")
@@ -281,10 +280,10 @@ def w_test_pairwise(fa: GriddedForecast, fb: GriddedForecast, c: Catalog,
     x = poisson_log_pmf(counts, fa.rates) - poisson_log_pmf(counts, fb.rates)
     x = x[np.isfinite(x)]
     nz = x[x != 0.0]
-    if nz.size < min_nonzero:
+    if nz.size < _MIN_NONZERO:
         return PairwiseResult("w", math.nan, math.nan, "not-applicable",
                               "not-applicable", level, n_used=int(nz.size),
-                              note=f"fewer than {min_nonzero} non-zero differences")
+                              note=f"fewer than {_MIN_NONZERO} non-zero differences")
     w, p, n_used = wilcoxon_signed_rank(x)
     mean = n_used * (n_used + 1) / 4.0
     direction = "A" if w > mean else ("B" if w < mean else "tie")

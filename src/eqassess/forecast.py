@@ -106,29 +106,34 @@ def scale_to_count(f: GriddedForecast, n: int) -> GriddedForecast:
     return GriddedForecast(f.grid, f.rates * (n / total), f.window_days)
 
 
+def _collapse(f: GriddedForecast, name: str, index: np.ndarray, kept: np.ndarray,
+              columns: slice) -> GriddedForecast:
+    """Sum the rates by index into one cell per row of kept, the boxes'
+    kept columns; the other columns span the hull of all cells. The
+    collapsed grid is built once per parent grid, cached under name."""
+    rates = np.zeros(kept.shape[0])
+    np.add.at(rates, index, f.rates)
+
+    def build():
+        b = f.grid.boxes
+        hull = np.ravel([b[:, 0::2].min(axis=0), b[:, 1::2].max(axis=0)], order="F")
+        boxes = np.tile(hull, (kept.shape[0], 1))
+        boxes[:, columns] = kept
+        return BinGrid(boxes)
+
+    return GriddedForecast(f.grid._cached(name, build), rates, f.window_days)
+
+
 def marginal_magnitude(f: GriddedForecast) -> GriddedForecast:
-    """Collapse space: one cell per magnitude band spanning the spatial hull.
-    The collapsed grid is built once per parent grid."""
-    bands = f.grid.mag_bands
-    rates = np.zeros(bands.shape[0])
-    np.add.at(rates, f.grid.band_index(), f.rates)
-    b = f.grid.boxes
-    hull = [b[:, 0].min(), b[:, 1].max(), b[:, 2].min(), b[:, 3].max()]
-    grid = f.grid._cached("_magnitude_marginal", lambda: BinGrid(
-        np.column_stack([np.tile(hull, (bands.shape[0], 1)), bands])))
-    return GriddedForecast(grid, rates, f.window_days)
+    """Collapse space: one cell per magnitude band spanning the spatial hull."""
+    return _collapse(f, "_magnitude_marginal", f.grid.band_index(), f.grid.mag_bands,
+                     slice(4, 6))
 
 
 def marginal_space(f: GriddedForecast) -> GriddedForecast:
-    """Collapse magnitude: one cell per spatial box spanning all bands.
-    The collapsed grid is built once per parent grid."""
-    space = f.grid.space_boxes
-    rates = np.zeros(space.shape[0])
-    np.add.at(rates, f.grid.space_index(), f.rates)
-    mags = [f.grid.boxes[:, 4].min(), f.grid.boxes[:, 5].max()]
-    grid = f.grid._cached("_space_marginal", lambda: BinGrid(
-        np.column_stack([space, np.tile(mags, (space.shape[0], 1))])))
-    return GriddedForecast(grid, rates, f.window_days)
+    """Collapse magnitude: one cell per spatial box spanning all bands."""
+    return _collapse(f, "_space_marginal", f.grid.space_index(), f.grid.space_boxes,
+                     slice(0, 4))
 
 
 def poisson_log_pmf(counts, rates) -> np.ndarray:

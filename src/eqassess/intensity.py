@@ -43,6 +43,8 @@ _ROW_ALIGN = 64
 # 2 MB per-core L2 cache, against 2.34-2.52 ms at 4096 and 2.15-2.27 ms at
 # 16384 (interleaved, single-threaded x86-64 OpenBLAS)
 _GRAM_PAIRS = 8192
+# rays per event in the region-clipped kernel masses of _ClippedMass
+_N_ANGLES = 720
 
 
 def _row_spans(n_rows: int, n_cols: int):
@@ -359,8 +361,8 @@ class _ClippedMass:
     """Per-event integral of (r^2+d)^-q over the region, r the distance
     from the event.
 
-    n_angles rays leave each event, one through the middle of each wedge of
-    2*pi/n_angles. Along a ray the integral is a signed sum over its
+    _N_ANGLES (720) rays leave each event, one through the middle of each
+    wedge of 2*pi/_N_ANGLES. Along a ray the integral is a signed sum over its
     boundary crossings of the wedge integral out to the crossing: + where
     the ray leaves the region, - where it enters, as the sign of the ray x
     edge cross product times the ring's orientation says. So an event
@@ -369,17 +371,17 @@ class _ClippedMass:
     of at most _CHUNK_ELEMENTS; any (d, q) is then exact in radius.
     """
 
-    def __init__(self, c: Catalog, region: Region, n_angles: int = 720):
+    def __init__(self, c: Catalog, region: Region):
         x, y = region.to_km(c.lons, c.lats)
         ax, ay = region.ring_km[:, 0], region.ring_km[:, 1]
         ex, ey = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
-        theta = (np.arange(n_angles) + 0.5) * (2.0 * math.pi / n_angles)
+        theta = (np.arange(_N_ANGLES) + 0.5) * (2.0 * math.pi / _N_ANGLES)
         ux, uy = np.cos(theta)[:, None], np.sin(theta)[:, None]
         # solve p + t u = a + s e per (event, angle, edge)
         denom = ux * ey - uy * ex
         crosses = np.abs(denom) > 1e-300
         sign = np.where(denom * np.sum(ax * ey - ay * ex) > 0, 1.0, -1.0)
-        self.n_angles, self.n_events = n_angles, c.n
+        self.n_events = c.n
         ev, radii, signs = [np.zeros(0, dtype=np.intp)], [np.zeros(0)], [np.zeros(0)]
         step = max(1, _CHUNK_ELEMENTS // denom.size)
         for lo in range(0, c.n, step):
@@ -394,9 +396,9 @@ class _ClippedMass:
         self.ev, self.radii, self.signs = map(np.concatenate, (ev, radii, signs))
 
     def _per_event(self, wedge: np.ndarray) -> np.ndarray:
-        # each of n_angles wedges spans 2*pi/n_angles of arc
+        # each of _N_ANGLES wedges spans 2*pi/_N_ANGLES of arc
         return np.bincount(self.ev, weights=self.signs * wedge,
-                           minlength=self.n_events) * (2.0 * math.pi / self.n_angles)
+                           minlength=self.n_events) * (2.0 * math.pi / _N_ANGLES)
 
     def masses(self, d: float, q: float) -> np.ndarray:
         # wedge integral 0..R of r (r^2+d)^-q dr = (d^(1-q) - (R^2+d)^(1-q)) / (2(q-1))
@@ -834,7 +836,7 @@ def minimize(score: Callable, theta0, gtol: float, max_iter: int) -> Minimum:
         nit += 1
 
 
-def fit_mle(family: str, c: Catalog, region: Region, init,
+def fit_mle(family: str, c: Catalog, region: Region, init=None,
             mode: str = "approx", gtol: float = 1e-6,
             max_iter: int = 500, restarts: int = 0,
             rng: RngStream | None = None) -> FitResult:
@@ -842,12 +844,20 @@ def fit_mle(family: str, c: Catalog, region: Region, init,
     Hessian (minimize) in transformed space.
 
     family is "homogeneous" (init: rate) or "hawkes" (init: HawkesParams;
-    the magnitude floor is taken from init and held fixed). Convergence is
+    the magnitude floor is taken from init and held fixed). Without init
+    the start is the catalog's mean rate n/(|A| T) (n and T floored at 1
+    and 1e-12), or for Hawkes mu at half that with k=0.05, c=0.01, p=1.3,
+    a=1, d=1, q=1.5 and the catalog's m0. Convergence is
     declared when the analytic gradient's max-norm drops below gtol,
     up to max_iter Newton iterations. restarts > 0 adds that many jittered
     starts (multiplicative log-normal, sigma 0.1) and keeps the best
     optimum, whose Hessian is the fit's observed information.
     """
+    if init is None:
+        at = region.area_km2 * max(c.window_days, 1e-12)
+        init = (max(c.n, 1) / at if family == "homogeneous" else
+                HawkesParams(mu=0.5 * max(c.n, 1) / at, k=0.05, c=0.01,
+                             p=1.3, a=1.0, d=1.0, q=1.5, m0=c.m0))
     if family == "homogeneous":
         rate0 = init.rate if isinstance(init, HomogeneousIntensity) else float(init)
         if rate0 <= 0:

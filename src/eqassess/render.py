@@ -18,6 +18,7 @@ if TYPE_CHECKING:  # annotations only: rendering needs no summaries code
 
 _W, _H = 640, 480
 _PAD = 52
+_HIST_BINS = 30
 # the plot area's outline
 _FRAME = (f'<rect x="{_PAD}" y="{_PAD}" width="{_W - 2 * _PAD}" '
           f'height="{_H - 2 * _PAD}" fill="none" stroke="black"/>\n')
@@ -215,9 +216,9 @@ def render_k_curve(curve: KFunctionCurve, title: str = "") -> str:
     return "".join(out)
 
 
-def render_histogram(sim_statistics, observed: float, title: str = "",
-                     n_bins: int = 30) -> str:
-    """Histogram of simulated statistics with the observed value marked.
+def render_histogram(sim_statistics, observed: float, title: str = "") -> str:
+    """Histogram of simulated statistics, in _HIST_BINS (30) bins, with the
+    observed value marked.
 
     A non-finite observed value is pinned to the nearest edge and labeled
     with its actual value so the marker stays on-canvas.
@@ -230,13 +231,13 @@ def render_histogram(sim_statistics, observed: float, title: str = "",
     if math.isfinite(observed):
         lo, hi = min(lo, observed), max(hi, observed)
     pad = 0.05 * (hi - lo)
-    edges = np.linspace(lo - pad, hi + pad, n_bins + 1)
-    # an empty range, or one too narrow for n_bins distinct finite bins
+    edges = np.linspace(lo - pad, hi + pad, _HIST_BINS + 1)
+    # an empty range, or one too narrow for _HIST_BINS distinct finite bins
     if not np.all(edges[1:] > edges[:-1]):
         lo, hi = lo - 0.5, hi + 0.5
         pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
-    counts, edges = np.histogram(sims, bins=n_bins, range=(lo, hi))
+    counts, edges = np.histogram(sims, bins=_HIST_BINS, range=(lo, hi))
     c_max = int(counts.max()) or 1
 
     marker = observed

@@ -124,8 +124,7 @@ def simulate_inhomogeneous(model, bound: float, region: Region, t_max: float,
 
 
 def simulate_hawkes(params: HawkesParams, region: Region, t_max: float,
-                    rng: RngStream, gr_b: float = 1.0, mag_span: float = 4.0,
-                    max_events: int = MAX_CASCADE) -> Catalog:
+                    rng: RngStream, gr_b: float = 1.0, mag_span: float = 4.0) -> Catalog:
     """Branching-construction Hawkes catalog over region x [0, t_max].
 
     Background events (constant rate mu, uniform over the region) get
@@ -133,7 +132,7 @@ def simulate_hawkes(params: HawkesParams, region: Region, t_max: float,
     Poisson(branching_ratio(M) x window-truncation) direct offspring with
     power-law temporal lags and radial offsets. Parents outside the region
     still spawn; the final catalog is clipped to the region. Supercritical
-    parameters or an expected cascade beyond max_events raise.
+    parameters or an expected cascade beyond MAX_CASCADE events raise.
     """
     mean_mag = mean_gr_magnitude(params.m0, gr_b, mag_span)
     if branching_ratio(params, mean_mag) >= 1.0:
@@ -141,7 +140,7 @@ def simulate_hawkes(params: HawkesParams, region: Region, t_max: float,
                          "mean magnitude is >= 1")
     nbar = mean_branching_ratio(params, gr_b, mag_span)
     bg_mean = float(HomogeneousIntensity(params.mu).compensator(region, t_max))
-    if nbar >= 1.0 or bg_mean / (1.0 - nbar) > max_events:
+    if nbar >= 1.0 or bg_mean / (1.0 - nbar) > MAX_CASCADE:
         raise ValueError("expected cascade size exceeds the event cap")
 
     p = params
@@ -169,7 +168,7 @@ def simulate_hawkes(params: HawkesParams, region: Region, t_max: float,
         if nt == 0:
             break
         total += nt
-        if total > max_events:
+        if total > MAX_CASCADE:
             raise ValueError("cascade exceeded the event cap")
         rep = np.repeat(np.arange(par_t.size), counts)
         # lag from the window-truncated (t+c)^-p law, inverse CDF

@@ -23,6 +23,8 @@ from .simulate import simulate_homogeneous
 # simulated points a K envelope evaluates in one model call: 39 catalogs of
 # 450 events take one call, and --n-sim 999 on a large catalog stays bounded
 _ENVELOPE_POINTS = 1 << 15
+# most thresholds an error diagram keeps, its two end points included
+_N_THRESHOLDS = 512
 
 
 @dataclass(frozen=True)
@@ -146,13 +148,13 @@ class ErrorDiagram:
         return float(np.trapezoid(self.miss_fractions, self.alarm_fractions))
 
 
-def _diagram_from_values(values, measure, event_values, n_thresholds):
+def _diagram_from_values(values, measure, event_values):
     total = float(measure.sum())
     if total <= 0:
         raise ValueError("alarm surface has zero total measure")
     uniq = np.unique(values)
-    if uniq.size > n_thresholds - 2:
-        take = np.linspace(0, uniq.size - 1, n_thresholds - 2).round().astype(int)
+    if uniq.size > _N_THRESHOLDS - 2:
+        take = np.linspace(0, uniq.size - 1, _N_THRESHOLDS - 2).round().astype(int)
         uniq = uniq[np.unique(take)]
     sup = float(uniq[-1]) if uniq.size else 0.0
     above = sup * 2.0 if sup > 0 else 1.0
@@ -172,7 +174,7 @@ def _diagram_from_values(values, measure, event_values, n_thresholds):
 
 
 def error_diagram(model_or_forecast, c: Catalog, region: Region,
-                  n_grid: int = 200, n_thresholds: int = 512) -> ErrorDiagram:
+                  n_grid: int = 200) -> ErrorDiagram:
     """Error diagram of a rate surface against observed epicenters.
 
     The surface is a forecast's cell densities, or a model's rate averaged
@@ -182,8 +184,9 @@ def error_diagram(model_or_forecast, c: Catalog, region: Region,
     miss fraction is the share of events outside the alarm. Each event
     scores the value of the cell holding it; events in no cell, or in
     zero-rate cells, count as value 0 and are missed by every positive
-    threshold. The diagram is invariant to positive rescaling of the
-    surface.
+    threshold. The thresholds are the distinct values, evenly subsampled
+    to at most _N_THRESHOLDS (512) with one above them all and 0. The
+    diagram is invariant to positive rescaling of the surface.
     """
     if isinstance(model_or_forecast, GriddedForecast):
         marg = marginal_space(model_or_forecast)
@@ -204,7 +207,7 @@ def error_diagram(model_or_forecast, c: Catalog, region: Region,
                   & (c.lats >= lat_min) & (c.lats <= lat_max))
         cell = np.where(in_box & lat.inside[flat], number[flat], -1)
     ev = np.where(cell >= 0, values[cell], 0.0)
-    thresh, alarm, miss = _diagram_from_values(values, measure, ev, n_thresholds)
+    thresh, alarm, miss = _diagram_from_values(values, measure, ev)
     return ErrorDiagram(thresh, alarm, miss, c.n)
 
 

@@ -392,6 +392,17 @@ def test_malformed_catalog_is_data_error(paths):
     assert rc == 3
 
 
+def test_grid_rate_the_sampler_rejects_is_data_error(paths, capsys):
+    huge = paths["dir"] / "huge.csv"
+    huge.write_text("lon_min,lon_max,lat_min,lat_max,mag_min,mag_max,rate,mask\n"
+                    "0,1,0,1,4,5,1e30,1\n")
+    out = paths["dir"] / "x"
+    rc = main(["simulate", "--kind", "grid", "--forecast", str(huge), "--out", str(out)])
+    assert rc == 3
+    assert "error: lam value too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_params_family_is_data_error(paths):
     bad = paths["dir"] / "bad_params.txt"
     bad.write_text("# family = sparkle\nmu = 1.0\n")
@@ -610,6 +621,18 @@ def test_fit_takes_no_n_grid(paths):
                "--region", paths["region"], "--n-grid", "50",
                "--out", str(paths["dir"] / "fit")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--init", "nofile.txt"), ("--mode", "quadrature")])
+def test_fit_homogeneous_takes_no_hawkes_option(paths, capsys, flag, value):
+    # the homogeneous fit has its own start and no mode: the option would
+    # change nothing and still be echoed in manifest.txt
+    out = paths["dir"] / "fit"
+    rc = main(["fit", "--family", "homogeneous", "--catalog", paths["catalog"],
+               "--region", paths["region"], flag, value, "--out", str(out)])
+    assert rc == 2
+    assert f"fit --family homogeneous does not read {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parser_shared_across_calls_answers_as_fresh_processes(paths, capsys):

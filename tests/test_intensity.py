@@ -14,7 +14,7 @@ from eqassess import (BinGrid, Catalog, GriddedForecast, GridIntensity, HawkesIn
 from eqassess import intensity
 from eqassess.catalog import km_distance2, region_lattice
 from eqassess.intensity import (hawkes_objective, hawkes_pack, hawkes_score,
-                                hawkes_unpack, spatial_mass, temporal_mass)
+                                hawkes_unpack, serialize_fit, spatial_mass, temporal_mass)
 
 KM_PER_DEG = 111.32
 
@@ -656,6 +656,18 @@ class TestFitMle:
         with pytest.raises(ValueError, match="RngStream"):
             fit_mle("homogeneous", small_catalog, unit_region, init=1e-4,
                     restarts=2)
+
+    @pytest.mark.parametrize("family", ["homogeneous", "hawkes"])
+    def test_default_start_is_the_catalog_mean_rate(self, unit_region, small_catalog, family):
+        c = small_catalog
+        at = unit_region.area_km2 * max(c.window_days, 1e-12)
+        start = (max(c.n, 1) / at if family == "homogeneous" else
+                 HawkesParams(mu=0.5 * max(c.n, 1) / at, k=0.05, c=0.01, p=1.3, a=1.0,
+                              d=1.0, q=1.5, m0=c.m0))
+        got, want = (fit_mle(family, c, unit_region, init, max_iter=30)
+                     for init in (None, start))
+        assert serialize_fit(got) == serialize_fit(want)
+        assert np.array_equal(got.information, want.information)
 
     def test_unknown_family(self, unit_region, small_catalog):
         with pytest.raises(ValueError, match="family"):
