@@ -392,14 +392,21 @@ def test_malformed_catalog_is_data_error(paths):
     assert rc == 3
 
 
-def test_grid_rate_the_sampler_rejects_is_data_error(paths, capsys):
-    huge = paths["dir"] / "huge.csv"
-    huge.write_text("lon_min,lon_max,lat_min,lat_max,mag_min,mag_max,rate,mask\n"
-                    "0,1,0,1,4,5,1e30,1\n")
+@pytest.mark.parametrize("data, argv, message", [
+    # a rate numpy's Poisson sampler refuses
+    (b"lon_min,lon_max,lat_min,lat_max,mag_min,mag_max,rate,mask\n0,1,0,1,4,5,1e30,1\n",
+     ["simulate", "--kind", "grid", "--forecast", "{file}"], "error: lam value too large"),
+    (b"time,lon,lat,mag\n\xff1,0.5,0.5,4.0\n",
+     ["tessellate", "--catalog", "{file}", "--region", "{region}"],
+     "error: 'utf-8' codec can't decode byte 0xff"),
+], ids=["grid-rate-too-large", "catalog-not-utf8"])
+def test_any_value_error_of_a_command_is_data_error(paths, capsys, data, argv, message):
+    bad = paths["dir"] / "input.csv"
+    bad.write_bytes(data)
     out = paths["dir"] / "x"
-    rc = main(["simulate", "--kind", "grid", "--forecast", str(huge), "--out", str(out)])
+    rc = main([a.format(file=bad, **paths) for a in argv] + ["--out", str(out)])
     assert rc == 3
-    assert "error: lam value too large" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
