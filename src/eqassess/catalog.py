@@ -398,32 +398,109 @@ def _poly_areas(xy, sizes) -> np.ndarray:
     return areas
 
 
+def _lon_at(x0, y0, x1, y1, lat):
+    """The lon of each edge (x0, y0) -> (x1, y1) at lat, x1 at its end."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lat == y1, x1, x0 + (lat - y0) * (x1 - x0) / (y1 - y0))
+
+
+def _band_terms(lon_lo, lat_lo, lon_hi, lat_hi, west, east):
+    """The integral of cos(lat) g d(lat), g = clamp(lon - west, 0, east -
+    west), lat in radians, up each straight piece (lon_lo, lat_lo) ->
+    (lon_hi, lat_hi) (degrees, broadcast with the box sides), and the sum of
+    its three terms' magnitudes, the scale of its rounding. Summed over a
+    ring's pieces in a box's band, it is the ring's area in the box by
+    Green's theorem. By parts, it is g(hi) sin(hi) - g(lo) sin(lo) less
+    (g(hi) - g(lo)) sin(mid) sinc(half height) over the lats a, b where the
+    lon crosses west and east."""
+    g_lo, g_hi = (np.clip(v - west, 0.0, east - west) for v in (lon_lo, lon_hi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = (np.radians(np.where(lon_hi == lon_lo, lat_lo, np.clip(
+            lat_lo + (side - lon_lo) * (lat_hi - lat_lo) / (lon_hi - lon_lo), lat_lo, lat_hi)))
+            for side in (west, east))
+    lo, hi = np.radians(lat_lo), np.radians(lat_hi)
+    parts = np.stack(np.broadcast_arrays(g_hi * np.sin(hi), g_lo * np.sin(lo), (g_hi - g_lo)
+                                         * np.sin(0.5 * (a + b)) * np.sinc((b - a) / (2 * np.pi))))
+    return parts[0] - parts[1] - parts[2], np.abs(parts).sum(axis=0)
+
+
 def box_areas(region: Region, boxes) -> np.ndarray:
     """Area (km^2) of the region inside each (lon_min, lon_max, lat_min,
-    lat_max) box, exactly: the region's ring clipped by the box's sides and
-    measured in the cos(latitude)-weighted km^2 of cell_area_km2 by Green's
-    theorem, d(lon) sin(mean lat) sinc(d(lat) / 2) per edge. Clipped vertices
-    within rounding of a side sit on it, and a sum within rounding of 0 is 0:
-    a box that meets the region only along its border has area 0."""
-    v, eps = region.vertices, np.finfo(float).eps
-    b = np.asarray(boxes, dtype=float).reshape(-1, 1, 4)
-    out, step = [], max(1, (_CHUNK_ELEMENTS >> 4) // len(v))
-    for bb in np.split(b, np.arange(step, len(b), step)):
-        k, tol = len(bb), 4 * eps * np.abs(v).max()
-        xy, counts = np.broadcast_to(v, (k,) + v.shape), np.full(k, len(v))
-        for side in range(4):
-            xy, counts = _clip_rings(xy, counts, np.eye(2)[[side // 2] * k], bb[:, 0, side],
-                                     np.full(k, side % 2 == 1))
-        low, high = bb[..., 0::2], bb[..., 1::2]
-        xy = np.select([xy < low + tol, xy > high - tol], [low, high], xy)
-        slot = np.arange(xy.shape[1])
-        nxt = np.where(slot < counts[:, None], (slot + 1) % np.maximum(counts, 1)[:, None], slot)
-        x, ph = xy[..., 0], np.radians(xy[..., 1])
-        x1, ph1 = np.take_along_axis(x, nxt, 1), np.take_along_axis(ph, nxt, 1)
-        t = (x1 - x) * np.sin(0.5 * (ph + ph1)) * np.sinc((ph1 - ph) / (2.0 * np.pi))
-        s = np.abs(t.sum(axis=1))
-        out.append(np.where(s > 8 * slot.size * eps * np.abs(t).sum(axis=1), s, 0.0))
+    lat_max) box, exactly: the cos(latitude)-weighted km^2 of cell_area_km2,
+    the sum of the _band_terms of the part of each edge in the box's band,
+    with no clipping. A sum within 8 eps of its terms' magnitudes is 0: a
+    box that meets the region only along its border has area 0."""
+    (x0, y0), (x1, y1) = region.vertices.T, np.roll(region.vertices, -1, axis=0).T
+    b = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    out, step = [], max(1, (_CHUNK_ELEMENTS >> 4) // x0.size)
+    for west, east, south, north in (bb.T[:, :, None] for bb in
+                                     np.split(b, np.arange(step, len(b), step))):
+        lo, hi = (np.clip(y, south, north) for y in (np.minimum(y0, y1), np.maximum(y0, y1)))
+        with np.errstate(invalid="ignore"):  # an edge that misses the band has no lon there
+            terms, scale = _band_terms(_lon_at(x0, y0, x1, y1, lo), lo,
+                                       _lon_at(x0, y0, x1, y1, hi), hi, west, east)
+        crosses = hi > lo
+        area = np.abs(np.where(crosses, np.sign(y1 - y0) * terms, 0.0).sum(axis=1))
+        scale = np.where(crosses, scale, 0.0).sum(axis=1)
+        out.append(np.where(area > 8 * np.finfo(float).eps * scale, area, 0.0))
     return KM_PER_DEG ** 2 * (180.0 / np.pi) * np.concatenate(out)
+
+
+def _lattice_areas(rings, region: Region, n: int):
+    """(ring, cell, area) of each positive area (km^2) of a lon/lat ring in a
+    box of the n x n lattice over the region's bounding box, in (ring, cell)
+    order, cells numbered iy * n + ix as in box_lattice_index; and the box
+    centres (lons, lats). Edges are cut at the lattice's parallels. A piece
+    adds its _band_terms to each box its lon range meets, and its band
+    integral times the box width to each box of its row west of those, by
+    a running sum per (ring, row). Areas are 0 within rounding, as in
+    box_areas."""
+    lon_min, lon_max, lat_min, lat_max = region.bbox
+    xs, ys = np.linspace(lon_min, lon_max, n + 1), np.linspace(lat_min, lat_max, n + 1)
+    centres = [g.ravel() for g in np.meshgrid(*(lo + (hi - lo) / n * (np.arange(n) + 0.5) for lo, hi
+                                                in ((lon_min, lon_max), (lat_min, lat_max))))]
+    xy, sizes = _stack_rings(rings)
+    nxt, ends = np.arange(1, len(xy) + 1), np.cumsum(sizes)[sizes > 0]
+    nxt[ends - 1] = ends - sizes[sizes > 0]
+    bottom, top = np.minimum(xy[:, 1], xy[nxt, 1]), np.maximum(xy[:, 1], xy[nxt, 1])
+    r0 = np.maximum(np.searchsorted(ys, bottom, "right") - 1, 0)
+    e, k = _runs(np.maximum(np.minimum(np.searchsorted(ys, top, "left"), n) - r0, 0))
+    key = np.repeat(np.arange(sizes.size), sizes)[e] * n + r0[e] + k
+    order = np.argsort(key, kind="stable")
+    e, key = e[order], key[order]
+    (x0, y0), (x1, y1), row = xy[e].T, xy[nxt[e]].T, key % n
+    lo, hi = np.maximum(bottom[e], ys[row]), np.minimum(top[e], ys[row + 1])
+    lon_lo, lon_hi = _lon_at(x0, y0, x1, y1, lo), _lon_at(x0, y0, x1, y1, hi)
+    c0 = np.searchsorted(xs, np.minimum(lon_lo, lon_hi), "right") - 1
+    c1 = np.minimum(np.searchsorted(xs, np.maximum(lon_lo, lon_hi), "left") - 1, n - 1)
+    # a run of slots per (ring, row) segment: one for each column its
+    # pieces reach, from first, and one more; a column's slot is base + col
+    segs, starts, seg = np.unique(key, return_index=True, return_inverse=True)
+    first = np.minimum.reduceat(np.clip(c0, 0, n - 1), starts)
+    size = np.maximum(np.maximum.reduceat(np.maximum(c1, c0 - 1), starts) - first + 2, 1)
+    stop = np.cumsum(size) - 1
+    base = stop - size + 1 - first
+    p, off = _runs(np.maximum(c1 - np.maximum(c0, 0) + 1, 0))
+    col = np.maximum(c0, 0)[p] + off
+    term, scale = _band_terms(lon_lo[p], lo[p], lon_hi[p], hi[p], xs[col], xs[col + 1])
+    # a piece's band fills each box of its segment west of c0: the running
+    # sum at the segment's last slot less the one at the box's
+    at = base[seg] + np.clip(c0, first[seg], stop[seg] - base[seg])
+    slot_seg = np.repeat(np.arange(segs.size), size)
+    slot_col = np.arange(size.sum()) - base[slot_seg]
+    width = np.append(np.diff(xs), 0.0)[slot_col]
+
+    def total(partial, band):
+        cum = np.cumsum(np.bincount(at, band, minlength=slot_col.size))
+        return np.abs(np.bincount(base[seg[p]] + col, partial, minlength=slot_col.size)
+                      + width * (np.repeat(cum[stop], size) - cum))
+
+    sign, s_lo, s_hi = np.sign(y1 - y0), np.sin(np.radians(lo)), np.sin(np.radians(hi))
+    area = total(sign[p] * term, sign * (s_hi - s_lo))
+    keep = area > 8 * np.finfo(float).eps * total(scale, np.abs(s_lo) + np.abs(s_hi))
+    keep[stop] = False
+    return ((segs // n)[slot_seg[keep]], (segs % n * n)[slot_seg[keep]] + slot_col[keep],
+            KM_PER_DEG ** 2 * (180.0 / np.pi) * area[keep], centres)
 
 
 _FIELD = "\x00"  # marks a field in a _fill_rings template, whose own text never holds it
@@ -514,9 +591,11 @@ def parse_catalog(text: str) -> Catalog:
     The time column is either decimal days or ISO-8601 timestamps; the
     format is detected from the first data row and must be consistent
     within the file. ISO times are converted to days since the earliest
-    timestamp. Optional comment lines (# window_days = …, # m0 = …) carry
-    catalog metadata; without them the window ends at the last event and
-    m0 is the smallest magnitude.
+    timestamp. Rows are read by _read_numeric_csv: a plain decimal file in
+    one pass, anything else by the row loop, whose record function holds
+    the first row's time format. Optional comment lines (# window_days = …,
+    # m0 = …) carry catalog metadata; without them the window ends at the
+    last event and m0 is the smallest magnitude.
     """
     meta = {}
     for raw in io.StringIO(text):
@@ -524,29 +603,25 @@ def parse_catalog(text: str) -> Catalog:
         if body.startswith("#") and "=" in body:
             k, _, val = body[1:].partition("=")
             meta[k.strip()] = val.strip()
-    times, lons, lats, mags = [], [], [], []
     iso_mode = None
-    for i, rec in _csv_records(text, ("time", "lon", "lat", "mag"), "catalog"):
+
+    def record(i: int, rec: list) -> list:
+        nonlocal iso_mode
         t_raw = rec[0].strip()
         if iso_mode is None:
             iso_mode = not _is_float(t_raw)
-        if iso_mode:
-            try:
-                times.append(_parse_iso_days(t_raw))
-            except ValueError:
-                raise ValueError(f"catalog: row {i}: malformed ISO-8601 time {t_raw!r}") from None
-        else:
-            if not _is_float(t_raw):
-                raise ValueError(f"catalog: row {i}: malformed time {t_raw!r}")
-            times.append(float(t_raw))
-        for name, v in (("lon", rec[1]), ("lat", rec[2]), ("mag", rec[3])):
+        try:
+            t = _parse_iso_days(t_raw) if iso_mode else float(t_raw)
+        except ValueError:
+            raise ValueError(f"catalog: row {i}: malformed {'ISO-8601 ' * iso_mode}time "
+                             f"{t_raw!r}") from None
+        for name, v in zip(("lon", "lat", "mag"), rec[1:]):
             if not _is_float(v):
                 raise ValueError(f"catalog: row {i}: malformed {name} {v.strip()!r}")
-        lons.append(float(rec[1]))
-        lats.append(float(rec[2]))
-        mags.append(float(rec[3]))
+        return [t, *map(float, rec[1:])]
 
-    times = np.asarray(times, dtype=float)
+    times, lons, lats, mags = _read_numeric_csv(text, ("time", "lon", "lat", "mag"),
+                                                "catalog", record).T
     if iso_mode and times.size:
         times = times - times.min()
     for key in ("window_days", "m0"):
@@ -559,8 +634,8 @@ def parse_catalog(text: str) -> Catalog:
     if "m0" in meta:
         m0 = float(meta["m0"])
     else:
-        m0 = float(np.min(mags)) if mags else 0.0
-    return Catalog(times, np.asarray(lons), np.asarray(lats), np.asarray(mags), window, m0)
+        m0 = float(mags.min()) if mags.size else 0.0
+    return Catalog(times, lons, lats, mags, window, m0)
 
 
 def serialize_catalog(c: Catalog) -> str:
@@ -871,8 +946,10 @@ class RegionLattice:
     """Midpoint evaluation lattice over a region's bounding box.
 
     Flattened cell centers with an inside-region mask and per-cell km^2
-    areas (latitude-dependent). Shared by the Voronoi residuals' quadrature
-    and the error diagram.
+    areas (latitude-dependent). No command uses it: the error diagram and
+    the Voronoi masses weigh their boxes by exact areas (_lattice_areas).
+    It is kept as the tests' midpoint quadrature oracle and as a target of
+    the benchmark's tracer.
     """
 
     lons: np.ndarray

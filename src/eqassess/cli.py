@@ -361,6 +361,9 @@ def _cmd_residuals(cfg: RunConfig) -> int:
             k = cfg.get("k")
             if k is None:
                 # default level: the catalog's own mean rate
+                if c.window_days == 0:
+                    raise ValueError("catalog window_days = 0 has no mean rate: "
+                                     "superthin needs --k")
                 k = c.n / (region.area_km2 * c.window_days)
             ps = super_thin(c, model, k, region, rng)
         ws.write("points.csv", points_to_csv(ps))

@@ -844,17 +844,19 @@ def fit_mle(family: str, c: Catalog, region: Region, init=None,
     Hessian (minimize) in transformed space.
 
     family is "homogeneous" (init: rate) or "hawkes" (init: HawkesParams;
-    the magnitude floor is taken from init and held fixed). Without init
-    the start is the catalog's mean rate n/(|A| T) (n and T floored at 1
-    and 1e-12), or for Hawkes mu at half that with k=0.05, c=0.01, p=1.3,
-    a=1, d=1, q=1.5 and the catalog's m0. Convergence is
-    declared when the analytic gradient's max-norm drops below gtol,
-    up to max_iter Newton iterations. restarts > 0 adds that many jittered
+    the magnitude floor is taken from init and held fixed). A catalog with
+    a 0-day window is refused. Without init the start is the catalog's
+    mean rate n/(|A| T) (n floored at 1), or for Hawkes mu at half that
+    with k=0.05, c=0.01, p=1.3, a=1, d=1, q=1.5 and the catalog's m0.
+    Convergence is declared when the analytic gradient's max-norm drops
+    below gtol, up to max_iter Newton iterations. restarts > 0 adds that many jittered
     starts (multiplicative log-normal, sigma 0.1) and keeps the best
     optimum, whose Hessian is the fit's observed information.
     """
+    if c.window_days == 0:
+        raise ValueError("catalog window_days = 0 has no exposure to fit")
     if init is None:
-        at = region.area_km2 * max(c.window_days, 1e-12)
+        at = region.area_km2 * c.window_days
         init = (max(c.n, 1) / at if family == "homogeneous" else
                 HawkesParams(mu=0.5 * max(c.n, 1) / at, k=0.05, c=0.01,
                              p=1.3, a=1.0, d=1.0, q=1.5, m0=c.m0))

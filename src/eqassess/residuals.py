@@ -20,8 +20,8 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .catalog import (_FIELD, BinGrid, Catalog, Region, _clip_rings, _distinct_rows,
-                      _fill_rings, _format_distinct, _poly_areas, _stack_rings, bin_counts,
-                      box_areas, box_lattice_index, csv_text, empty_catalog, region_lattice)
+                      _fill_rings, _format_distinct, _lattice_areas, _poly_areas, _stack_rings,
+                      bin_counts, box_areas, box_lattice_index, csv_text, empty_catalog)
 from .forecast import GriddedForecast, poisson_log_pmf
 from .rng import RngStream
 from .simulate import MAX_CASCADE, simulate_inhomogeneous
@@ -394,9 +394,11 @@ def voronoi_tessellation(lons, lats, region: Region) -> VoronoiTessellation:
     neighbour rank a round.
     Three or more generators on one line (_strip_neighbours) are cut by
     their neighbours along it alone: the strips between those bisectors
-    are the exact diagram. The generators are the distinct (lon, lat) rows,
-    in first-appearance order: repeated copies share one cell. A vertex
-    equal to the one before it in its ring is dropped.
+    are the exact diagram, unless rounding could make two of them meet in
+    the region (near-copies), which go the general way. The generators are
+    the distinct (lon, lat) rows, in first-appearance order: repeated
+    copies share one cell. A vertex equal to the one before it in its ring
+    is dropped.
     """
     from scipy.spatial import Delaunay, QhullError, cKDTree  # here: `test` never pays its 0.15 s
     lonlat = np.column_stack([np.atleast_1d(np.asarray(v, dtype=float)) for v in (lons, lats)])
@@ -452,7 +454,9 @@ def _strip_neighbours(pts, ring):
     bisectors stay at least s - 4 delta (delta + R) / s apart across the
     region. Where that is positive (here with a factor 2 to spare for
     rounding), each cell is the strip between its two bisectors, and no
-    other generator cuts it."""
+    other generator cuts it. delta counts, besides the offsets, the
+    rounding of each bisector's normal, a difference of two points: for
+    generators 1e-9 degree apart it tilts the bisectors enough to meet."""
     axis = int(np.argmax(np.ptp(pts, axis=0)))
     a, b = int(np.argmin(pts[:, axis])), int(np.argmax(pts[:, axis]))
     u = pts[b] - pts[a]
@@ -461,7 +465,10 @@ def _strip_neighbours(pts, ring):
         return None
     rel, reach = (pts - pts[a]) / length, (ring - pts[a]) / length
     along = rel[:, 0] * u[0] + rel[:, 1] * u[1]
-    delta = np.abs(rel[:, 0] * u[1] - rel[:, 1] * u[0]).max()
+    # a bisector's normal is a difference of points, which rounding may
+    # move by an ulp of the largest coordinate: count that as an offset
+    delta = np.abs(rel[:, 0] * u[1] - rel[:, 1] * u[0]).max() \
+        + 4.0 * np.finfo(float).eps * np.abs(pts).max() / length
     r = np.abs(reach[:, 0] * u[1] - reach[:, 1] * u[0]).max()
     order = np.argsort(along, kind="stable")
     if np.diff(along[order]).min() ** 2 <= 8.0 * delta * (delta + r):
@@ -490,29 +497,23 @@ def voronoi_residuals(model, c: Catalog, region: Region,
 
     Cells are generated by the distinct catalog epicenters themselves, so
     cell i holds the k_i events at its epicenter (k_i = 1 unless events
-    repeat one); Lambda_i integrates the model's window integral
-    (model.integrate) over the cell by lattice quadrature, owned lattice
-    points decided by nearest generator. Zero-mass cells are flagged.
+    repeat one). Lambda_i is the sum over the boxes b of the n_grid x n_grid
+    lattice over the region's bounding box of the model's window integral
+    (model.integrate) at b's centre times the exact area of cell i in b
+    (catalog._lattice_areas). Zero-mass cells are flagged.
     """
-    from scipy.spatial import cKDTree  # loaded on first use, as in voronoi_tessellation
     if c.n == 0:
         raise ValueError("voronoi residuals need at least one event")
     tess = voronoi_tessellation(c.lons, c.lats, region)
-    lat = region_lattice(region, n_grid)
-    lons = lat.lons[lat.inside]
-    lats = lat.lats[lat.inside]
-    da = lat.cell_km2[lat.inside]
-    gx, gy = region.to_km(tess.gen_lons, tess.gen_lats)
-    qx, qy = region.to_km(lons, lats)
-    tree = cKDTree(np.column_stack([gx, gy]))
-    _, owner = tree.query(np.column_stack([qx, qy]))
-    lam = np.zeros(tess.n_cells)
-    np.add.at(lam, owner, model.integrate(lons, lats, c.window_days) * da)
+    polys = tess.polys_lonlat()
+    ring, cell, area, centres = _lattice_areas(polys, region, n_grid)
+    lam = np.bincount(ring, model.integrate(*centres, c.window_days)[cell] * area,
+                      minlength=tess.n_cells)
     counts = np.bincount(_distinct_rows(np.column_stack([c.lons, c.lats]))[1])
     flags = lam <= 0
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(flags, np.nan, (counts - lam) / np.sqrt(lam))
-    return CellResidualSet("voronoi", values, flags, tess.polys_lonlat(), lam, counts)
+    return CellResidualSet("voronoi", values, flags, polys, lam, counts)
 
 
 # --- homogeneity tests ----------------------------------------------------

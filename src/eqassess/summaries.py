@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog, Region, box_lattice_index, csv_text, region_lattice
+from .catalog import Catalog, Region, _lattice_areas, box_lattice_index, csv_text
 from .forecast import GriddedForecast, marginal_space
 from .rng import RngStream
 from .simulate import simulate_homogeneous
@@ -178,35 +178,36 @@ def error_diagram(model_or_forecast, c: Catalog, region: Region,
     """Error diagram of a rate surface against observed epicenters.
 
     The surface is a forecast's cell densities, or a model's rate averaged
-    exactly over the window at the centres of an n_grid^2 region lattice.
+    exactly over the window at the centres of the boxes of the n_grid x
+    n_grid lattice over the region's bounding box that have area in the
+    region, each box weighed by that exact area (catalog._lattice_areas).
     The alarm region at threshold u is the set of cells whose value is
     >= u; its size is measured in area as a fraction of the region, and the
     miss fraction is the share of events outside the alarm. Each event
-    scores the value of the cell holding it; events in no cell, or in
-    zero-rate cells, count as value 0 and are missed by every positive
-    threshold. The thresholds are the distinct values, evenly subsampled
-    to at most _N_THRESHOLDS (512) with one above them all and 0. The
-    diagram is invariant to positive rescaling of the surface.
+    scores the value of the cell holding it (a model's: the box of
+    box_lattice_index, for events in the closed bounding box); events in
+    no cell, in a box without area, or in zero-rate cells count as value 0
+    and are missed by every positive threshold. The thresholds are the
+    distinct values, evenly subsampled to at most _N_THRESHOLDS (512) with
+    one above them all and 0. The diagram is invariant to positive
+    rescaling of the surface.
     """
     if isinstance(model_or_forecast, GriddedForecast):
         marg = marginal_space(model_or_forecast)
         measure = marg.grid.cell_area_km2()
         values = marg.rates / (measure * marg.window_days)
         cell = marg.grid.locate(c.lons, c.lats)
+        ev = np.where(cell >= 0, values[cell], 0.0)
     else:
-        lat = region_lattice(region, n_grid)
-        lons = lat.lons[lat.inside]
-        lats = lat.lats[lat.inside]
-        measure = lat.cell_km2[lat.inside]
-        values = model_or_forecast.integrate(lons, lats, c.window_days) / c.window_days
-        # the lattice cell holding each event, numbered among inside cells
-        flat = box_lattice_index(region, c.lons, c.lats, lat.nx, lat.ny)
-        number = np.cumsum(lat.inside) - 1
+        _, cell, measure, (lons, lats) = _lattice_areas([region.vertices], region, n_grid)
+        values = model_or_forecast.integrate(lons[cell], lats[cell], c.window_days) / c.window_days
+        surface = np.zeros(n_grid * n_grid)
+        surface[cell] = values
         lon_min, lon_max, lat_min, lat_max = region.bbox
         in_box = ((c.lons >= lon_min) & (c.lons <= lon_max)
                   & (c.lats >= lat_min) & (c.lats <= lat_max))
-        cell = np.where(in_box & lat.inside[flat], number[flat], -1)
-    ev = np.where(cell >= 0, values[cell], 0.0)
+        ev = np.where(in_box, surface[box_lattice_index(region, c.lons, c.lats, n_grid, n_grid)],
+                      0.0)
     thresh, alarm, miss = _diagram_from_values(values, measure, ev)
     return ErrorDiagram(thresh, alarm, miss, c.n)
 

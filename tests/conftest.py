@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eqassess import BinGrid, Catalog, Region
-from eqassess.catalog import KM_PER_DEG, km_distance2, region_lattice
+from eqassess.catalog import KM_PER_DEG, _clip_rings, km_distance2, region_lattice
 from eqassess.intensity import (_ClippedMass, _row_spans, hawkes_pack,
                                 hawkes_unpack, spatial_mass, temporal_mass)
 from eqassess.simulate import simulate_homogeneous
@@ -144,6 +144,39 @@ def reference_clip_halfplane(poly, normal, offset, keep_le):
             t = d[i] / (d[i] - d[j])
             out.append(poly[i] + t * (poly[j] - poly[i]))
     return np.asarray(out) if out else np.empty((0, 2))
+
+
+def reference_box_areas(ring, boxes):
+    """Reference for catalog.box_areas and catalog._lattice_areas: the area
+    (km^2) of a lon/lat ring inside each (lon_min, lon_max, lat_min, lat_max)
+    box, the ring clipped by the box's sides (_clip_rings) and measured by
+    Green's theorem, d(lon) sin(mean lat) sinc(d(lat) / 2) per edge.
+    Clipped vertices within rounding of a side sit on it, and a sum within
+    rounding of 0 is 0. This was box_areas before the clip-free edge sum."""
+    v, eps = np.asarray(ring, dtype=float).reshape(-1, 2), np.finfo(float).eps
+    b = np.asarray(boxes, dtype=float).reshape(-1, 1, 4)
+    if len(v) == 0:
+        return np.zeros(len(b))
+    k, tol = len(b), 4 * eps * np.abs(v).max()
+    xy, counts = np.broadcast_to(v, (k,) + v.shape), np.full(k, len(v))
+    for side in range(4):
+        xy, counts = _clip_rings(xy, counts, np.eye(2)[[side // 2] * k], b[:, 0, side],
+                                 np.full(k, side % 2 == 1))
+    low, high = b[..., 0::2], b[..., 1::2]
+    xy = np.select([xy < low + tol, xy > high - tol], [low, high], xy)
+    slot = np.arange(xy.shape[1])
+    nxt = np.where(slot < counts[:, None], (slot + 1) % np.maximum(counts, 1)[:, None], slot)
+    x, ph = xy[..., 0], np.radians(xy[..., 1])
+    x1, ph1 = np.take_along_axis(x, nxt, 1), np.take_along_axis(ph, nxt, 1)
+    t = (x1 - x) * np.sin(0.5 * (ph + ph1)) * np.sinc((ph1 - ph) / (2.0 * np.pi))
+    s = np.abs(t.sum(axis=1))
+    s = np.where(s > 8 * slot.size * eps * np.abs(t).sum(axis=1), s, 0.0)
+    return KM_PER_DEG ** 2 * (180.0 / np.pi) * s
+
+
+@pytest.fixture(scope="session")
+def box_area_oracle():
+    return reference_box_areas
 
 
 def reference_shoelace(poly):

@@ -9,8 +9,9 @@ from eqassess import (BinGrid, Catalog, GriddedForecast, GridIntensity, Region, 
                       empty_catalog, filter_catalog, km_distance, parse_catalog, parse_region,
                       region_lattice, serialize_catalog, serialize_region)
 from eqassess import catalog
-from eqassess.catalog import (KM_PER_DEG, box_areas, box_lattice_index, km_distance2, km_factors,
-                              km_grid2)
+from eqassess.catalog import (KM_PER_DEG, _lattice_areas, box_areas, box_lattice_index,
+                              km_distance2, km_factors, km_grid2)
+from eqassess.residuals import voronoi_tessellation
 
 # 80 x 50 disjoint unit boxes east of lon 10, lon-fastest
 _FILLERS = BinGrid.regular(np.arange(10.0, 91.0), np.arange(0.0, 51.0),
@@ -638,3 +639,108 @@ class TestBoxAreas:
         model = GridIntensity(GriddedForecast(grid, np.arange(1.0, 10.0), 1.0))
         assert model.bounds(region) == (0.0, 0.0)
         assert model.compensator(region, 1.0) == 0.0
+
+
+def _lattice_boxes(region, n):
+    """The n x n boxes over the region's bounding box, in cell order iy * n + ix."""
+    lon_min, lon_max, lat_min, lat_max = region.bbox
+    xs, ys = np.linspace(lon_min, lon_max, n + 1), np.linspace(lat_min, lat_max, n + 1)
+    iy, ix = np.divmod(np.arange(n * n), n)
+    return np.column_stack([xs[ix], xs[ix + 1], ys[iy], ys[iy + 1]])
+
+
+def _oracle_tolerance(boxes):
+    """1e-12 of each box's area, and the rounding of the Green's terms that
+    both the clip and the edge sum add, each up to the box's width times
+    |sin(lat)| on its sides (nil near the equator)."""
+    w, e, s, n = np.asarray(boxes, dtype=float).T
+    scale = KM_PER_DEG ** 2 * math.degrees(1.0) * (e - w)
+    south, north = np.sin(np.radians(s)), np.sin(np.radians(n))
+    return scale * (1e-12 * (north - south) + 8 * np.finfo(float).eps * (abs(south) + abs(north)))
+
+
+def _problem_region(kind, seed):
+    gen = np.random.default_rng(seed)
+    if kind == "ell":
+        return _ELL
+    if kind == "star":
+        return _star_polygon(seed)
+    # a rectangle whose edges lie on the lattice's outer box sides
+    lon, lat = gen.uniform([-170.0, -70.0], [170.0, 70.0])
+    w, h = gen.uniform(0.05, 3.0, 2)
+    return Region.rectangle(lon, lon + w, lat, lat + h)
+
+
+class TestLatticeAreas:
+    """_lattice_areas, the walk behind the error diagram and the Voronoi
+    masses, and box_areas, the edge sum behind the grid model and the
+    quadrat test, against the clip that box_areas was (box_area_oracle)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["ell", "star", "rectangle"]),
+           n=st.integers(1, 60))
+    def test_region_matches_the_clip(self, box_area_oracle, seed, kind, n):
+        region = _problem_region(kind, seed)
+        boxes = _lattice_boxes(region, n)
+        want = box_area_oracle(region.vertices, boxes)
+        ring, cell, area, _ = _lattice_areas([region.vertices], region, n)
+        assert np.all(ring == 0) and np.all(np.diff(cell) > 0) and np.all(area > 0)
+        got = np.zeros(n * n)
+        got[cell] = area
+        tol = _oracle_tolerance(boxes)
+        assert np.all(np.abs(got - want) <= tol)
+        assert np.all(np.abs(box_areas(region, boxes) - want) <= tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), star=st.booleans(), n=st.integers(1, 40),
+           m=st.integers(1, 40))
+    def test_voronoi_cells_match_the_clip(self, box_area_oracle, seed, star, n, m):
+        # generators in and around the bounding box; a cell of one outside
+        # the region may be empty
+        region = _star_polygon(seed) if star else _ELL
+        lon_min, lon_max, lat_min, lat_max = region.bbox
+        pad = 0.1 * np.array([lon_max - lon_min, lat_max - lat_min])
+        pts = np.random.default_rng(seed).uniform([lon_min, lat_min] - pad,
+                                                  [lon_max, lat_max] + pad, (m, 2))
+        polys = voronoi_tessellation(pts[:, 0], pts[:, 1], region).polys_lonlat()
+        boxes = _lattice_boxes(region, n)
+        ring, cell, area, _ = _lattice_areas(polys, region, n)
+        assert np.all(np.diff(ring * n * n + cell) > 0) and np.all(area > 0)
+        tol = _oracle_tolerance(boxes)
+        for r, poly in enumerate(polys):
+            got = np.zeros(n * n)
+            got[cell[ring == r]] = area[ring == r]
+            assert np.all(np.abs(got - box_area_oracle(poly, boxes)) <= tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["ell", "star", "rectangle"]))
+    def test_random_boxes_match_the_clip(self, box_area_oracle, seed, kind):
+        region = _problem_region(kind, seed)
+        gen = np.random.default_rng(seed)
+        lon_min, lon_max, lat_min, lat_max = region.bbox
+        size = np.array([lon_max - lon_min, lat_max - lat_min])
+        lo = gen.uniform([lon_min, lat_min] - size, [lon_max, lat_max], (20, 2))
+        hi = lo + gen.uniform(0.01, 1.0, (20, 2)) * size
+        boxes = np.column_stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]])
+        got, want = box_areas(region, boxes), box_area_oracle(region.vertices, boxes)
+        assert np.all(np.abs(got - want) <= _oracle_tolerance(boxes))
+
+    def test_a_rectangle_on_box_sides_is_the_boxes(self, box_area_oracle):
+        # the workloads' case: the region is its own bounding box, so every
+        # box lies in it whole, and box_areas gives the clip's own bits
+        region = Region.rectangle(10.0, 14.0, 40.0, 44.0)
+        boxes = _lattice_boxes(region, 64)
+        _, cell, area, _ = _lattice_areas([region.vertices], region, 64)
+        np.testing.assert_array_equal(cell, np.arange(64 * 64))
+        w, e, s, n = boxes.T
+        whole = KM_PER_DEG ** 2 * math.degrees(1.0) * (e - w) \
+            * (np.sin(np.radians(n)) - np.sin(np.radians(s)))
+        np.testing.assert_allclose(area, whole, rtol=1e-12)
+        np.testing.assert_array_equal(box_areas(region, boxes),
+                                      box_area_oracle(region.vertices, boxes))
+
+    def test_no_rings_and_empty_rings(self):
+        assert all(a.size == 0 for a in _lattice_areas([], _ELL, 5)[:3])
+        ring, cell, _, _ = _lattice_areas([np.empty((0, 2)), _ELL.vertices, np.empty((0, 2))],
+                                       _ELL, 5)
+        assert np.all(ring == 1) and cell.size > 0

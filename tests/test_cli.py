@@ -410,6 +410,22 @@ def test_any_value_error_of_a_command_is_data_error(paths, capsys, data, argv, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["residuals", "--kind", "superthin", "--params", "{params}"],
+     "catalog window_days = 0 has no mean rate: superthin needs --k"),
+    (["fit", "--family", "homogeneous"], "catalog window_days = 0 has no exposure to fit"),
+], ids=["superthin-default-k", "fit-homogeneous"])
+def test_catalog_without_exposure_is_data_error(paths, capsys, argv, message):
+    # one event at time 0 in a window of 0 days
+    zero = paths["dir"] / "zero.csv"
+    zero.write_text("# window_days = 0\ntime,lon,lat,mag\n0,0.5,0.5,4.0\n")
+    out = paths["dir"] / "x"
+    rc = main([a.format(**paths) for a in argv]
+              + ["--catalog", str(zero), "--region", paths["region"], "--out", str(out)])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_params_family_is_data_error(paths):
     bad = paths["dir"] / "bad_params.txt"
     bad.write_text("# family = sparkle\nmu = 1.0\n")

@@ -1,6 +1,5 @@
-"""Forecast, region and catalog CSV input: the exact error messages, and, for
-forecasts and regions, the one-pass reader against the row-by-row reader it
-stands in for."""
+"""Forecast, region and catalog CSV input: the exact error messages, and the
+one-pass reader against the row-by-row reader it stands in for."""
 
 from unittest import mock
 
@@ -184,6 +183,42 @@ def test_fast_path_matches_row_loop_on_plain_forecasts(text):
                                          _valid_forecast_rows)
     assert np.array_equal(fast, slow)
     assert np.array_equal(np.signbit(fast), np.signbit(slow))
+
+
+@st.composite
+def plain_catalog(draw):
+    """Catalog text that the one-pass reader takes: decimal times, repr and
+    %e floats, padded fields, metadata comments, CRLF ends."""
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    pad = st.sampled_from(["", " ", "\t"])
+    number = finite.map(repr) | finite.map("{:e}".format) | st.integers(-10 ** 6, 10 ** 6).map(str)
+    lines = [draw(st.sampled_from(["", "# window_days = 1e9", "# m0 = -3"])), "time,lon,lat,mag"]
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "# c", "#"])))
+        lines.append(",".join(draw(pad) + draw(number) + draw(pad) for _ in range(4)))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(plain_catalog())
+def test_fast_path_matches_row_loop_on_plain_catalogs(text):
+    header = ("time", "lon", "lat", "mag")
+    fast = catalog._bulk_rows(text, header)
+    assert fast is not None
+    with row_loop_only():
+        slow = catalog._read_numeric_csv(text, header, "catalog", lambda i, rec: rec)
+    assert np.array_equal(fast, slow) and np.array_equal(np.signbit(fast), np.signbit(slow))
+    try:
+        bulk = parse_catalog(text)
+    except ValueError as e:  # a duplicate event, a time outside the window
+        with row_loop_only():
+            assert error_text(parse_catalog, text) == str(e)
+        return
+    with row_loop_only():
+        rows = parse_catalog(text)
+    for a in ("times", "lons", "lats", "mags", "window_days", "m0"):
+        assert np.array_equal(getattr(bulk, a), getattr(rows, a))
 
 
 TOKENS = ["1", "0", "-0", "1e5", " 2.5 ", "\t3", "1_0", "inf", "nan", "1e", "", "1 2",

@@ -337,6 +337,18 @@ class TestVoronoi:
         assert tess.n_cells == 2
         assert tess.partition_defect == 0.0
 
+    def test_near_copies_on_a_line_partition_the_region(self, voronoi_oracle, unit_region):
+        # four generators 1e-9 degree apart on the diagonal with (0, 0): on
+        # one line to within rounding, but the rounding of their bisectors'
+        # normals makes those meet inside the region, so they are not cut
+        # as strips; the strips left a defect of 2.9e-10
+        g = np.r_[0.55859375 + np.arange(4) * 1e-9, 0.0]
+        tess = voronoi_tessellation(g, g, unit_region)
+        _, areas = voronoi_oracle(g, g, unit_region)
+        ref_defect = abs(float(areas.sum()) - unit_region.area_km2) / unit_region.area_km2
+        assert tess.n_cells == 5
+        assert tess.partition_defect <= ref_defect + 1e-12
+
     def test_nonconvex_region(self):
         region = Region([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
         gen = RngStream(501).generator()
@@ -723,6 +735,40 @@ class TestVoronoiResiduals:
         with pytest.raises(ValueError):
             voronoi_residuals(HomogeneousIntensity(1.0),
                               empty_catalog(1.0, m0=4.0), unit_region)
+
+    @pytest.mark.parametrize("ell", [False, True], ids=["unit square", "ell"])
+    @pytest.mark.parametrize("n_grid", [7, 40])
+    def test_homogeneous_masses_are_cell_areas(self, box_area_oracle, unit_region, ell, n_grid):
+        # Lambda_i = rate T area_i: the cell clipped by its own bounding box
+        region = Region([(-3, 10), (1, 10), (1, 11), (-1, 11), (-1, 12), (-3, 12)]) \
+            if ell else unit_region
+        c = simulate_homogeneous(4e-4, region, 10.0, RngStream(20), mag=4.0)
+        rs = voronoi_residuals(HomogeneousIntensity(1e-3), c, region, n_grid=n_grid)
+        areas = [box_area_oracle(p, [(*np.sort(p[:, 0])[[0, -1]], *np.sort(p[:, 1])[[0, -1]])])[0]
+                 for p in rs.cell_polys]
+        np.testing.assert_allclose(rs.expected, 1e-3 * 10.0 * np.array(areas), rtol=1e-12)
+        assert not rs.flags.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(voronoi_problems(), st.integers(1, 60))
+    def test_cell_areas_add_up_to_the_region(self, problem, n_grid):
+        region, lons, lats = problem
+        tess = voronoi_tessellation(lons, lats, region)
+        _, _, area, _ = catalog._lattice_areas(tess.polys_lonlat(), region, n_grid)
+        whole = catalog.box_areas(region, [region.bbox])[0]
+        # the defect is planar: where cells overlap (generators closer than
+        # a float can tell apart), their excess in this measure is within 1 %
+        assert abs(area.sum() - whole) <= (1.01 * tess.partition_defect + 1e-12) * whole
+
+    def test_clustered_hawkes_catalog_has_no_flagged_cell(self, unit_region):
+        # clusters of cells far smaller than the 5.6 km boxes, which the
+        # nearest-generator lattice left without a point: 19 of 62 flagged
+        from eqassess import HawkesIntensity, HawkesParams, simulate_hawkes
+        params = HawkesParams(mu=1e-4, k=2e-4, c=0.01, p=1.3, a=1.0, d=0.01, q=1.8, m0=4.0)
+        c = simulate_hawkes(params, unit_region, 20.0, RngStream(3))
+        rs = voronoi_residuals(HawkesIntensity(params, c), c, unit_region, n_grid=20)
+        assert rs.n_cells == c.n == 62
+        assert not rs.flags.any() and np.all(rs.expected > 0)
 
 
 class TestHomogeneity:

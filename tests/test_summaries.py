@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqassess import (BinGrid, Catalog, GriddedForecast, GridIntensity, HawkesIntensity,
-                      HomogeneousIntensity, RngStream,
+                      HomogeneousIntensity, Region, RngStream,
                       error_diagram, error_diagram_to_csv, k_curve_to_csv,
                       simulate_homogeneous, simulate_poisson_grid, weighted_k)
 from eqassess import summaries
+from eqassess.catalog import box_areas
 from eqassess.summaries import _weighted_k_values
 
 
@@ -317,6 +318,29 @@ class TestErrorDiagram:
         score = np.where(cells >= 0, model.rate_at(centre[cells % 10], centre[cells // 10]), 0.0)
         np.testing.assert_array_equal(diag.miss_fractions,
                                       [np.sum(score < u) / 9 for u in diag.thresholds])
+
+    def test_model_path_weighs_a_cut_box_by_its_area(self):
+        # an L-shaped region on a 3 x 3 lattice: the middle box is cut by the
+        # notch's corner (-1, 11), its centre, and the north-east box lies in
+        # the notch; the surface peaks in the middle box
+        ell = Region([(-3, 10), (1, 10), (1, 11), (-1, 11), (-1, 12), (-3, 12)])
+
+        class Peak:
+            def integrate(self, lons, lats, t):
+                return t * np.where((np.abs(lons + 1.0) < 0.1) & (np.abs(lats - 11.0) < 0.1),
+                                    2.0, 1.0)
+
+        c = Catalog(np.full(2, 0.5), np.array([-1.2, 0.5]), np.array([10.9, 11.5]),
+                    np.full(2, 4.5), 1.0, 4.0)
+        diag = error_diagram(Peak(), c, ell, n_grid=3)
+        box = (-3 + 4 / 3, -3 + 8 / 3, 10 + 2 / 3, 10 + 4 / 3)
+        np.testing.assert_array_equal(diag.thresholds, [4.0, 2.0, 1.0, 0.0])
+        share = box_areas(ell, [box])[0] / box_areas(ell, [ell.bbox])[0]
+        assert diag.alarm_fractions[1] == pytest.approx(share, rel=1e-12)
+        # 3/4 of a box of 8/9 square degrees, in 6 square degrees
+        assert share == pytest.approx(1 / 9, rel=1e-2)
+        # the event in the notch box has value 0: every positive level misses it
+        np.testing.assert_array_equal(diag.miss_fractions, [1.0, 0.5, 0.5, 0.0])
 
     def test_model_path_peaked_field(self, unit_region, two_by_two_grid):
         # unequal, positive cell rates, 72 of 80 events a day in the north-east cell
