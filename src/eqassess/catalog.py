@@ -418,10 +418,9 @@ def _band_terms(lon_lo, lat_lo, lon_hi, lat_hi, west, east):
         a, b = (np.radians(np.where(lon_hi == lon_lo, lat_lo, np.clip(
             lat_lo + (side - lon_lo) * (lat_hi - lat_lo) / (lon_hi - lon_lo), lat_lo, lat_hi)))
             for side in (west, east))
-    lo, hi = np.radians(lat_lo), np.radians(lat_hi)
-    parts = np.stack(np.broadcast_arrays(g_hi * np.sin(hi), g_lo * np.sin(lo), (g_hi - g_lo)
-                                         * np.sin(0.5 * (a + b)) * np.sinc((b - a) / (2 * np.pi))))
-    return parts[0] - parts[1] - parts[2], np.abs(parts).sum(axis=0)
+    at_hi, at_lo = g_hi * np.sin(np.radians(lat_hi)), g_lo * np.sin(np.radians(lat_lo))
+    mid = (g_hi - g_lo) * np.sin(0.5 * (a + b)) * np.sinc((b - a) / (2 * np.pi))
+    return at_hi - at_lo - mid, np.abs(at_hi) + np.abs(at_lo) + np.abs(mid)
 
 
 def box_areas(region: Region, boxes) -> np.ndarray:
@@ -460,22 +459,24 @@ def _lattice_areas(rings, region: Region, n: int):
     centres = [g.ravel() for g in np.meshgrid(*(lo + (hi - lo) / n * (np.arange(n) + 0.5) for lo, hi
                                                 in ((lon_min, lon_max), (lat_min, lat_max))))]
     xy, sizes = _stack_rings(rings)
+    lon, lat = np.ascontiguousarray(xy.T)
     nxt, ends = np.arange(1, len(xy) + 1), np.cumsum(sizes)[sizes > 0]
     nxt[ends - 1] = ends - sizes[sizes > 0]
-    bottom, top = np.minimum(xy[:, 1], xy[nxt, 1]), np.maximum(xy[:, 1], xy[nxt, 1])
+    bottom, top = np.minimum(lat, lat[nxt]), np.maximum(lat, lat[nxt])
     r0 = np.maximum(np.searchsorted(ys, bottom, "right") - 1, 0)
     e, k = _runs(np.maximum(np.minimum(np.searchsorted(ys, top, "left"), n) - r0, 0))
     key = np.repeat(np.arange(sizes.size), sizes)[e] * n + r0[e] + k
     order = np.argsort(key, kind="stable")
     e, key = e[order], key[order]
-    (x0, y0), (x1, y1), row = xy[e].T, xy[nxt[e]].T, key % n
+    x0, y0, x1, y1, row = lon[e], lat[e], lon[nxt[e]], lat[nxt[e]], key % n
     lo, hi = np.maximum(bottom[e], ys[row]), np.minimum(top[e], ys[row + 1])
     lon_lo, lon_hi = _lon_at(x0, y0, x1, y1, lo), _lon_at(x0, y0, x1, y1, hi)
     c0 = np.searchsorted(xs, np.minimum(lon_lo, lon_hi), "right") - 1
     c1 = np.minimum(np.searchsorted(xs, np.maximum(lon_lo, lon_hi), "left") - 1, n - 1)
     # a run of slots per (ring, row) segment: one for each column its
     # pieces reach, from first, and one more; a column's slot is base + col
-    segs, starts, seg = np.unique(key, return_index=True, return_inverse=True)
+    new = np.diff(key, prepend=-1) != 0
+    starts, seg = np.flatnonzero(new), np.cumsum(new) - 1
     first = np.minimum.reduceat(np.clip(c0, 0, n - 1), starts)
     size = np.maximum(np.maximum.reduceat(np.maximum(c1, c0 - 1), starts) - first + 2, 1)
     stop = np.cumsum(size) - 1
@@ -486,7 +487,7 @@ def _lattice_areas(rings, region: Region, n: int):
     # a piece's band fills each box of its segment west of c0: the running
     # sum at the segment's last slot less the one at the box's
     at = base[seg] + np.clip(c0, first[seg], stop[seg] - base[seg])
-    slot_seg = np.repeat(np.arange(segs.size), size)
+    slot_seg = np.repeat(np.arange(starts.size), size)
     slot_col = np.arange(size.sum()) - base[slot_seg]
     width = np.append(np.diff(xs), 0.0)[slot_col]
 
@@ -499,7 +500,8 @@ def _lattice_areas(rings, region: Region, n: int):
     area = total(sign[p] * term, sign * (s_hi - s_lo))
     keep = area > 8 * np.finfo(float).eps * total(scale, np.abs(s_lo) + np.abs(s_hi))
     keep[stop] = False
-    return ((segs // n)[slot_seg[keep]], (segs % n * n)[slot_seg[keep]] + slot_col[keep],
+    seg_ring, seg_row = np.divmod(key[starts], n)
+    return (seg_ring[slot_seg[keep]], seg_row[slot_seg[keep]] * n + slot_col[keep],
             KM_PER_DEG ** 2 * (180.0 / np.pi) * area[keep], centres)
 
 
