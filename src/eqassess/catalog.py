@@ -615,8 +615,8 @@ def parse_catalog(text: str) -> Catalog:
         try:
             t = _parse_iso_days(t_raw) if iso_mode else float(t_raw)
         except ValueError:
-            raise ValueError(f"catalog: row {i}: malformed {'ISO-8601 ' * iso_mode}time "
-                             f"{t_raw!r}") from None
+            kind = "ISO-8601 time" if iso_mode else "time"
+            raise ValueError(f"catalog: row {i}: malformed {kind} {t_raw!r}") from None
         for name, v in zip(("lon", "lat", "mag"), rec[1:]):
             if not _is_float(v):
                 raise ValueError(f"catalog: row {i}: malformed {name} {v.strip()!r}")
