@@ -506,9 +506,12 @@ def voronoi_residuals(model, c: Catalog, region: Region,
         raise ValueError("voronoi residuals need at least one event")
     tess = voronoi_tessellation(c.lons, c.lats, region)
     polys = tess.polys_lonlat()
-    ring, cell, area, centres = _lattice_areas(polys, region, n_grid)
-    lam = np.bincount(ring, model.integrate(*centres, c.window_days)[cell] * area,
-                      minlength=tess.n_cells)
+    ring, cell, area, (lons, lats) = _lattice_areas(polys, region, n_grid)
+    # the model is evaluated only in the boxes that meet a cell
+    used = np.bincount(cell, minlength=lons.size) > 0
+    rate = np.zeros(lons.size)
+    rate[used] = model.integrate(lons[used], lats[used], c.window_days)
+    lam = np.bincount(ring, rate[cell] * area, minlength=tess.n_cells)
     counts = np.bincount(_distinct_rows(np.column_stack([c.lons, c.lats]))[1])
     flags = lam <= 0
     with np.errstate(divide="ignore", invalid="ignore"):

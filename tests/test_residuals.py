@@ -770,6 +770,23 @@ class TestVoronoiResiduals:
         assert rs.n_cells == c.n == 62
         assert not rs.flags.any() and np.all(rs.expected > 0)
 
+    def test_model_is_evaluated_only_in_boxes_that_meet_a_cell(self):
+        ell = Region([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+        seen = []
+
+        class Recording(HomogeneousIntensity):
+            def integrate(self, lons, lats, t):
+                seen.append(np.column_stack([lons, lats]))
+                return super().integrate(lons, lats, t)
+
+        c = simulate_homogeneous(2e-4, ell, 10.0, RngStream(21), mag=4.0)
+        rs = voronoi_residuals(Recording(1e-3), c, ell, n_grid=4)
+        pts = np.concatenate(seen)
+        # the 4 boxes of the notch, lon and lat > 1, meet the region only
+        # along its border
+        assert len(pts) == 12 and not np.any((pts[:, 0] > 1) & (pts[:, 1] > 1))
+        assert not rs.flags.any()
+
 
 class TestHomogeneity:
     def test_uniform_pattern_passes_quadrat(self, unit_region):
