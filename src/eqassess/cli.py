@@ -180,14 +180,15 @@ def _replace_file(path: str, data: bytes) -> None:
 
 
 class Workspace:
-    """Atomic writer that records (path, sha256) for the manifest."""
+    """Atomic writer that records (path, sha256) for the manifest. The
+    directory is made by the first write, so a refused run leaves none."""
 
     def __init__(self, out_dir: str):
-        os.makedirs(out_dir, exist_ok=True)
         self.out_dir = out_dir
         self.entries = []
 
     def write(self, name: str, text: str) -> str:
+        os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir, name)
         data = text.encode("utf-8")
         _replace_file(path, data)

@@ -359,7 +359,8 @@ class HawkesIntensity:
 
 class _ClippedMass:
     """Per-event integral of (r^2+d)^-q over the region, r the distance
-    from the event.
+    from the event: masses for the compensator, and mass_terms with its
+    first and second partials for hawkes_score, in one pass.
 
     _N_ANGLES (720) rays leave each event, one through the middle of each
     wedge of 2*pi/_N_ANGLES. Along a ray the integral is a signed sum over its
@@ -405,28 +406,18 @@ class _ClippedMass:
         seg = (d ** (1.0 - q) - (self.radii ** 2 + d) ** (1.0 - q)) / (2.0 * (q - 1.0))
         return self._per_event(seg)
 
-    def mass_partials(self, d: float, q: float):
-        """d * dm/dd and (q-1) * dm/dq of masses(d, q) = m, per event."""
+    def mass_terms(self, d: float, q: float):
+        """Rows m = masses(d, q), d dm/dd, (q-1) dm/dq, then m's dd, dq, qq in (ln d, ln(q-1))."""
         s = self.radii ** 2 + d
-        tail = s ** (1.0 - q)
-        head = d ** (1.0 - q)
+        tail, log_s = s ** (1.0 - q), np.log(s)
+        head, log_d = d ** (1.0 - q), math.log(d)
         seg = (head - tail) / (2.0 * (q - 1.0))
-        d_d = -0.5 * (head - d * tail / s)
-        d_q = 0.5 * (np.log(s) * tail - math.log(d) * head) - seg
-        return self._per_event(d_d), self._per_event(d_q)
-
-    def mass_hessian(self, d: float, q: float) -> np.ndarray:
-        """Rows dd, dq and qq of the second partials of masses(d, q) in
-        (ln d, ln(q-1)), per event."""
-        s = self.radii ** 2 + d
-        tail = s ** (1.0 - q)
-        head = d ** (1.0 - q)
-        log_s, log_d = np.log(s), math.log(d)
-        seg_q = 0.5 * (log_s * tail - log_d * head) - (head - tail) / (2.0 * (q - 1.0))
+        seg_d = -0.5 * (head - d * tail / s)
+        seg_q = 0.5 * (log_s * tail - log_d * head) - seg
         dd = -0.5 * ((1.0 - q) * head - d * tail / s + q * d * d * tail / (s * s))
         dq = 0.5 * (q - 1.0) * (log_d * head - d * log_s * tail / s)
         qq = 0.5 * (q - 1.0) * (log_d ** 2 * head - log_s ** 2 * tail) - seg_q
-        return np.array([self._per_event(dd), self._per_event(dq), self._per_event(qq)])
+        return np.array([self._per_event(v) for v in (seg, seg_d, seg_q, dd, dq, qq)])
 
 
 def log_likelihood(model, c: Catalog, region: Region, mode: str = "approx") -> float:
@@ -513,9 +504,12 @@ def _not_finite(size: int):
     return math.inf, np.full(size, np.nan), np.full((size, size), np.nan)
 
 
-def _sym2(v) -> np.ndarray:
-    """The symmetric 2 x 2 matrix of (xx, xy, yy)."""
-    return np.array([[v[0], v[1]], [v[1], v[2]]])
+def _power(x: float, y: float) -> float:
+    """x ** y for a positive result, inf where the Python float power overflows."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
 
 
 def _pair_blocks(c: Catalog, dmag: np.ndarray):
@@ -568,8 +562,9 @@ def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") ->
     m0. The region-clipping geometry is precomputed too. An evaluation is
     one pass over the blocks, in one workspace of a block's size allocated
     with the closure. A parameter vector that does not unpack, overflows a
-    float power or gives a non-finite value scores inf with a nan gradient
-    and Hessian.
+    float power of the value or gradient, or gives a non-finite value scores
+    inf with a nan gradient and Hessian; one that overflows a Hessian term
+    alone (_power) keeps its value and gradient, with a non-finite Hessian.
 
     The Hessian is exact. A block writes each pair's factor rows log(dt+c),
     log(r^2+d), dmag, 1/(dt+c) and 1/(r^2+d); a pair's term is k exp((-p,
@@ -622,19 +617,26 @@ def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") ->
                 gram += w_r @ r.T
                 sums[:, own] = np.add.reduceat(w_r, group_at, axis=1)
             point = float(np.sum(np.log(lam)))
-            # the window's temporal mass per event, and its partials in c and p
-            ti = temporal_mass(left, cc, p)
-            tail = (left + cc) ** (1.0 - p)
-            ti_c = cc * ((left + cc) ** -p - cc ** -p)
-            ti_p = np.log(left + cc) * tail - math.log(cc) * cc ** (1.0 - p) - ti
+            # the temporal mass per event, its c and p partials and their second partials
+            lc = left + cc
+            tail, lag, log_lc = lc ** (1.0 - p), lc ** -p, np.log(lc)
+            head, c_lag, log_c = cc ** (1.0 - p), cc ** -p, math.log(cc)
+            ti = (head - tail) / (p - 1.0)
+            ti_c = cc * (lag - c_lag)
+            ti_p = log_lc * tail - log_c * head - ti
+            ti_2 = np.array([
+                ti_c + p * cc * cc * (_power(cc, -p - 1.0) - lc ** (-p - 1.0)),
+                (p - 1.0) * cc * (log_c * c_lag - log_lc * lag),
+                (p - 1.0) * (log_c ** 2 * head - log_lc ** 2 * tail) - ti_p,
+            ])
+            # the rows of _ClippedMass.mass_terms; over the whole plane, the mass times factors
             if mode == "approx":
-                smass = spatial_mass(d, q)
-                mass = np.full(c.n, smass)
-                mass_d = np.full(c.n, -(q - 1.0) * smass)
-                mass_q = np.full(c.n, -smass * ((q - 1.0) * math.log(d) + 1.0))
+                smass, qm, ln_d = spatial_mass(d, q), q - 1.0, math.log(d)
+                terms = np.outer([1.0, -qm, -(qm * ln_d + 1.0), _power(qm, 2), _power(qm, 2) * ln_d,
+                                  _power(qm * ln_d + 1.0, 2) - qm * ln_d], np.full(c.n, smass))
             else:
-                mass = clipped.masses(d, q)
-                mass_d, mass_q = clipped.mass_partials(d, q)
+                terms = clipped.mass_terms(d, q)
+            (mass, mass_d, mass_q), mass_2 = terms[:3], terms[3:]
             prod = k * np.exp(a * dmag)
             trig_i = prod * ti * mass
             trig = float(np.sum(trig_i))
@@ -680,24 +682,13 @@ def hawkes_score(c: Catalog, region: Region, m0: float, mode: str = "approx") ->
             # the compensator's part: trig_i is prod (in k and a) times ti
             # (in c and p) times mass (in d and q); the partials of prod are
             # prod, am * prod and (am + am^2) * prod
-            lc = left + cc
-            ti_2 = np.array([
-                ti_c + p * cc * cc * (cc ** (-p - 1.0) - lc ** (-p - 1.0)),
-                (p - 1.0) * cc * (math.log(cc) * cc ** -p - np.log(lc) * lc ** -p),
-                (p - 1.0) * (math.log(cc) ** 2 * cc ** (1.0 - p) - np.log(lc) ** 2 * tail) - ti_p,
-            ])
-            if mode == "approx":
-                ln_d = math.log(d)
-                mass_2 = np.outer([(q - 1.0) ** 2, (q - 1.0) ** 2 * ln_d,
-                                   ((q - 1.0) * ln_d + 1.0) ** 2 - (q - 1.0) * ln_d], mass)
-            else:
-                mass_2 = clipped.mass_hessian(d, q)
             am = a * dmag
             first = np.array([trig_i, prod * ti_c * mass, prod * ti_p * mass, am * trig_i,
                               prod * ti * mass_d, prod * ti * mass_q])
             comp = np.zeros((6, 6))
-            comp[1:3, 1:3] = _sym2(ti_2 @ (prod * mass))
-            comp[4:, 4:] = _sym2(mass_2 @ (prod * ti))
+            # the symmetric 2 x 2 blocks of the rows (xx, xy, yy)
+            comp[1:3, 1:3] = (ti_2 @ (prod * mass))[[0, 1, 1, 2]].reshape(2, 2)
+            comp[4:, 4:] = (mass_2 @ (prod * ti))[[0, 1, 1, 2]].reshape(2, 2)
             comp[1:3, 4:] = (prod * np.array([ti_c, ti_p])) @ np.array([mass_d, mass_q]).T
             comp[4:, 1:3] = comp[1:3, 4:].T
             comp[3] = comp[:, 3] = first @ am
@@ -821,7 +812,8 @@ def minimize(score: Callable, theta0, gtol: float, max_iter: int) -> Minimum:
     x = np.array(theta0, dtype=float)
     fun, jac, hess = score(x)
     if not _finite(fun, jac, hess):
-        return Minimum(x, fun, jac, hess, 0, "the objective is not finite at the start")
+        return Minimum(x, *_not_finite(x.size), 0,
+                       "the objective is not finite at the start")
     nit = 0
     while True:
         if np.max(np.abs(jac)) < gtol:

@@ -298,6 +298,7 @@ class VoronoiTessellation:
     polys_km: list
     areas_km2: np.ndarray
     region: Region
+    cell_of: np.ndarray  # the cell of each generator given, in input order
 
     @property
     def n_cells(self) -> int:
@@ -396,22 +397,22 @@ def voronoi_tessellation(lons, lats, region: Region) -> VoronoiTessellation:
     their neighbours along it alone: the strips between those bisectors
     are the exact diagram, unless rounding could make two of them meet in
     the region (near-copies), which go the general way. The generators are
-    the distinct (lon, lat) rows, in first-appearance order: repeated
-    copies share one cell. A vertex equal to the one before it in its ring
-    is dropped.
+    the distinct km points of the rows, in first-appearance order: rows at
+    one point share its cell, with the first one's lon and lat. A vertex
+    equal to the one before it in its ring is dropped.
     """
     from scipy.spatial import Delaunay, QhullError, cKDTree  # here: `test` never pays its 0.15 s
     lonlat = np.column_stack([np.atleast_1d(np.asarray(v, dtype=float)) for v in (lons, lats)])
     if lonlat.shape[0] == 0:
         raise ValueError("tessellation needs at least one generator")
-    lons, lats = _distinct_rows(lonlat)[0].T
-    pts = np.column_stack(region.to_km(lons, lats))
+    pts, cell_of = _distinct_rows(np.column_stack(region.to_km(*lonlat.T)))
+    lons, lats = lonlat[np.unique(cell_of, return_index=True)[1]].T
     n = pts.shape[0]
     rings, counts = np.tile(region.ring_km, (n, 1, 1)), np.full(n, region.ring_km.shape[0])
     strips = _strip_neighbours(pts, region.ring_km) if n >= 3 else None
     if strips is not None:
         rings = _cut_cells(rings, counts, pts, *strips, stop=False)
-        return _tessellation(lons, lats, rings, counts, region)
+        return _tessellation(lons, lats, rings, counts, region, cell_of)
     try:
         tri = Delaunay(pts)
         if tri.simplices.max() >= n:
@@ -440,7 +441,7 @@ def voronoi_tessellation(lons, lats, region: Region) -> VoronoiTessellation:
         side = rings[i, s, 0] * normal[:, 0] + rings[i, s, 1] * normal[:, 1] - offset
         cuts |= (s < counts[i]) & (np.where(keep_le, side, -side) > 0)
     rings = _cut_cells(rings, counts, pts, i[cuts], j[cuts], stop=True)
-    return _tessellation(lons, lats, rings, counts, region)
+    return _tessellation(lons, lats, rings, counts, region, cell_of)
 
 
 def _strip_neighbours(pts, ring):
@@ -476,7 +477,7 @@ def _strip_neighbours(pts, ring):
     return np.concatenate([order[:-1], order[1:]]), np.concatenate([order[1:], order[:-1]])
 
 
-def _tessellation(lons, lats, rings, counts, region: Region) -> VoronoiTessellation:
+def _tessellation(lons, lats, rings, counts, region: Region, cell_of) -> VoronoiTessellation:
     """The tessellation of the cut rings, each without the vertices equal to
     the one before it (a cut through a vertex can emit that vertex twice),
     the last one kept compared with the first."""
@@ -488,17 +489,17 @@ def _tessellation(lons, lats, rings, counts, region: Region) -> VoronoiTessellat
     keep[wraps, last[wraps]] = False
     xy, counts = rings[keep], keep.sum(axis=1)
     return VoronoiTessellation(lons, lats, np.split(xy, np.cumsum(counts)[:-1]),
-                               _poly_areas(xy, counts), region)
+                               _poly_areas(xy, counts), region, cell_of)
 
 
 def voronoi_residuals(model, c: Catalog, region: Region,
                       n_grid: int = 200) -> CellResidualSet:
     """Voronoi cell residuals (k_i - Lambda_i) / sqrt(Lambda_i).
 
-    Cells are generated by the distinct catalog epicenters themselves, so
-    cell i holds the k_i events at its epicenter (k_i = 1 unless events
-    repeat one). Lambda_i is the sum over the boxes b of the n_grid x n_grid
-    lattice over the region's bounding box of the model's window integral
+    Cell i is generated by the epicenter of its k_i events (the
+    tessellation's cell_of; k_i = 1 unless events repeat an epicenter).
+    Lambda_i is the sum over the boxes b of the n_grid x n_grid lattice
+    over the region's bounding box of the model's window integral
     (model.integrate) at b's centre times the exact area of cell i in b
     (catalog._lattice_areas). Zero-mass cells are flagged.
     """
@@ -512,7 +513,7 @@ def voronoi_residuals(model, c: Catalog, region: Region,
     rate = np.zeros(lons.size)
     rate[used] = model.integrate(lons[used], lats[used], c.window_days)
     lam = np.bincount(ring, rate[cell] * area, minlength=tess.n_cells)
-    counts = np.bincount(_distinct_rows(np.column_stack([c.lons, c.lats]))[1])
+    counts = np.bincount(tess.cell_of)
     flags = lam <= 0
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(flags, np.nan, (counts - lam) / np.sqrt(lam))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog, Region, _lattice_areas, box_lattice_index, csv_text
-from .forecast import GriddedForecast, marginal_space
+from .forecast import GriddedForecast
+from .intensity import GridIntensity
 from .rng import RngStream
 from .simulate import simulate_homogeneous
 
@@ -79,9 +80,12 @@ def weighted_k(model, c: Catalog, region: Region,
     intensity at the simulated points. Simulation s draws from
     rng.substream(s). The model is called once per group of simulations,
     closed at _ENVELOPE_POINTS points, on their points joined: a rate at a
-    point does not depend on the points evaluated with it."""
+    point does not depend on the points evaluated with it. A catalog with
+    a 0-day window, which gives no weight, is refused."""
     if c.n < 2:
         raise ValueError("weighted K needs at least 2 events")
+    if c.window_days == 0:
+        raise ValueError("catalog window_days = 0 has no exposure to weight K by")
     if rng is not None and n_sim < 1:
         raise ValueError(f"the K envelope needs n_sim >= 1, got {n_sim}")
     area = region.area_km2
@@ -178,9 +182,9 @@ def error_diagram(model_or_forecast, c: Catalog, region: Region,
     """Error diagram of a rate surface against observed epicenters.
 
     The surface is a forecast's cell densities, or a model's rate averaged
-    exactly over the window at the centres of the boxes of the n_grid x
-    n_grid lattice over the region's bounding box that have area in the
-    region, each box weighed by that exact area (catalog._lattice_areas).
+    exactly over the catalog's window (not of 0 days) at the centres of the
+    boxes of the n_grid x n_grid lattice over the region's bounding box that
+    have area in the region, each weighed by that area (catalog._lattice_areas).
     The alarm region at threshold u is the set of cells whose value is
     >= u; its size is measured in area as a fraction of the region, and the
     miss fraction is the share of events outside the alarm. Each event
@@ -193,11 +197,11 @@ def error_diagram(model_or_forecast, c: Catalog, region: Region,
     rescaling of the surface.
     """
     if isinstance(model_or_forecast, GriddedForecast):
-        marg = marginal_space(model_or_forecast)
-        measure = marg.grid.cell_area_km2()
-        values = marg.rates / (measure * marg.window_days)
-        cell = marg.grid.locate(c.lons, c.lats)
-        ev = np.where(cell >= 0, values[cell], 0.0)
+        model = GridIntensity(model_or_forecast)
+        values, measure = model.density, model.grid.cell_area_km2()
+        ev = model.rate_at(c.lons, c.lats)
+    elif c.window_days == 0:
+        raise ValueError("catalog window_days = 0 has no exposure to average the model over")
     else:
         _, cell, measure, (lons, lats) = _lattice_areas([region.vertices], region, n_grid)
         values = model_or_forecast.integrate(lons[cell], lats[cell], c.window_days) / c.window_days

@@ -344,7 +344,7 @@ def allocating_hawkes_score(c, region, m0, mode="approx"):
                 mass_q = np.full(c.n, -smass * ((q - 1.0) * math.log(d) + 1.0))
             else:
                 mass = clipped.masses(d, q)
-                mass_d, mass_q = clipped.mass_partials(d, q)
+                mass_d, mass_q = clipped.mass_terms(d, q)[1:3]
             trig_i = prod * ti * mass
             trig = float(np.sum(trig_i))
             value = -(point - (mu * at + trig))

@@ -414,16 +414,23 @@ def test_any_value_error_of_a_command_is_data_error(paths, capsys, data, argv, m
     (["residuals", "--kind", "superthin", "--params", "{params}"],
      "catalog window_days = 0 has no mean rate: superthin needs --k"),
     (["fit", "--family", "homogeneous"], "catalog window_days = 0 has no exposure to fit"),
-], ids=["superthin-default-k", "fit-homogeneous"])
+    (["kfn", "--params", "{params}"], "catalog window_days = 0 has no exposure to weight K by"),
+    (["kfn", "--params", "{params}", "--envelope", "--n-sim", "3"],
+     "catalog window_days = 0 has no exposure to weight K by"),
+    (["errordiag", "--params", "{params}", "--n-grid", "5"],
+     "catalog window_days = 0 has no exposure to average the model over"),
+], ids=["superthin-default-k", "fit-homogeneous", "kfn", "kfn-envelope", "errordiag-model"])
 def test_catalog_without_exposure_is_data_error(paths, capsys, argv, message):
-    # one event at time 0 in a window of 0 days
+    # three events at time 0 in a window of 0 days
     zero = paths["dir"] / "zero.csv"
-    zero.write_text("# window_days = 0\ntime,lon,lat,mag\n0,0.5,0.5,4.0\n")
+    zero.write_text("# window_days = 0\ntime,lon,lat,mag\n"
+                    "0,0.5,0.5,4.0\n0,0.2,0.7,4.5\n0,0.8,0.3,5.0\n")
     out = paths["dir"] / "x"
     rc = main([a.format(**paths) for a in argv]
               + ["--catalog", str(zero), "--region", paths["region"], "--out", str(out)])
     assert rc == 3
     assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_params_family_is_data_error(paths):
@@ -433,6 +440,7 @@ def test_unknown_params_family_is_data_error(paths):
                "--region", paths["region"], "--params", str(bad),
                "--out", str(paths["dir"] / "x")])
     assert rc == 3
+    assert not (paths["dir"] / "x").exists()
 
 
 def test_help_and_missing_command(capsys):

@@ -804,6 +804,30 @@ class TestFitMle:
             assert np.max(np.abs(grad - want_grad)) <= 1e-13 * np.max(np.abs(want_grad))
 
     @pytest.mark.parametrize("mode", ["approx", "quadrature"])
+    def test_hessian_overflow_keeps_the_value_and_gradient(self, score_oracle, mode):
+        # a draw of test_score_matches_the_allocating_oracle (seed 65204, n
+        # 129, spread 3), at its third evaluation: p = 112.26 and c =
+        # 0.001869, where c^(-p-1) overflows a float power in the Hessian alone
+        region = Region.rectangle(0.0, 1.0, 0.0, 1.0)
+        gen = np.random.default_rng(65204)
+        times = gen.uniform(0.0, 10.0, 129)
+        cat = Catalog(times, gen.uniform(0.0, 1.0, 129), gen.uniform(0.0, 1.0, 129),
+                      gen.uniform(4.0, 6.0, 129), 10.0, 4.0)
+        base = hawkes_pack(HawkesParams(mu=1e-4, k=0.004, c=0.04, p=1.4, a=0.9,
+                                        d=0.6, q=1.7, m0=4.0))
+        theta = [base + gen.normal(0.0, 3.0, size=7) for _ in range(3)][-1]
+        score = hawkes_score(cat, region, 4.0, mode)
+        value, grad, hess = score(theta)
+        want_value, want_grad = score_oracle(cat, region, 4.0, mode)(theta)
+        assert math.isfinite(want_value)
+        assert value == pytest.approx(want_value, rel=1e-13, abs=0.0)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-13 * np.max(np.abs(want_grad))
+        assert not np.isfinite(hess).all()
+        # a start there is still rejected, as a non-finite score
+        start = intensity.minimize(score, theta, 1e-6, 5)
+        assert start.fun == math.inf and start.nit == 0
+
+    @pytest.mark.parametrize("mode", ["approx", "quadrature"])
     @pytest.mark.parametrize("pairs", [1, 7, 64])
     def test_score_does_not_depend_on_the_block_size(self, monkeypatch, mode, pairs):
         # blocks of 1, 7 and 64 pairs, against the default: later-event

@@ -584,9 +584,9 @@ class TestVoronoiAgainstReference:
         cut = []
         tessellation = residuals._tessellation
 
-        def capture(lons, lats, rings, counts, region):
+        def capture(lons, lats, rings, counts, region, cell_of):
             cut.append((rings[np.arange(rings.shape[1]) < counts[:, None]], counts.copy()))
-            return tessellation(lons, lats, rings, counts, region)
+            return tessellation(lons, lats, rings, counts, region, cell_of)
 
         monkeypatch.setattr(residuals, "_tessellation", capture)
         u = (np.arange(m) + 0.5) / m
@@ -759,6 +759,20 @@ class TestVoronoiResiduals:
         # the defect is planar: where cells overlap (generators closer than
         # a float can tell apart), their excess in this measure is within 1 %
         assert abs(area.sum() - whole) <= (1.01 * tess.partition_defect + 1e-12) * whole
+
+    def test_generators_that_share_a_km_point_share_a_cell(self, unit_region):
+        # latitudes 0 and 1.4e-294 differ in degrees but not in km, where
+        # keying cells by degrees gave three overlapping cells (defect 0.5)
+        # and sum Lambda = 55.76 for rate T area = 37.18
+        lons, lats = np.zeros(3), np.array([0.0, 1.0, 1.40441334e-294])
+        c = Catalog(np.arange(3.0), lons, lats, np.full(3, 4.0), 3.0, 4.0)
+        tess = voronoi_tessellation(lons, lats, unit_region)
+        assert tess.n_cells == 2 and tess.partition_defect < 1e-12
+        assert np.array_equal(tess.cell_of, [0, 1, 0])
+        rs = voronoi_residuals(HomogeneousIntensity(1e-3), c, unit_region, n_grid=20)
+        whole = catalog.box_areas(unit_region, [unit_region.bbox])[0]
+        assert rs.expected.sum() == pytest.approx(1e-3 * 3.0 * whole, rel=1e-12)
+        assert np.array_equal(rs.counts, [2, 1])
 
     def test_clustered_hawkes_catalog_has_no_flagged_cell(self, unit_region):
         # clusters of cells far smaller than the 5.6 km boxes, which the
