@@ -440,8 +440,6 @@ def _cmd_tessellate(cfg: RunConfig) -> int:
 
     c = _load_catalog(cfg)
     region = _load_region(cfg)
-    if c.n == 0:
-        raise ValueError("tessellate: the catalog has no events")
     tess = voronoi_tessellation(c.lons, c.lats, region)
     ws = Workspace(cfg.out_dir)
     ws.write("cells.geojson", tessellation_to_geojson(tess))

@@ -949,7 +949,9 @@ def serialize_fit(fit: FitResult) -> str:
     return "# family = hawkes\n" + serialize_hawkes_params(fit.params, fit)
 
 
-def parse_hawkes_params(text: str) -> HawkesParams:
+def _read_params(text: str, names: tuple) -> dict:
+    """A params file's `name = value` lines as floats, exactly one for each
+    of names. Blank and `#` lines are skipped; any other line is refused."""
     vals = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
@@ -959,17 +961,23 @@ def parse_hawkes_params(text: str) -> HawkesParams:
             raise ValueError(f"params: line {lineno}: expected 'name = value'")
         name, _, v = s.partition("=")
         name = name.strip()
+        if name in vals:
+            raise ValueError(f"params: line {lineno}: {name} given twice")
         try:
             vals[name] = float(v.strip())
         except ValueError:
             raise ValueError(f"params: line {lineno}: malformed value {v.strip()!r}") from None
-    missing = [n for n in _HAWKES_NAMES if n not in vals]
+    missing = [n for n in names if n not in vals]
     if missing:
         raise ValueError(f"params: missing {', '.join(missing)}")
-    extra = [n for n in vals if n not in _HAWKES_NAMES]
+    extra = [n for n in vals if n not in names]
     if extra:
         raise ValueError(f"params: unknown names {', '.join(sorted(extra))}")
-    return HawkesParams(**vals)
+    return vals
+
+
+def parse_hawkes_params(text: str) -> HawkesParams:
+    return HawkesParams(**_read_params(text, _HAWKES_NAMES))
 
 
 def parse_model_params(text: str, history: Catalog):
@@ -986,17 +994,7 @@ def parse_model_params(text: str, history: Catalog):
             family = value.strip()
             break
     if family == "homogeneous":
-        for raw in text.splitlines():
-            s = raw.strip()
-            if not s or s.startswith("#"):
-                continue
-            name, _, value = s.partition("=")
-            if name.strip() == "mu":
-                try:
-                    return HomogeneousIntensity(float(value.strip()))
-                except ValueError as e:
-                    raise ValueError(f"params: {e}") from None
-        raise ValueError("params: homogeneous file needs a mu line")
+        return HomogeneousIntensity(_read_params(text, ("mu",))["mu"])
     if family != "hawkes":
         raise ValueError(f"params: unknown family {family!r}")
     return HawkesIntensity(parse_hawkes_params(text), history)

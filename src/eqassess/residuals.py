@@ -150,6 +150,8 @@ def rescale_times(c: Catalog, compensator) -> RescaledTimes:
     lambda t: model.compensator(region, t), or a constant rate per day.
     Under a correct model the taus are a unit-rate Poisson process on
     [0, total_mass], total_mass = Lambda(window_days)."""
+    if c.window_days == 0:
+        raise ValueError("catalog window_days = 0 has no exposure to rescale by")
     ts = np.append(c.times, c.window_days)
     cum = np.asarray(compensator(ts) if callable(compensator) else float(compensator) * ts,
                      dtype=float)
@@ -503,8 +505,8 @@ def voronoi_residuals(model, c: Catalog, region: Region,
     (model.integrate) at b's centre times the exact area of cell i in b
     (catalog._lattice_areas). Zero-mass cells are flagged.
     """
-    if c.n == 0:
-        raise ValueError("voronoi residuals need at least one event")
+    if c.window_days == 0:
+        raise ValueError("catalog window_days = 0 has no exposure to integrate the model over")
     tess = voronoi_tessellation(c.lons, c.lats, region)
     polys = tess.polys_lonlat()
     ring, cell, area, (lons, lats) = _lattice_areas(polys, region, n_grid)

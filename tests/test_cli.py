@@ -419,7 +419,12 @@ def test_any_value_error_of_a_command_is_data_error(paths, capsys, data, argv, m
      "catalog window_days = 0 has no exposure to weight K by"),
     (["errordiag", "--params", "{params}", "--n-grid", "5"],
      "catalog window_days = 0 has no exposure to average the model over"),
-], ids=["superthin-default-k", "fit-homogeneous", "kfn", "kfn-envelope", "errordiag-model"])
+    (["residuals", "--kind", "voronoi", "--params", "{params}", "--n-grid", "5"],
+     "catalog window_days = 0 has no exposure to integrate the model over"),
+    (["residuals", "--kind", "rescale", "--params", "{params}"],
+     "catalog window_days = 0 has no exposure to rescale by"),
+], ids=["superthin-default-k", "fit-homogeneous", "kfn", "kfn-envelope", "errordiag-model",
+        "voronoi", "rescale"])
 def test_catalog_without_exposure_is_data_error(paths, capsys, argv, message):
     # three events at time 0 in a window of 0 days
     zero = paths["dir"] / "zero.csv"
@@ -430,6 +435,28 @@ def test_catalog_without_exposure_is_data_error(paths, capsys, argv, message):
               + ["--catalog", str(zero), "--region", paths["region"], "--out", str(out)])
     assert rc == 3
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tessellate_empty_catalog_is_data_error(paths, capsys):
+    empty = paths["dir"] / "empty.csv"
+    empty.write_text("# window_days = 10\ntime,lon,lat,mag\n")
+    out = paths["dir"] / "x"
+    rc = main(["tessellate", "--catalog", str(empty), "--region", paths["region"],
+               "--out", str(out)])
+    assert rc == 3
+    assert "error: tessellation needs at least one generator" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_params_file_with_stray_lines_is_data_error(paths, capsys):
+    bad = paths["dir"] / "bad_params.txt"
+    bad.write_text("# family = homogeneous\ngarbage\nfoo = 1\nmu = 1e-4\nmu = 2\nk = x\n")
+    out = paths["dir"] / "x"
+    rc = main(["residuals", "--kind", "voronoi", "--catalog", paths["catalog"],
+               "--region", paths["region"], "--params", str(bad), "--out", str(out)])
+    assert rc == 3
+    assert "error: params: line 2: expected 'name = value'" in capsys.readouterr().err
     assert not out.exists()
 
 

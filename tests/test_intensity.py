@@ -91,15 +91,63 @@ class TestHawkesParams:
         assert intensity.parse_model_params(text, small_catalog).rate == 2.5e-4
 
     @pytest.mark.parametrize("text,message", [
-        ("# family = homogeneous\n", "params: homogeneous file needs a mu line"),
+        ("# family = homogeneous\n", "params: missing mu"),
         ("# family = homogeneous\nmu = x\n",
-         "params: could not convert string to float: 'x'"),
+         "params: line 2: malformed value 'x'"),
         ("# family = sparkle\nmu = 1.0\n", "params: unknown family 'sparkle'"),
+        ("# family = homogeneous\ngarbage\nfoo = 1\nmu = 1e-4\nmu = 2\nk = x\n",
+         "params: line 2: expected 'name = value'"),
     ])
     def test_model_params_errors(self, small_catalog, text, message):
         with pytest.raises(ValueError) as err:
             intensity.parse_model_params(text, small_catalog)
         assert str(err.value) == message
+
+    # each family's params lines; a case edits them, under a family comment
+    # that is line 1 of the file
+    FAMILIES = {
+        "homogeneous": ["mu = 0.0001"],
+        "hawkes": [f"{n} = {v!r}" for n, v in zip(
+            "mu k c p a d q m0".split(), (0.1, 0.05, 0.01, 1.2, 1.0, 1.0, 1.5, 4.0))],
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("edit,message", [
+        (lambda ls: ls + ["garbage"], "params: line {end}: expected 'name = value'"),
+        (lambda ls: ls + ["foo = 1"], "params: unknown names foo"),
+        (lambda ls: ["mu = x"] + ls[1:], "params: line 2: malformed value 'x'"),
+        (lambda ls: ls + ["mu = 2"], "params: line {end}: mu given twice"),
+        (lambda ls: ls[1:], "params: missing mu"),
+    ], ids=["no-equals", "unknown-name", "malformed-value", "name-twice", "missing-name"])
+    def test_one_reader_for_both_families(self, small_catalog, family, edit, message):
+        lines = [f"# family = {family}"] + edit(self.FAMILIES[family])
+        with pytest.raises(ValueError) as err:
+            intensity.parse_model_params("\n".join(lines) + "\n", small_catalog)
+        assert str(err.value) == message.format(end=len(lines))
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["homogeneous", "hawkes"]), with_se=st.booleans(),
+           values=st.lists(st.floats(1e-300, 1e300), min_size=8, max_size=8),
+           m0=st.floats(-1e300, 1e300))
+    def test_fit_file_round_trip_of_any_values(self, family, with_se, values, m0):
+        history = Catalog(np.array([0.5]), np.array([0.5]), np.array([0.5]),
+                          np.array([4.5]), 1.0, 4.0)
+        if family == "homogeneous":
+            params, size = HomogeneousIntensity(values[0]), 1
+        else:
+            mu, k, c, p1, a, d, q1, _ = values
+            # p and q above 1 by any positive amount that survives the sum
+            params, size = HawkesParams(mu, k, c, 1.0 + max(p1, 1e-15), a, d,
+                                        1.0 + max(q1, 1e-15), m0), 7
+        info = np.diag(np.arange(1.0, size + 1)) if with_se else None
+        fit = intensity.FitResult(params, -1.5, 2, 1e-9, True, family, "", information=info)
+        text = intensity.serialize_fit(fit)
+        assert ("# se(ln mu) = " in text) == with_se
+        model = intensity.parse_model_params(text, history)
+        if family == "homogeneous":
+            assert type(model) is HomogeneousIntensity and model.rate == params.rate
+        else:
+            assert model.params == params and model.history is history
 
 
 class TestHawkesIntensity:

@@ -732,7 +732,7 @@ class TestVoronoiResiduals:
 
     def test_empty_catalog_rejected(self, unit_region):
         from eqassess import empty_catalog
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tessellation needs at least one generator$"):
             voronoi_residuals(HomogeneousIntensity(1.0),
                               empty_catalog(1.0, m0=4.0), unit_region)
 
