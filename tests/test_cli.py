@@ -399,7 +399,15 @@ def test_malformed_catalog_is_data_error(paths):
     (b"time,lon,lat,mag\n\xff1,0.5,0.5,4.0\n",
      ["tessellate", "--catalog", "{file}", "--region", "{region}"],
      "error: 'utf-8' codec can't decode byte 0xff"),
-], ids=["grid-rate-too-large", "catalog-not-utf8"])
+    (b"# window_days = 10\ntime,lon,lat,mag\n",
+     ["tessellate", "--catalog", "{file}", "--region", "{region}"],
+     "error: tessellation needs at least one generator"),
+    (b"# family = homogeneous\ngarbage\nfoo = 1\nmu = 1e-4\nmu = 2\nk = x\n",
+     ["residuals", "--kind", "voronoi", "--catalog", "{catalog}", "--region", "{region}",
+      "--params", "{file}"],
+     "error: params: line 2: expected 'name = value'"),
+], ids=["grid-rate-too-large", "catalog-not-utf8", "tessellate-empty-catalog",
+        "params-stray-lines"])
 def test_any_value_error_of_a_command_is_data_error(paths, capsys, data, argv, message):
     bad = paths["dir"] / "input.csv"
     bad.write_bytes(data)
@@ -435,28 +443,6 @@ def test_catalog_without_exposure_is_data_error(paths, capsys, argv, message):
               + ["--catalog", str(zero), "--region", paths["region"], "--out", str(out)])
     assert rc == 3
     assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_tessellate_empty_catalog_is_data_error(paths, capsys):
-    empty = paths["dir"] / "empty.csv"
-    empty.write_text("# window_days = 10\ntime,lon,lat,mag\n")
-    out = paths["dir"] / "x"
-    rc = main(["tessellate", "--catalog", str(empty), "--region", paths["region"],
-               "--out", str(out)])
-    assert rc == 3
-    assert "error: tessellation needs at least one generator" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_params_file_with_stray_lines_is_data_error(paths, capsys):
-    bad = paths["dir"] / "bad_params.txt"
-    bad.write_text("# family = homogeneous\ngarbage\nfoo = 1\nmu = 1e-4\nmu = 2\nk = x\n")
-    out = paths["dir"] / "x"
-    rc = main(["residuals", "--kind", "voronoi", "--catalog", paths["catalog"],
-               "--region", paths["region"], "--params", str(bad), "--out", str(out)])
-    assert rc == 3
-    assert "error: params: line 2: expected 'name = value'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -127,7 +127,7 @@ class TestHawkesParams:
 
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(["homogeneous", "hawkes"]), with_se=st.booleans(),
-           values=st.lists(st.floats(1e-300, 1e300), min_size=8, max_size=8),
+           values=st.lists(st.floats(1e-300, 1e300), min_size=7, max_size=7),
            m0=st.floats(-1e300, 1e300))
     def test_fit_file_round_trip_of_any_values(self, family, with_se, values, m0):
         history = Catalog(np.array([0.5]), np.array([0.5]), np.array([0.5]),
@@ -135,7 +135,7 @@ class TestHawkesParams:
         if family == "homogeneous":
             params, size = HomogeneousIntensity(values[0]), 1
         else:
-            mu, k, c, p1, a, d, q1, _ = values
+            mu, k, c, p1, a, d, q1 = values
             # p and q above 1 by any positive amount that survives the sum
             params, size = HawkesParams(mu, k, c, 1.0 + max(p1, 1e-15), a, d,
                                         1.0 + max(q1, 1e-15), m0), 7
