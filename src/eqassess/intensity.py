@@ -62,11 +62,11 @@ def _row_spans(n_rows: int, n_cols: int):
 
 
 class HomogeneousIntensity:
-    """Constant rate (events per km^2 per day)."""
+    """Constant, finite rate (events per km^2 per day)."""
 
     def __init__(self, rate: float):
-        if rate < 0:
-            raise ValueError("rate must be non-negative")
+        if not 0 <= rate < math.inf:
+            raise ValueError("rate must be finite and non-negative")
         self.rate = float(rate)
 
     def rate_at(self, lons, lats, times=None):
@@ -129,7 +129,7 @@ class HawkesParams:
     mu: background rate (events/km^2/day); k: triggering productivity;
     c (days) and p > 1 shape the temporal decay (t+c)^-p; a >= 0 scales
     productivity with magnitude above the floor m0; d (km^2) and q > 1
-    shape the spatial decay (r^2+d)^-q.
+    shape the spatial decay (r^2+d)^-q. Every field is finite.
     """
 
     mu: float
@@ -142,6 +142,9 @@ class HawkesParams:
     m0: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.mu <= 0:
             raise ValueError("mu must be positive")
         if self.k < 0:
@@ -342,7 +345,7 @@ class HawkesIntensity:
         if mode == "approx":
             mass = spatial_mass(p.d, p.q)
         elif mode == "quadrature":
-            mass = _ClippedMass(self.history, region).masses(p.d, p.q)
+            mass = _ClippedMass(self.history, region).mass_terms(p.d, p.q)[0]
         else:
             raise ValueError(f"unknown integral mode {mode!r}")
         kappa = self._productivity() * mass
@@ -359,8 +362,8 @@ class HawkesIntensity:
 
 class _ClippedMass:
     """Per-event integral of (r^2+d)^-q over the region, r the distance
-    from the event: masses for the compensator, and mass_terms with its
-    first and second partials for hawkes_score, in one pass.
+    from the event, with its first and second partials, in one pass
+    (mass_terms): row 0 for the compensator, every row for hawkes_score.
 
     _N_ANGLES (720) rays leave each event, one through the middle of each
     wedge of 2*pi/_N_ANGLES. Along a ray the integral is a signed sum over its
@@ -401,13 +404,10 @@ class _ClippedMass:
         return np.bincount(self.ev, weights=self.signs * wedge,
                            minlength=self.n_events) * (2.0 * math.pi / _N_ANGLES)
 
-    def masses(self, d: float, q: float) -> np.ndarray:
-        # wedge integral 0..R of r (r^2+d)^-q dr = (d^(1-q) - (R^2+d)^(1-q)) / (2(q-1))
-        seg = (d ** (1.0 - q) - (self.radii ** 2 + d) ** (1.0 - q)) / (2.0 * (q - 1.0))
-        return self._per_event(seg)
-
     def mass_terms(self, d: float, q: float):
-        """Rows m = masses(d, q), d dm/dd, (q-1) dm/dq, then m's dd, dq, qq in (ln d, ln(q-1))."""
+        """Rows m, d dm/dd, (q-1) dm/dq, then m's dd, dq, qq in (ln d, ln(q-1)),
+        m the per-event mass. A crossing at radius R adds the wedge integral
+        0..R of r (r^2+d)^-q dr = (d^(1-q) - (R^2+d)^(1-q)) / (2(q-1))."""
         s = self.radii ** 2 + d
         tail, log_s = s ** (1.0 - q), np.log(s)
         head, log_d = d ** (1.0 - q), math.log(d)

@@ -3,7 +3,9 @@ Poisson, and Hawkes branching cascades.
 
 Each routine consumes a single RngStream in a fixed draw order, so outputs
 are bit-identical for identical (master_seed, stream_index) regardless of
-host, schedule, or parallelism.
+host, schedule, or parallelism. Every homogeneous pattern on region x
+window (a homogeneous catalog, thinning candidates, a Hawkes background)
+comes from one drawer, _poisson_points.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ import numpy as np
 
 from .catalog import KM_PER_DEG, Catalog, Region
 from .forecast import GriddedForecast
-from .intensity import (HawkesParams, HomogeneousIntensity, branching_ratio,
-                        mean_branching_ratio, spatial_mass, temporal_mass,
-                        temporal_trigger_cdf)
+from .intensity import (HawkesParams, HomogeneousIntensity, mean_branching_ratio,
+                        spatial_mass, temporal_mass, temporal_trigger_cdf)
 from .rng import RngStream
 
 MAX_CASCADE = 1_000_000
@@ -79,6 +80,14 @@ def _uniform_in_region(gen: np.random.Generator, region: Region, n: int):
     return out_x, out_y
 
 
+def _poisson_points(gen: np.random.Generator, mean: float, region: Region, t_max: float):
+    """(lons, lats, times) of a Poisson pattern of the given mean count,
+    uniform on region x [0, t_max]: drawn count, then epicentres, then times."""
+    n = int(gen.poisson(mean))
+    lons, lats = _uniform_in_region(gen, region, n)
+    return lons, lats, gen.uniform(0.0, t_max, size=n)
+
+
 def simulate_homogeneous(rate: float, region: Region, t_max: float,
                          rng: RngStream, mag: float = 0.0) -> Catalog:
     """Homogeneous Poisson with the given rate (events/km^2/day); all events
@@ -87,11 +96,9 @@ def simulate_homogeneous(rate: float, region: Region, t_max: float,
         raise ValueError("rate must be non-negative")
     if t_max <= 0:
         raise ValueError("window length must be positive")
-    gen = rng.generator()
-    n = int(gen.poisson(rate * region.area_km2 * t_max))
-    lons, lats = _uniform_in_region(gen, region, n)
-    times = gen.uniform(0.0, t_max, size=n)
-    return Catalog(times, lons, lats, np.full(n, float(mag)), t_max, float(mag))
+    lons, lats, times = _poisson_points(rng.generator(), rate * region.area_km2 * t_max,
+                                        region, t_max)
+    return Catalog(times, lons, lats, np.full(times.size, float(mag)), t_max, float(mag))
 
 
 def simulate_inhomogeneous(model, bound: float, region: Region, t_max: float,
@@ -107,10 +114,8 @@ def simulate_inhomogeneous(model, bound: float, region: Region, t_max: float,
         raise ValueError(f"bound {bound!r} gives {expected:.3g} expected "
                          f"candidates, above the cap of {MAX_CASCADE}")
     gen = rng.generator()
-    n = int(gen.poisson(expected))
-    lons, lats = _uniform_in_region(gen, region, n)
-    times = gen.uniform(0.0, t_max, size=n)
-    u = gen.uniform(size=n)
+    lons, lats, times = _poisson_points(gen, expected, region, t_max)
+    u = gen.uniform(size=times.size)
     lam = model.rate_at(lons, lats, times)
     over = lam > bound * (1.0 + 1e-9)
     if np.any(over):
@@ -127,39 +132,30 @@ def simulate_hawkes(params: HawkesParams, region: Region, t_max: float,
                     rng: RngStream, gr_b: float = 1.0, mag_span: float = 4.0) -> Catalog:
     """Branching-construction Hawkes catalog over region x [0, t_max].
 
-    Background events (constant rate mu, uniform over the region) get
-    truncated Gutenberg-Richter magnitudes; each event spawns
-    Poisson(branching_ratio(M) x window-truncation) direct offspring with
-    power-law temporal lags and radial offsets. Parents outside the region
-    still spawn; the final catalog is clipped to the region. Supercritical
-    parameters or an expected cascade beyond MAX_CASCADE events raise.
+    Background events (constant rate mu, from _poisson_points) get truncated
+    Gutenberg-Richter magnitudes; each event spawns Poisson(branching_ratio(M)
+    x window-truncation) direct offspring with power-law temporal lags and
+    radial offsets, generation g from substream g as one (time, lon, lat, mag)
+    array. Parents outside the region still spawn; the final catalog is
+    clipped to the region. A mean branching ratio nbar >= 1 (supercritical)
+    or an expected cascade beyond MAX_CASCADE events raises.
     """
-    mean_mag = mean_gr_magnitude(params.m0, gr_b, mag_span)
-    if branching_ratio(params, mean_mag) >= 1.0:
-        raise ValueError("supercritical triggering: branching ratio at the "
-                         "mean magnitude is >= 1")
     nbar = mean_branching_ratio(params, gr_b, mag_span)
+    if nbar >= 1.0:
+        raise ValueError(f"supercritical triggering: mean branching ratio nbar = {nbar:.6g} >= 1")
     bg_mean = float(HomogeneousIntensity(params.mu).compensator(region, t_max))
-    if nbar >= 1.0 or bg_mean / (1.0 - nbar) > MAX_CASCADE:
+    if bg_mean / (1.0 - nbar) > MAX_CASCADE:
         raise ValueError("expected cascade size exceeds the event cap")
 
     p = params
     gen = rng.substream(0).generator()
-    n_bg = int(gen.poisson(bg_mean))
-    lons, lats = _uniform_in_region(gen, region, n_bg)
-    times = gen.uniform(0.0, t_max, size=n_bg)
-    mags = gutenberg_richter_magnitudes(gen, n_bg, p.m0, gr_b, mag_span)
-
-    all_t = [times]
-    all_x = [lons]
-    all_y = [lats]
-    all_m = [mags]
+    lons, lats, times = _poisson_points(gen, bg_mean, region, t_max)
+    mags = gutenberg_richter_magnitudes(gen, times.size, p.m0, gr_b, mag_span)
+    generations = [np.array([times, lons, lats, mags])]
     total = times.size
-    gener = 0
-    par_t, par_x, par_y, par_m = times, lons, lats, mags
-    while par_t.size:
-        gener += 1
-        gen = rng.substream(gener).generator()
+    while generations[-1].shape[1]:
+        par_t, par_x, par_y, par_m = generations[-1]
+        gen = rng.substream(len(generations)).generator()
         trunc = temporal_trigger_cdf(t_max - par_t, p.c, p.p)
         rho = p.k * np.exp(p.a * (par_m - p.m0)) \
             * temporal_mass(math.inf, p.c, p.p) * spatial_mass(p.d, p.q)
@@ -174,24 +170,14 @@ def simulate_hawkes(params: HawkesParams, region: Region, t_max: float,
         # lag from the window-truncated (t+c)^-p law, inverse CDF
         y = gen.uniform(size=nt) * trunc[rep]
         lag = p.c * ((1.0 - y) ** (-1.0 / (p.p - 1.0)) - 1.0)
-        u_r = gen.uniform(size=nt)
-        radius = np.sqrt(p.d * ((1.0 - u_r) ** (-1.0 / (p.q - 1.0)) - 1.0))
+        radius = np.sqrt(p.d * ((1.0 - gen.uniform(size=nt)) ** (-1.0 / (p.q - 1.0)) - 1.0))
         phi = gen.uniform(0.0, 2.0 * math.pi, size=nt)
-        dx = radius * np.cos(phi)
-        dy = radius * np.sin(phi)
-        ch_t = par_t[rep] + lag
-        ch_y = par_y[rep] + dy / KM_PER_DEG
-        ch_x = par_x[rep] + dx / (KM_PER_DEG * np.cos(np.radians(par_y[rep])))
-        ch_m = gutenberg_richter_magnitudes(gen, nt, p.m0, gr_b, mag_span)
-        all_t.append(ch_t)
-        all_x.append(ch_x)
-        all_y.append(ch_y)
-        all_m.append(ch_m)
-        par_t, par_x, par_y, par_m = ch_t, ch_x, ch_y, ch_m
+        generations.append(np.array([
+            par_t[rep] + lag,
+            par_x[rep] + radius * np.cos(phi) / (KM_PER_DEG * np.cos(np.radians(par_y[rep]))),
+            par_y[rep] + radius * np.sin(phi) / KM_PER_DEG,
+            gutenberg_richter_magnitudes(gen, nt, p.m0, gr_b, mag_span)]))
 
-    t = np.concatenate(all_t)
-    x = np.concatenate(all_x)
-    y = np.concatenate(all_y)
-    m = np.concatenate(all_m)
+    t, x, y, m = np.concatenate(generations, axis=1)
     keep = region.contains(x, y) & (t <= t_max)
     return Catalog(t[keep], x[keep], y[keep], m[keep], t_max, p.m0)

@@ -7,6 +7,7 @@ from eqassess import BinGrid, Catalog, Region
 from eqassess.catalog import KM_PER_DEG, _clip_rings, km_distance2, region_lattice
 from eqassess.intensity import (_ClippedMass, _row_spans, hawkes_pack,
                                 hawkes_unpack, spatial_mass, temporal_mass)
+from eqassess import simulate
 from eqassess.simulate import simulate_homogeneous
 from eqassess.summaries import _weighted_k_values
 
@@ -152,13 +153,19 @@ def reference_box_areas(ring, boxes):
     box, the ring clipped by the box's sides (_clip_rings) and measured by
     Green's theorem, d(lon) sin(mean lat) sinc(d(lat) / 2) per edge.
     Clipped vertices within rounding of a side sit on it, and a sum within
-    rounding of 0 is 0. This was box_areas before the clip-free edge sum."""
+    rounding of 0 is 0. This was box_areas before the clip-free edge sum.
+
+    Each box is clipped and summed in longitudes relative to its west side:
+    near the box the shift is exact (Sterbenz's lemma), and it keeps the
+    rounding of a narrow box far from lon 0 to the box's own width."""
     v, eps = np.asarray(ring, dtype=float).reshape(-1, 2), np.finfo(float).eps
     b = np.asarray(boxes, dtype=float).reshape(-1, 1, 4)
     if len(v) == 0:
         return np.zeros(len(b))
     k, tol = len(b), 4 * eps * np.abs(v).max()
-    xy, counts = np.broadcast_to(v, (k,) + v.shape), np.full(k, len(v))
+    west = b[..., :1] * [1.0, 0.0]
+    xy, counts = v - west, np.full(k, len(v))
+    b = b - b[..., :1] * [1.0, 1.0, 0.0, 0.0]
     for side in range(4):
         xy, counts = _clip_rings(xy, counts, np.eye(2)[[side // 2] * k], b[:, 0, side],
                                  np.full(k, side % 2 == 1))
@@ -244,6 +251,84 @@ def aligned_history(unit_region):
     h = 5.0 / 2000
     times = np.round(cat.times / h) * h
     return params, Catalog(times, cat.lons, cat.lats, cat.mags, 5.0, 4.0)
+
+
+def reference_simulate_hawkes(params, region, t_max, rng, gr_b=1.0, mag_span=4.0):
+    """Reference for simulate.simulate_hawkes: the loop that kept four
+    lists of columns and each generation's parents and children apart,
+    behind both criticality checks, the one at the mean magnitude first.
+    It reads simulate.MAX_CASCADE at call time, as the simulator does."""
+    from eqassess.intensity import (HomogeneousIntensity, branching_ratio,
+                                    mean_branching_ratio, spatial_mass,
+                                    temporal_trigger_cdf)
+    from eqassess.simulate import gutenberg_richter_magnitudes, mean_gr_magnitude
+
+    mean_mag = mean_gr_magnitude(params.m0, gr_b, mag_span)
+    if branching_ratio(params, mean_mag) >= 1.0:
+        raise ValueError("supercritical triggering: branching ratio at the "
+                         "mean magnitude is >= 1")
+    nbar = mean_branching_ratio(params, gr_b, mag_span)
+    bg_mean = float(HomogeneousIntensity(params.mu).compensator(region, t_max))
+    if nbar >= 1.0 or bg_mean / (1.0 - nbar) > simulate.MAX_CASCADE:
+        raise ValueError("expected cascade size exceeds the event cap")
+
+    p = params
+    gen = rng.substream(0).generator()
+    n_bg = int(gen.poisson(bg_mean))
+    lons, lats = simulate._uniform_in_region(gen, region, n_bg)
+    times = gen.uniform(0.0, t_max, size=n_bg)
+    mags = gutenberg_richter_magnitudes(gen, n_bg, p.m0, gr_b, mag_span)
+
+    all_t = [times]
+    all_x = [lons]
+    all_y = [lats]
+    all_m = [mags]
+    total = times.size
+    gener = 0
+    par_t, par_x, par_y, par_m = times, lons, lats, mags
+    while par_t.size:
+        gener += 1
+        gen = rng.substream(gener).generator()
+        trunc = temporal_trigger_cdf(t_max - par_t, p.c, p.p)
+        rho = p.k * np.exp(p.a * (par_m - p.m0)) \
+            * temporal_mass(math.inf, p.c, p.p) * spatial_mass(p.d, p.q)
+        counts = gen.poisson(rho * trunc)
+        nt = int(counts.sum())
+        if nt == 0:
+            break
+        total += nt
+        if total > simulate.MAX_CASCADE:
+            raise ValueError("cascade exceeded the event cap")
+        rep = np.repeat(np.arange(par_t.size), counts)
+        # lag from the window-truncated (t+c)^-p law, inverse CDF
+        y = gen.uniform(size=nt) * trunc[rep]
+        lag = p.c * ((1.0 - y) ** (-1.0 / (p.p - 1.0)) - 1.0)
+        u_r = gen.uniform(size=nt)
+        radius = np.sqrt(p.d * ((1.0 - u_r) ** (-1.0 / (p.q - 1.0)) - 1.0))
+        phi = gen.uniform(0.0, 2.0 * math.pi, size=nt)
+        dx = radius * np.cos(phi)
+        dy = radius * np.sin(phi)
+        ch_t = par_t[rep] + lag
+        ch_y = par_y[rep] + dy / KM_PER_DEG
+        ch_x = par_x[rep] + dx / (KM_PER_DEG * np.cos(np.radians(par_y[rep])))
+        ch_m = gutenberg_richter_magnitudes(gen, nt, p.m0, gr_b, mag_span)
+        all_t.append(ch_t)
+        all_x.append(ch_x)
+        all_y.append(ch_y)
+        all_m.append(ch_m)
+        par_t, par_x, par_y, par_m = ch_t, ch_x, ch_y, ch_m
+
+    t = np.concatenate(all_t)
+    x = np.concatenate(all_x)
+    y = np.concatenate(all_y)
+    m = np.concatenate(all_m)
+    keep = region.contains(x, y) & (t <= t_max)
+    return Catalog(t[keep], x[keep], y[keep], m[keep], t_max, p.m0)
+
+
+@pytest.fixture(scope="session")
+def hawkes_simulation_oracle():
+    return reference_simulate_hawkes
 
 
 class DenseHawkes:
@@ -343,7 +428,7 @@ def allocating_hawkes_score(c, region, m0, mode="approx"):
                 mass_d = np.full(c.n, -(q - 1.0) * smass)
                 mass_q = np.full(c.n, -smass * ((q - 1.0) * math.log(d) + 1.0))
             else:
-                mass = clipped.masses(d, q)
+                mass = clipped.mass_terms(d, q)[0]
                 mass_d, mass_q = clipped.mass_terms(d, q)[1:3]
             trig_i = prod * ti * mass
             trig = float(np.sum(trig_i))
@@ -418,7 +503,7 @@ def _hawkes_integral(params, c, region, mode):
     if mode == "approx":
         trig = float(np.sum(prod * ti) * spatial_mass(p.d, p.q))
     else:
-        trig = float(np.sum(prod * ti * _ClippedMass(c, region).masses(p.d, p.q)))
+        trig = float(np.sum(prod * ti * _ClippedMass(c, region).mass_terms(p.d, p.q)[0]))
     return bg + trig
 
 
@@ -461,10 +546,10 @@ def _ray_segments(origin_xy, ring_km, n_angles: int):
 
 
 def sorted_ray_masses(c, region, d, q, n_angles=720):
-    """Reference for intensity._ClippedMass.masses on events inside the
-    region: each event's rays cut one at a time, their crossings sorted by
-    radius and signed +1, -1, +1, ... from the first, the wedge integral
-    out to each crossing summed with those signs."""
+    """Reference for row 0 of intensity._ClippedMass.mass_terms on events
+    inside the region: each event's rays cut one at a time, their crossings
+    sorted by radius and signed +1, -1, +1, ... from the first, the wedge
+    integral out to each crossing summed with those signs."""
     x, y = region.to_km(c.lons, c.lats)
     ev, radii, signs = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)]
     for i in range(c.n):

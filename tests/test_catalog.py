@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqassess import (BinGrid, Catalog, GriddedForecast, GridIntensity, Region, bin_counts,
@@ -679,6 +679,9 @@ class TestLatticeAreas:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["ell", "star", "rectangle"]),
            n=st.integers(1, 60))
+    # boxes 0.0051 deg wide at lon 94.39: the clip in absolute longitudes
+    # erred by 1.4 tolerances there
+    @example(seed=140, kind="star", n=14)
     def test_region_matches_the_clip(self, box_area_oracle, seed, kind, n):
         region = _problem_region(kind, seed)
         boxes = _lattice_boxes(region, n)

@@ -406,8 +406,26 @@ def test_malformed_catalog_is_data_error(paths):
      ["residuals", "--kind", "voronoi", "--catalog", "{catalog}", "--region", "{region}",
       "--params", "{file}"],
      "error: params: line 2: expected 'name = value'"),
+    # non-finite parameters, refused by the models rather than written as nan
+    (b"# family = homogeneous\nmu = nan\n",
+     ["residuals", "--kind", "voronoi", "--catalog", "{catalog}", "--region", "{region}",
+      "--params", "{file}"], "error: rate must be finite and non-negative"),
+    (b"# family = homogeneous\nmu = nan\n",
+     ["residuals", "--kind", "thin", "--catalog", "{catalog}", "--region", "{region}",
+      "--params", "{file}"],
+     "error: rate must be finite and non-negative"),
+    (b"mu = inf\nk = 0.05\nc = 0.01\np = 1.2\na = 1\nd = 1\nq = 1.5\nm0 = 4\n",
+     ["residuals", "--kind", "voronoi", "--catalog", "{catalog}", "--region", "{region}",
+      "--params", "{file}"], "error: mu must be finite"),
+    (b"mu = 0.1\nk = 0.05\nc = 0.01\np = 1.2\na = 1\nd = 1\nq = inf\nm0 = 4\n",
+     ["fit", "--family", "hawkes", "--catalog", "{catalog}", "--region", "{region}",
+      "--init", "{file}"], "error: q must be finite"),
+    (b"mu = 1e-4\nk = 0.05\nc = 0.01\np = 1.2\na = 1\nd = inf\nq = 1.5\nm0 = 4\n",
+     ["simulate", "--kind", "hawkes", "--region", "{region}", "--window", "10",
+      "--params", "{file}"], "error: d must be finite"),
 ], ids=["grid-rate-too-large", "catalog-not-utf8", "tessellate-empty-catalog",
-        "params-stray-lines"])
+        "params-stray-lines", "voronoi-nan-rate", "thin-nan-rate", "voronoi-inf-mu",
+        "fit-init-inf-q", "simulate-inf-d"])
 def test_any_value_error_of_a_command_is_data_error(paths, capsys, data, argv, message):
     bad = paths["dir"] / "input.csv"
     bad.write_bytes(data)

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no
-function leaves a parameter unread.
+"""No module of the package imports a name it never uses, no function
+leaves a parameter unread, and no function, class or method is defined
+that nothing in the package loads or exports.
 
 The package has no linter; this parses each module with ast instead.
 __init__.py is left out of the import check, because every name it
@@ -85,3 +86,62 @@ def test_detector_flags_an_unread_parameter():
               "h = lambda a, b: a\n")
     assert unread_parameters(source) == ["line 1: f(jobs)", "line 1: f(rest)",
                                          "line 10: <lambda>(b)"]
+
+
+# defined in src/ for callers outside it, each with its reason
+UNLOADED_BY_DESIGN = {
+    "Region.rectangle": "library constructor",
+    "BinGrid.regular": "library constructor",
+    "hawkes_objective": "a bench/tracing.py target",
+    "ResidualPointSet.retained_mask": "a method of a public result type",
+}
+
+
+def definitions(tree) -> list:
+    """(qualified name, name) of every function, class and method defined
+    in the tree, nested ones included, methods as Class.method."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append((prefix + child.name, child.name))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def unloaded_definitions(sources: dict, exported) -> list:
+    """Definitions in sources (file name -> text) whose name no expression
+    in any of them loads, as a bare name or an attribute, and that are not
+    exported or dunder methods the interpreter calls."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    loaded = {n.id if isinstance(n, ast.Name) else n.attr
+              for tree in trees.values() for n in ast.walk(tree)
+              if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+    return [f"{name}: {qual}" for name, tree in trees.items()
+            for qual, bare in definitions(tree)
+            if bare not in loaded and bare not in exported
+            and not (bare.startswith("__") and bare.endswith("__"))]
+
+
+def test_every_definition_is_loaded_or_exported():
+    from eqassess import _MODULE_OF
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    found = unloaded_definitions(sources, _MODULE_OF)
+    assert sorted(q.split(": ")[1] for q in found) == sorted(UNLOADED_BY_DESIGN)
+
+
+def test_detector_flags_an_unloaded_definition():
+    sources = {
+        "a.py": "class K:\n    def __init__(self):\n        self.m = 1\n"
+                "    def used(self):\n        return self.m\n"
+                "    def dead(self):\n        return 0\n"
+                "def helper():\n    def inner():\n        return 1\n    return 2\n"
+                "def public():\n    return K().used()\n",
+        "b.py": "from a import helper\nx = helper\n",
+    }
+    assert unloaded_definitions(sources, {"public"}) == ["a.py: K.dead", "a.py: helper.inner"]

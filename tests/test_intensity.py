@@ -97,6 +97,14 @@ class TestHawkesParams:
         ("# family = sparkle\nmu = 1.0\n", "params: unknown family 'sparkle'"),
         ("# family = homogeneous\ngarbage\nfoo = 1\nmu = 1e-4\nmu = 2\nk = x\n",
          "params: line 2: expected 'name = value'"),
+        ("# family = homogeneous\nmu = nan\n", "rate must be finite and non-negative"),
+        ("# family = homogeneous\nmu = inf\n", "rate must be finite and non-negative"),
+        ("mu = inf\nk = 0.05\nc = 0.01\np = 1.2\na = 1\nd = 1\nq = 1.5\nm0 = 4\n",
+         "mu must be finite"),
+        ("mu = 0.1\nk = nan\nc = 0.01\np = 1.2\na = 1\nd = 1\nq = 1.5\nm0 = 4\n",
+         "k must be finite"),
+        ("mu = 0.1\nk = 0.05\nc = 0.01\np = 1.2\na = 1\nd = 1\nq = 1.5\nm0 = -inf\n",
+         "m0 must be finite"),
     ])
     def test_model_params_errors(self, small_catalog, text, message):
         with pytest.raises(ValueError) as err:
@@ -594,7 +602,7 @@ class TestClippedMass:
         c = simulate_homogeneous(2e-3, region, 10.0, RngStream(3), mag=4.0)
         clipped = intensity._ClippedMass(c, region)
         for d, q in [(100.0, 1.5), (2.0, 1.7)]:
-            assert np.array_equal(clipped.masses(d, q), clipped_mass_oracle(c, region, d, q))
+            assert np.array_equal(clipped.mass_terms(d, q)[0], clipped_mass_oracle(c, region, d, q))
 
     def test_l_shape_masses_match_sorted_rays(self, clipped_mass_oracle, monkeypatch):
         monkeypatch.setattr(intensity, "_CHUNK_ELEMENTS", 7 * 720 * 6)
@@ -602,7 +610,7 @@ class TestClippedMass:
         assert c.n > 100
         clipped = intensity._ClippedMass(c, self.L_SHAPE)
         for d, q in [(100.0, 1.5), (2.0, 1.7)]:
-            np.testing.assert_allclose(clipped.masses(d, q),
+            np.testing.assert_allclose(clipped.mass_terms(d, q)[0],
                                        clipped_mass_oracle(c, self.L_SHAPE, d, q),
                                        rtol=1e-14, atol=0.0)
 
@@ -610,7 +618,7 @@ class TestClippedMass:
         # its rays enter the box before they leave it: the mass is positive
         c = Catalog(np.array([1.0]), np.array([1.2]), np.array([0.5]), np.array([4.0]),
                     window_days=2.0, m0=4.0)
-        mass = intensity._ClippedMass(c, unit_region).masses(100.0, 1.5)[0]
+        mass = intensity._ClippedMass(c, unit_region).mass_terms(100.0, 1.5)[0, 0]
         lat = region_lattice(unit_region, 1000)
         x, y = unit_region.to_km(lat.lons[lat.inside], lat.lats[lat.inside])
         ex, ey = unit_region.to_km(c.lons, c.lats)

@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from eqassess import (GriddedForecast, HawkesParams, HomogeneousIntensity,
-                      Region, RngStream, bin_counts,
+                      Region, RngStream, bin_counts, branching_ratio,
                       gutenberg_richter_magnitudes, mean_branching_ratio,
                       mean_gr_magnitude, pmap, simulate_hawkes,
                       simulate_homogeneous, simulate_inhomogeneous,
                       simulate_poisson_grid)
+from eqassess import simulate  # the module: MAX_CASCADE and _uniform_in_region
+
+BOX = Region.rectangle(10.0, 11.0, 40.0, 41.0)
+L_SHAPE = Region([(10, 40), (12, 40), (12, 41), (11, 41), (11, 42), (10, 42)])
 
 
 class TestGutenbergRichter:
@@ -107,6 +113,44 @@ class TestHomogeneous:
         assert c.n == 0
 
 
+class TestPoissonPoints:
+    """simulate_homogeneous and simulate_inhomogeneous draw their points
+    through _poisson_points: the count, the epicentres, then the times."""
+
+    @staticmethod
+    def _three_draws(gen, mean, region, t_max):
+        n = int(gen.poisson(mean))
+        lons, lats = simulate._uniform_in_region(gen, region, n)
+        return lons, lats, gen.uniform(0.0, t_max, size=n)
+
+    @pytest.mark.parametrize("region", [BOX, L_SHAPE], ids=["box", "ell"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_homogeneous_draw_order(self, region, seed):
+        rate, t_max = 2e-4, 7.5
+        lons, lats, times = self._three_draws(RngStream(seed).generator(),
+                                              rate * region.area_km2 * t_max, region, t_max)
+        c = simulate_homogeneous(rate, region, t_max, RngStream(seed), mag=4.0)
+        order = np.lexsort((lats, lons, times))  # the catalog's (time, lon, lat) order
+        for got, col in zip((c.lons, c.lats, c.times), (lons, lats, times)):
+            assert np.array_equal(got, col[order])
+        assert c.n > 0 and np.all(c.mags == 4.0)
+
+    @pytest.mark.parametrize("region", [BOX, L_SHAPE], ids=["box", "ell"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_inhomogeneous_draw_order(self, region, seed):
+        # the keep draws follow the three draws of the candidates
+        bound, t_max = 3e-4, 7.5
+        model = HomogeneousIntensity(1e-4)
+        gen = RngStream(seed).generator()
+        lons, lats, times = self._three_draws(gen, bound * region.area_km2 * t_max, region, t_max)
+        keep = gen.uniform(size=times.size) < model.rate_at(lons, lats, times) / bound
+        c = simulate_inhomogeneous(model, bound, region, t_max, RngStream(seed), mag=4.0)
+        kept = np.flatnonzero(keep)[np.lexsort((lats[keep], lons[keep], times[keep]))]
+        for got, col in zip((c.lons, c.lats, c.times), (lons, lats, times)):
+            assert np.array_equal(got, col[kept])
+        assert 0 < c.n < times.size
+
+
 class TestInhomogeneous:
     def test_matches_homogeneous_distribution(self, unit_region):
         model = HomogeneousIntensity(3e-4)
@@ -183,6 +227,84 @@ class TestInhomogeneous:
 class TestHawkes:
     PARAMS = HawkesParams(mu=2e-4, k=0.003, c=0.05, p=1.5, a=1.0, d=0.5,
                           q=1.8, m0=4.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), ell=st.booleans(),
+           t_max=st.floats(0.5, 60.0), n_bg=st.floats(0.0, 40.0),
+           nbar=st.sampled_from([0.0, 1e-12, 0.2, 0.6, 0.9]),
+           a=st.sampled_from([0.0, 0.8, 2.0]), c=st.floats(0.001, 0.5),
+           p=st.floats(1.05, 2.0), d=st.floats(0.1, 20.0), q=st.floats(1.2, 2.5),
+           cap=st.one_of(st.none(), st.floats(1.0, 3.0)))
+    @example(seed=0, ell=False, t_max=30.0, n_bg=20.0, nbar=0.0, a=1.0, c=0.05, p=1.5,
+             d=0.5, q=1.8, cap=None)  # k = 0: no offspring
+    @example(seed=1, ell=True, t_max=30.0, n_bg=20.0, nbar=0.6, a=0.0, c=0.05, p=1.5,
+             d=0.5, q=1.8, cap=None)  # a = 0: one productivity for every magnitude
+    @example(seed=2, ell=False, t_max=30.0, n_bg=30.0, nbar=0.9, a=1.0, c=0.05, p=1.5,
+             d=0.5, q=1.8, cap=1.05)  # a cap just above the expected cascade
+    def test_matches_the_four_list_loop(self, hawkes_simulation_oracle, seed, ell, t_max,
+                                        n_bg, nbar, a, c, p, d, q, cap):
+        # k from the target nbar, mu from the expected background count;
+        # cap scales the event cap to the expected cascade, so that either
+        # check of the cap may fire, in both or in neither
+        region = L_SHAPE if ell else BOX
+        unit = HawkesParams(mu=1.0, k=1.0, c=c, p=p, a=a, d=d, q=q, m0=4.0)
+        mu = max(n_bg, 1e-3) / (region.area_km2 * t_max)
+        params = HawkesParams(mu=mu, k=nbar / mean_branching_ratio(unit), c=c, p=p, a=a, d=d,
+                              q=q, m0=4.0)
+        cascade = mu * region.area_km2 * t_max / (1.0 - mean_branching_ratio(params))
+
+        def run(sim):
+            with pytest.MonkeyPatch.context() as mp:
+                if cap is not None:
+                    mp.setattr(simulate, "MAX_CASCADE", int(cap * cascade))
+                try:
+                    return sim(params, region, t_max, RngStream(seed))
+                except ValueError as err:
+                    return str(err)
+
+        got, want = run(simulate_hawkes), run(hawkes_simulation_oracle)
+        if isinstance(want, str):
+            assert got == want
+            return
+        for col in ("times", "lons", "lats", "mags"):
+            assert np.array_equal(getattr(got, col), getattr(want, col))
+        assert (got.window_days, got.m0) == (want.window_days, want.m0)
+
+    def test_the_event_cap_is_met_exactly(self, hawkes_simulation_oracle, monkeypatch):
+        # the reference's smallest passing cap is the cascade's size: the
+        # simulator gives the same catalog there and refuses one event less.
+        # nbar = 0.9 and 30 background events; seed 2's cascade is larger
+        # than the expected 300, so only the count of drawn events can fire
+        shape = dict(c=0.05, p=1.5, a=1.0, d=0.5, q=1.8, m0=4.0)
+        k = 0.9 / mean_branching_ratio(HawkesParams(mu=1.0, k=1.0, **shape))
+        params = HawkesParams(mu=1.0 / BOX.area_km2, k=k, **shape)
+        lo, hi = math.ceil(30.0 / (1.0 - mean_branching_ratio(params))), 100_000
+
+        def passes(sim, cap):
+            monkeypatch.setattr(simulate, "MAX_CASCADE", cap)
+            try:
+                return sim(params, BOX, 30.0, RngStream(2))
+            except ValueError as err:
+                assert str(err) == "cascade exceeded the event cap"
+
+        assert passes(hawkes_simulation_oracle, lo) is None
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if passes(hawkes_simulation_oracle, mid) else (mid, hi)
+        assert passes(simulate_hawkes, hi - 1) is None
+        got, want = passes(simulate_hawkes, hi), passes(hawkes_simulation_oracle, hi)
+        assert np.array_equal(got.times, want.times) and np.array_equal(got.mags, want.mags)
+
+    def test_criticality_is_the_mean_branching_ratio(self, unit_region):
+        # n at the mean magnitude is 0.6, but the magnitudes' mean of
+        # k e^(a (m - m0)) x masses, nbar, is 1.346: supercritical
+        p = HawkesParams(mu=1e-4, k=0.003192459923049632, c=0.01, p=1.2, a=2.0, d=1.0,
+                         q=1.5, m0=4.0)
+        assert branching_ratio(p, mean_gr_magnitude(4.0)) == pytest.approx(0.6, rel=1e-12)
+        assert mean_branching_ratio(p) == pytest.approx(1.346, abs=1e-3)
+        with pytest.raises(ValueError, match="supercritical triggering: mean branching ratio "
+                                             r"nbar = 1\.34575 >= 1"):
+            simulate_hawkes(p, unit_region, 10.0, RngStream(1))
 
     def test_supercritical_rejected(self, unit_region):
         p = HawkesParams(mu=2e-4, k=5.0, c=0.05, p=1.5, a=1.0, d=0.5,
